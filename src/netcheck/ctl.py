@@ -366,13 +366,14 @@ def witness(net: Network, labels: LabelMap, formula: Formula, start: str) -> Wit
     if op not in _WITNESSABLE:
         return Witness("none-available")
 
-    if start not in model_check(net, labels, formula):
+    _check_labels(net, labels)
+    checker = _Checker(net, labels)
+    if start not in checker.sat(formula):
         raise NotSatisfiedError(f"node {start!r} does not satisfy the formula")
 
     base, inverse = _split_op(op)
     view = net.adjacency()
     adj = view.predecessors if inverse else view.successors
-    checker = _Checker(net, labels)
 
     if base == "EX":
         target = checker.sat(formula.operand)

@@ -6,8 +6,10 @@ Everything takes an explicit random.Random so failures replay exactly.
 from __future__ import annotations
 
 import random
+from collections import deque
 
 from netcheck.ctl import Atom, Bool, Not, And, Or, Temporal, Until, UNARY_OPS, UNTIL_OPS
+from netcheck.metrics import components, simple_neighbours
 from netcheck.network import Edge, Network
 from netcheck.xmldoc import parse_xml
 
@@ -45,6 +47,28 @@ def random_network(rng: random.Random, max_n=8, p=0.3, directed=True):
             if rng.random() < p:
                 edges.append((a, b))
     return make_network(edges, directed=directed, keys=keys)
+
+
+def all_pairs_bfs(net: Network):
+    """Independent all-pairs figures for the giant component, one
+    breadth-first search per source: (size, diameter, sum of
+    ordered-pair distances)."""
+    giant = set(components(net).giant)
+    adj = simple_neighbours(net)
+    longest = 0
+    total = 0
+    for s in giant:
+        dist = {s: 0}
+        queue = deque([s])
+        while queue:
+            v = queue.popleft()
+            for w in adj[v]:
+                if w in giant and w not in dist:
+                    dist[w] = dist[v] + 1
+                    queue.append(w)
+        longest = max(longest, max(dist.values()))
+        total += sum(dist.values())
+    return len(giant), longest, total
 
 
 def random_labels(rng: random.Random, net: Network, props=PROPS):

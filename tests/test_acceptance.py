@@ -19,12 +19,10 @@ from netcheck.checker import check, parse_formula
 from netcheck.ctl import LabelMap, model_check, oracle_check
 from netcheck.metrics import (
     clustering_coefficient,
-    components,
     degree_histogram,
     diameter,
     eulerian_path_exists,
     mean_geodesic,
-    simple_neighbours,
 )
 from netcheck.network import Edge, Network, load_network
 from netcheck.xmldoc import XmlElement, XmlText, parse_xml
@@ -32,6 +30,7 @@ from netcheck.xpath import eval_filter, parse_filter
 
 from tests.direct_eval import direct_check
 from tests.gens import (
+    all_pairs_bfs,
     random_attributed_network,
     random_formula,
     random_labels,
@@ -243,33 +242,11 @@ def test_criterion_6_metrics_exactness():
     assert mean_geodesic(chain) == Fraction(4, 3)
 
     eight = load_network("fixtures/eight.xml")
-    size, longest, total = _all_pairs_bfs(eight)
+    size, longest, total = all_pairs_bfs(eight)
     assert size == 8
     assert diameter(eight) == longest
     assert mean_geodesic(eight) == Fraction(total, size * (size - 1))
     _report(6, "exact statistics on all five reference graphs")
-
-
-def _all_pairs_bfs(net):
-    """Independent all-pairs figures for the giant component."""
-    from collections import deque
-
-    giant = set(components(net).giant)
-    adj = simple_neighbours(net)
-    longest = 0
-    total = 0
-    for s in giant:
-        dist = {s: 0}
-        queue = deque([s])
-        while queue:
-            v = queue.popleft()
-            for w in adj[v]:
-                if w in giant and w not in dist:
-                    dist[w] = dist[v] + 1
-                    queue.append(w)
-        longest = max(longest, max(dist.values()))
-        total += sum(dist.values())
-    return len(giant), longest, total
 
 
 # -- 7: determinism ----------------------------------------------------------------------

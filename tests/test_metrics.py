@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from netcheck.errors import EmptyNetworkError, FormatError
 from netcheck.metrics import (
+    _BLOCK,
     clustering_coefficient,
     components,
     degree_histogram,
@@ -20,7 +21,7 @@ from netcheck.metrics import (
 )
 from netcheck.network import Edge, Network, load_network, parse_network
 
-from tests.gens import make_network, random_network
+from tests.gens import all_pairs_bfs, make_network, random_network
 
 FIXTURES = "fixtures"
 
@@ -159,6 +160,39 @@ def test_distance_stats_match_all_pairs_oracle(seed):
         assert mean_geodesic(net) == Fraction(sum(ordered), len(ordered))
     else:
         assert mean_geodesic(net) == 0
+
+
+def _long_chain():
+    # even keys out, odd keys back: both ends fall in the first block of
+    # sources, so only that block reaches the diameter
+    n = _BLOCK + 476
+    order = list(range(0, n, 2)) + list(range(n - 1, 0, -2))
+    keys = [f"c{i:04d}" for i in order]
+    return undirected(list(zip(keys, keys[1:])))
+
+
+def _big_star():
+    return undirected([("hub", f"leaf{i}") for i in range(_BLOCK + 476)])
+
+
+def _random_with_islands():
+    rng = random.Random(7)
+    keys = [f"r{i}" for i in range(_BLOCK + 176)]
+    # a random tree keeps the giant whole; extra edges add cycles,
+    # loops and parallels; three small components sit beside it
+    edges = [(keys[i], rng.choice(keys[:i])) for i in range(1, len(keys))]
+    edges += [(rng.choice(keys), rng.choice(keys)) for _ in range(600)]
+    edges += [("i0", "i1"), ("i2", "i3"), ("i3", "i4")]
+    return undirected(edges, keys=keys + ["lone"])
+
+
+@pytest.mark.parametrize("build", [_long_chain, _big_star, _random_with_islands])
+def test_geodesics_across_source_blocks(build):
+    net = build()
+    size, longest, total = all_pairs_bfs(net)
+    assert size > _BLOCK
+    assert diameter(net) == longest
+    assert mean_geodesic(net) == Fraction(total, size * (size - 1))
 
 
 # -- degree histograms ------------------------------------------------------------------
