@@ -148,10 +148,23 @@ def _tokenize_formula(text: str) -> list[tuple[str, object, int]]:
     return toks
 
 
+# Deepest formula the parser accepts. Each prefix operator, parenthesis
+# and until adds a level, and so does each further operand of a & or |
+# chain. Later passes recurse over the tree (hashing, filter replacement,
+# checking), up to three frames a level, and so does the parser through
+# a parenthesis, so this keeps them well inside Python's default
+# recursion limit of 1000.
+MAX_FORMULA_DEPTH = 150
+
+
 class _FormulaParser:
+    """Recursive descent; every parse method returns (formula, depth),
+    where a bare atom has depth 0."""
+
     def __init__(self, toks):
         self.toks = toks
         self.i = 0
+        self.open = 0  # prefix operators, parentheses and untils being parsed
 
     def peek(self):
         return self.toks[self.i]
@@ -166,65 +179,86 @@ class _FormulaParser:
         if kind != "SYM" or val != value:
             raise ParseError(f"expected {value!r}", 1, col)
 
+    def within(self, depth: int, col: int) -> int:
+        if depth > MAX_FORMULA_DEPTH:
+            raise ParseError(
+                f"formula nested deeper than {MAX_FORMULA_DEPTH} levels", 1, col
+            )
+        return depth
+
+    def enter(self, col: int) -> None:
+        # checked on the way down as well, so that the parser's own
+        # recursion is bounded before any subtree is complete
+        self.open = self.within(self.open + 1, col)
+
     def parse(self) -> Formula:
-        f = self.parse_or()
+        f, _ = self.parse_or()
         kind, val, col = self.peek()
         if kind != "END":
             raise ParseError(f"unexpected trailing input {val!r}", 1, col)
         return f
 
-    def parse_or(self) -> Formula:
-        f = self.parse_and()
+    def parse_or(self) -> tuple[Formula, int]:
+        f, depth = self.parse_and()
         while self._at_sym("|"):
-            self.next()
-            f = Or(f, self.parse_and())
-        return f
+            col = self.next()[2]
+            g, d = self.parse_and()
+            f, depth = Or(f, g), self.within(max(depth, d) + 1, col)
+        return f, depth
 
-    def parse_and(self) -> Formula:
-        f = self.parse_unary()
+    def parse_and(self) -> tuple[Formula, int]:
+        f, depth = self.parse_unary()
         while self._at_sym("&"):
-            self.next()
-            f = And(f, self.parse_unary())
-        return f
+            col = self.next()[2]
+            g, d = self.parse_unary()
+            f, depth = And(f, g), self.within(max(depth, d) + 1, col)
+        return f, depth
 
     def _at_sym(self, value: str) -> bool:
         kind, val, _ = self.peek()
         return kind == "SYM" and val == value
 
-    def parse_unary(self) -> Formula:
+    def parse_unary(self) -> tuple[Formula, int]:
         kind, val, col = self.peek()
-        if kind == "SYM" and val == "!":
+        if (kind == "SYM" and val == "!") or (kind == "WORD" and val in _UNARY_KEYWORDS):
             self.next()
-            return Not(self.parse_unary())
-        if kind == "WORD" and val in _UNARY_KEYWORDS:
-            self.next()
-            return Temporal(val, self.parse_unary())
+            self.enter(col)
+            f, depth = self.parse_unary()
+            self.open -= 1
+            f = Not(f) if val == "!" else Temporal(val, f)
+            return f, self.within(depth + 1, col)
         if kind == "WORD" and val in _UNTIL_KEYWORDS:
             self.next()
             self.expect_sym("(")
-            left = self.parse_or()
+            self.enter(col)
+            left, dl = self.parse_or()
             self.expect_sym(",")
-            right = self.parse_or()
+            right, dr = self.parse_or()
             self.expect_sym(")")
-            return Until(val, left, right)
+            self.open -= 1
+            return Until(val, left, right), self.within(max(dl, dr) + 1, col)
         if kind == "WORD" and val in ("true", "false"):
             self.next()
-            return Bool(val == "true")
+            return Bool(val == "true"), 0
         if kind == "SYM" and val == "(":
             self.next()
-            f = self.parse_or()
+            self.enter(col)
+            f, depth = self.parse_or()
             self.expect_sym(")")
-            return f
+            self.open -= 1
+            return f, self.within(depth + 1, col)
         if kind == "FILTER":
             self.next()
-            return Atom(val)
+            return Atom(val), 0
         raise ParseError("expected a formula", 1, col)
 
 
 def parse_formula(text: str) -> Formula:
     """Parse the combined language; atoms hold filter expressions.
     Raises ParseError with a character offset; errors inside a bracketed
-    filter carry the offset within the whole formula text."""
+    filter carry the offset within the whole formula text. A formula
+    nested deeper than ``MAX_FORMULA_DEPTH`` levels is a ParseError at
+    the operator, parenthesis or until that goes past it."""
     toks = _tokenize_formula(text)
     if toks[0][0] == "END":
         raise ParseError("empty formula", 1, 1)

@@ -21,12 +21,11 @@ from .checker import label_nodes, parse_formula, replace_filters
 from .ctl import NotSatisfiedError, Witness, model_check, witness
 from .errors import FilterTypeError, FormatError, ParseError, UnknownKeyError
 from .metrics import (
+    _geodesics,
     clustering_coefficient,
     components,
     degree_histogram,
-    diameter,
     eulerian_path_exists,
-    mean_geodesic,
 )
 from .network import Network, load_network
 from .xpath import eval_filter, parse_filter
@@ -223,8 +222,9 @@ def _run_metrics(args) -> int:
         "clustering_coefficient": _format_ratio(clustering_coefficient(net)),
     }
     if net.n > 0:
-        data["diameter"] = diameter(net)
-        data["mean_geodesic"] = _format_ratio(mean_geodesic(net))
+        longest, mean = _geodesics(net)
+        data["diameter"] = longest
+        data["mean_geodesic"] = _format_ratio(mean)
     else:
         data["diameter"] = None
         data["mean_geodesic"] = None

@@ -9,10 +9,11 @@ AF to the current node, and collapses EU to its right argument.
 
 Two evaluators are provided. ``model_check`` is the production
 algorithm: bottom-up over the formula with memoization on structural
-equality, linear-time set computations per operator. ``oracle_check``
-recomputes satisfaction by deliberately different brute-force means and
-is capped at 12 nodes; it exists so the two can be compared on random
-instances.
+equality, one O(n+m) set computation per operator for n nodes and m
+edges (backward breadth-first fixpoints, and backward counter pruning
+for EG). ``oracle_check`` recomputes satisfaction by deliberately
+different brute-force means and is capped at 12 nodes; it exists so the
+two can be compared on random instances.
 """
 
 from __future__ import annotations
@@ -157,12 +158,14 @@ def model_check(net: Network, labels: LabelMap, formula: Formula) -> frozenset[s
     """Satisfaction set of a formula over a labelled network.
 
     Bottom-up over the formula, memoized on structural equality, with
-    per-operator set computations linear in nodes plus edges: EX by
-    predecessor scan, EF and EU by backward breadth-first fixpoints, EG
-    by restricting to the operand's subgraph and finding the nodes that
-    reach a cycle of that subgraph or a sink of the original graph.
-    Universal operators go through their existential duals. Inverse
-    operators run the same computations on the transposed relation.
+    per-operator set computations in O(n+m) for n nodes and m edges: EX
+    by predecessor scan, EF and EU by backward breadth-first fixpoints,
+    EG by backward counter pruning (each operand node counts its
+    successors in the operand; a node whose count falls to zero drops
+    out and decrements its predecessors, while a sink of the original
+    graph never drops). Universal operators go through their
+    existential duals. Inverse operators run the same computations on
+    the transposed relation. The whole check is O(|formula|*(n+m)).
     """
     _check_labels(net, labels)
     return _Checker(net, labels).sat(formula)
@@ -257,71 +260,25 @@ class _Checker:
                     queue.append(v)
         return frozenset(seen)
 
-    def _eg(self, s: frozenset[str], succ, pred) -> frozenset[str]:
-        if not s:
-            return frozenset()
-        # A maximal path inside s either stops at a sink of the original
-        # graph or eventually loops within s.
-        targets = {v for v in s if not succ[v] or v in succ[v]}
-        for comp in _strongly_connected(s, succ):
-            if len(comp) > 1:
-                targets.update(comp)
-        seen = set(targets)
-        queue = deque(targets)
-        while queue:
-            w = queue.popleft()
+    @staticmethod
+    def _eg(s: frozenset[str], succ, pred) -> frozenset[str]:
+        # Greatest fixpoint by backward counter pruning (Baier & Katoen,
+        # Principles of Model Checking, 2008, section 6.4). A node of s
+        # stays while it has a successor still in the set; a sink of the
+        # original graph ends a maximal path and always stays. Each edge
+        # is read once to count and at most once to decrement: O(n+m).
+        count = {v: len(s.intersection(succ[v])) for v in s}
+        dead = [v for v, c in count.items() if c == 0 and succ[v]]
+        alive = set(s).difference(dead)
+        while dead:
+            w = dead.pop()
             for v in pred[w]:
-                if v in s and v not in seen:
-                    seen.add(v)
-                    queue.append(v)
-        return frozenset(seen)
-
-
-def _strongly_connected(nodes: frozenset[str], succ) -> list[list[str]]:
-    """Tarjan's algorithm, iterative, restricted to the given node set."""
-    index: dict[str, int] = {}
-    low: dict[str, int] = {}
-    on_stack: set[str] = set()
-    stack: list[str] = []
-    result: list[list[str]] = []
-    counter = 0
-    for root in nodes:
-        if root in index:
-            continue
-        work: list[tuple[str, int]] = [(root, 0)]
-        while work:
-            v, ci = work.pop()
-            if ci == 0:
-                index[v] = low[v] = counter
-                counter += 1
-                stack.append(v)
-                on_stack.add(v)
-            children = [w for w in succ[v] if w in nodes]
-            advanced = False
-            for j in range(ci, len(children)):
-                w = children[j]
-                if w not in index:
-                    work.append((v, j + 1))
-                    work.append((w, 0))
-                    advanced = True
-                    break
-                if w in on_stack:
-                    low[v] = min(low[v], index[w])
-            if advanced:
-                continue
-            if low[v] == index[v]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack.discard(w)
-                    comp.append(w)
-                    if w == v:
-                        break
-                result.append(comp)
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[v])
-    return result
+                if v in alive:
+                    count[v] -= 1
+                    if count[v] == 0:
+                        alive.discard(v)
+                        dead.append(v)
+        return frozenset(alive)
 
 
 # ---------------------------------------------------------------------------

@@ -148,12 +148,21 @@ def _giant_distance_sums(net: Network) -> tuple[int, int, int]:
     return size, longest, total
 
 
+def _geodesics(net: Network) -> tuple[int, Fraction]:
+    """(diameter, mean geodesic) of the giant component from one
+    bit-parallel all-pairs BFS, so a report that needs both sweeps once."""
+    size, longest, total = _giant_distance_sums(net)
+    if size < 2:
+        return longest, Fraction(0)
+    return longest, Fraction(total, size * (size - 1))
+
+
 def diameter(net: Network) -> int:
     """Longest geodesic within the giant component, from the
     bit-parallel all-pairs BFS of ``_giant_distance_sums``:
     O(ceil(g/1024) * D * m) big-int operations for giant size g and
     diameter D, no faster than per-source BFS on long chains."""
-    return _giant_distance_sums(net)[1]
+    return _geodesics(net)[0]
 
 
 def mean_geodesic(net: Network) -> Fraction:
@@ -161,10 +170,7 @@ def mean_geodesic(net: Network) -> Fraction:
     giant component; 0 for a single-node giant. Computed by the
     bit-parallel all-pairs BFS of ``_giant_distance_sums``, at the cost
     given for :func:`diameter`."""
-    size, _, total = _giant_distance_sums(net)
-    if size < 2:
-        return Fraction(0)
-    return Fraction(total, size * (size - 1))
+    return _geodesics(net)[1]
 
 
 @dataclass(frozen=True)

@@ -204,10 +204,25 @@ def _tokenize_filter(text: str) -> list[_Tok]:
 # Parser
 
 
+# Deepest filter the parser accepts. Each not() and parenthesis adds a
+# level, and so does each further operand of an and/or chain. A
+# predicate adds three, for the step, the path and the test around the
+# next predicate. Later passes recurse over the tree (hashing, equality,
+# evaluation, rendering) at up to four frames a level, so this keeps
+# them well inside Python's default recursion limit of 1000, also for a
+# filter inside a formula at its own cap.
+MAX_FILTER_DEPTH = 60
+_PREDICATE_LEVELS = 3
+
+
 class _FilterParser:
+    """Recursive descent; the parse methods that can nest return
+    (result, depth), where an expression without nesting has depth 0."""
+
     def __init__(self, toks: list[_Tok]):
         self.toks = toks
         self.i = 0
+        self.open = 0  # not(), parentheses and predicates being parsed
 
     def peek(self) -> _Tok:
         return self.toks[self.i]
@@ -229,27 +244,46 @@ class _FilterParser:
     def error(self, message: str):
         raise ParseError(message, 1, self.peek().col)
 
+    def within(self, depth: int, col: int) -> int:
+        if depth > MAX_FILTER_DEPTH:
+            raise ParseError(
+                f"filter nested deeper than {MAX_FILTER_DEPTH} levels", 1, col
+            )
+        return depth
+
+    def nested(self, col: int, levels: int = 1) -> tuple[FilterExpr, int]:
+        """The or-level expression inside the not(), parenthesis or
+        predicate opened at ``col``, ``levels`` deeper. The open levels
+        are checked on the way down as well, so that the parser's own
+        recursion is bounded before any subtree is complete."""
+        self.open = self.within(self.open + levels, col)
+        expr, depth = self.parse_or()
+        self.open -= levels
+        return expr, self.within(depth + levels, col)
+
     # filter := or-level
     def parse(self) -> FilterExpr:
-        expr = self.parse_or()
+        expr, _ = self.parse_or()
         tok = self.peek()
         if tok.kind != "END":
             self.error(f"unexpected trailing input {tok.value!r}")
         return expr
 
-    def parse_or(self) -> FilterExpr:
-        expr = self.parse_and()
+    def parse_or(self) -> tuple[FilterExpr, int]:
+        expr, depth = self.parse_and()
         while self._at_keyword("or"):
-            self.next()
-            expr = Or(expr, self.parse_and())
-        return expr
+            col = self.next().col
+            right, d = self.parse_and()
+            expr, depth = Or(expr, right), self.within(max(depth, d) + 1, col)
+        return expr, depth
 
-    def parse_and(self) -> FilterExpr:
-        expr = self.parse_not()
+    def parse_and(self) -> tuple[FilterExpr, int]:
+        expr, depth = self.parse_not()
         while self._at_keyword("and"):
-            self.next()
-            expr = And(expr, self.parse_not())
-        return expr
+            col = self.next().col
+            right, d = self.parse_not()
+            expr, depth = And(expr, right), self.within(max(depth, d) + 1, col)
+        return expr, depth
 
     def _at_keyword(self, word: str) -> bool:
         tok = self.peek()
@@ -266,102 +300,97 @@ class _FilterParser:
             and nxt.value == "("
         )
 
-    def parse_not(self) -> FilterExpr:
+    def parse_not(self) -> tuple[FilterExpr, int]:
         if self._at_call("not"):
-            self.next()
+            col = self.next().col
             self.expect_sym("(")
-            inner = self.parse_or()
+            inner, depth = self.nested(col)
             self.expect_sym(")")
-            return Not(inner)
+            return Not(inner), depth
         return self.parse_cmp()
 
-    def parse_cmp(self) -> FilterExpr:
+    def parse_cmp(self) -> tuple[FilterExpr, int]:
         if self.at_sym("("):
-            self.next()
-            inner = self.parse_or()
+            inner, depth = self.nested(self.next().col)
             self.expect_sym(")")
-            return inner
-        left = self.parse_operand()
+            return inner, depth
+        left, depth = self.parse_operand()
         tok = self.peek()
         if tok.kind == "SYM" and tok.value in _COMPARE_OPS:
             self.next()
-            right = self.parse_operand()
-            return Comparison(left, tok.value, right)
+            right, d = self.parse_operand()
+            return Comparison(left, tok.value, right), max(depth, d)
         # A bare path means existence; other bare operands keep their
         # boolean coercion.
         if isinstance(left, LocationPath):
-            return Exists(left)
-        return left
+            return Exists(left), depth
+        return left, depth
 
-    def parse_operand(self) -> Operand:
+    def parse_operand(self) -> tuple[Operand, int]:
         tok = self.peek()
         if tok.kind == "STRING":
             self.next()
-            return StringLiteral(tok.value)
+            return StringLiteral(tok.value), 0
         if tok.kind == "NUMBER":
             self.next()
-            return NumberLiteral(Decimal(tok.value))
+            return NumberLiteral(Decimal(tok.value)), 0
         if self._at_call("count"):
             self.next()
             self.expect_sym("(")
-            path = self.parse_path()
+            path, depth = self.parse_path()
             self.expect_sym(")")
-            return CountExpr(path)
+            return CountExpr(path), depth
         if self._at_call("contains"):
             self.next()
             self.expect_sym("(")
-            path = self.parse_path()
+            path, depth = self.parse_path()
             self.expect_sym(",")
             stok = self.next()
             if stok.kind != "STRING":
                 raise ParseError("expected a string literal", 1, stok.col)
             self.expect_sym(")")
-            return Contains(path, stok.value)
+            return Contains(path, stok.value), depth
         return self.parse_path()
 
-    def parse_path(self) -> LocationPath:
+    def parse_path(self) -> tuple[LocationPath, int]:
         steps: list[Step] = []
-        if self.at_sym("//"):
-            self.next()
-            steps.append(Step(Axis.DESCENDANT_OR_SELF, AnyItemTest()))
-            steps.append(self.parse_step())
-        else:
-            steps.append(self.parse_step())
+        depth = 0
         while True:
-            if self.at_sym("/"):
-                self.next()
-                steps.append(self.parse_step())
-            elif self.at_sym("//"):
+            if self.at_sym("//"):
                 self.next()
                 steps.append(Step(Axis.DESCENDANT_OR_SELF, AnyItemTest()))
-                steps.append(self.parse_step())
-            else:
-                return LocationPath(tuple(steps))
+            elif steps:
+                if not self.at_sym("/"):
+                    return LocationPath(tuple(steps)), depth
+                self.next()
+            step, d = self.parse_step()
+            steps.append(step)
+            depth = max(depth, d)
 
-    def parse_step(self) -> Step:
+    def parse_step(self) -> tuple[Step, int]:
         tok = self.peek()
         if self.at_sym("."):
             self.next()
-            return Step(Axis.SELF, AnyItemTest())
+            return Step(Axis.SELF, AnyItemTest()), 0
         if self.at_sym(".."):
             self.next()
-            return Step(Axis.PARENT, AnyItemTest())
+            return Step(Axis.PARENT, AnyItemTest()), 0
         if self.at_sym("@"):
             self.next()
             name_tok = self.next()
             if name_tok.kind != "NAME":
                 raise ParseError("expected attribute name after '@'", 1, name_tok.col)
-            return Step(Axis.ATTRIBUTE, NameTest(name_tok.value))
+            return Step(Axis.ATTRIBUTE, NameTest(name_tok.value)), 0
+        axis = Axis.CHILD
         if tok.kind == "NAME" and self._next_is_axis_sep():
             axis = _AXIS_BY_NAME.get(tok.value)
             if axis is None:
                 raise ParseError(f"unknown axis {tok.value!r}", 1, tok.col)
             self.next()
             self.next()  # '::'
-            test = self.parse_test()
-            return Step(axis, test, self.parse_predicates())
         test = self.parse_test()
-        return Step(Axis.CHILD, test, self.parse_predicates())
+        preds, depth = self.parse_predicates()
+        return Step(axis, test, preds), depth
 
     def _next_is_axis_sep(self) -> bool:
         nxt = self.toks[self.i + 1] if self.i + 1 < len(self.toks) else None
@@ -382,18 +411,21 @@ class _FilterParser:
             return NameTest(tok.value)
         self.error("expected a node test")
 
-    def parse_predicates(self) -> tuple:
+    def parse_predicates(self) -> tuple[tuple, int]:
         preds: list[FilterExpr] = []
+        depth = 0
         while self.at_sym("["):
-            self.next()
-            preds.append(self.parse_or())
+            pred, d = self.nested(self.next().col, _PREDICATE_LEVELS)
             self.expect_sym("]")
-        return tuple(preds)
+            preds.append(pred)
+            depth = max(depth, d)
+        return tuple(preds), depth
 
 
 def parse_filter(text: str) -> FilterExpr:
     """Parse a filter expression; raises ParseError with a character
-    offset on malformed input."""
+    offset on malformed input, and at the not(), parenthesis, predicate
+    or operator that takes it deeper than ``MAX_FILTER_DEPTH`` levels."""
     toks = _tokenize_filter(text)
     if toks[0].kind == "END":
         raise ParseError("empty filter", 1, 1)

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from netcheck.checker import (
+    MAX_FORMULA_DEPTH,
     FilterRegistry,
     check,
     collect_filters,
@@ -108,6 +109,38 @@ def test_nested_brackets_inside_filter():
 def test_quoted_bracket_inside_filter():
     f = parse_formula('EX [title = "a]b"]')
     assert isinstance(f.operand, Atom)
+
+
+# Formulas nested ``depth`` levels deep, each with the 1-based column of
+# the token that opens or continues its deepest level.
+FORMULA_NESTINGS = {
+    "prefix": lambda d: ("EX " * (d - 1) + "!" + "[a]", 3 * (d - 1) + 1),
+    "parentheses": lambda d: ("(" * d + "[a]" + ")" * d, d),
+    "until": lambda d: ("EU(" * d + "[a]" + ", [b])" * d, 3 * d - 2),
+    "or chain": lambda d: (" | ".join(["[a]"] * (d + 1)), 6 * d - 1),
+    "and chain": lambda d: (" & ".join(f"[a = {i:03d}]" for i in range(d + 1)), 12 * d - 1),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(FORMULA_NESTINGS))
+def test_formula_depth_cap(shape):
+    text, _ = FORMULA_NESTINGS[shape](MAX_FORMULA_DEPTH)
+    parse_formula(text)
+    text, col = FORMULA_NESTINGS[shape](MAX_FORMULA_DEPTH + 1)
+    with pytest.raises(ParseError) as exc:
+        parse_formula(text)
+    assert exc.value.message == f"formula nested deeper than {MAX_FORMULA_DEPTH} levels"
+    assert exc.value.column == col
+
+
+def test_formula_depth_counts_chains_under_nesting():
+    # a chain inside parentheses inside a chain: the tree is as deep as
+    # the two chains and the parenthesis together
+    half = MAX_FORMULA_DEPTH // 2
+    inner = " | ".join(["[a]"] * (half + 1))
+    parse_formula("(" + inner + ")" + " | [b]" * (MAX_FORMULA_DEPTH - half - 1))
+    with pytest.raises(ParseError):
+        parse_formula("(" + inner + ")" + " | [b]" * (MAX_FORMULA_DEPTH - half))
 
 
 # -- registry and staging ----------------------------------------------------

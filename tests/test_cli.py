@@ -6,7 +6,9 @@ import sys
 
 import pytest
 
+from netcheck.checker import MAX_FORMULA_DEPTH
 from netcheck.cli import main
+from netcheck.xpath import MAX_FILTER_DEPTH
 
 WEB = "fixtures/web.xml"
 COLLAB = "fixtures/collab.xml"
@@ -179,6 +181,20 @@ def test_metrics_k3(capsys):
     assert "eulerian_path: true" in out
 
 
+def test_metrics_report_runs_one_geodesic_sweep(capsys, monkeypatch):
+    import netcheck.metrics as metrics
+
+    sweeps = []
+    sweep = metrics._giant_distance_sums
+    monkeypatch.setattr(
+        metrics, "_giant_distance_sums", lambda net: sweeps.append(net) or sweep(net)
+    )
+    code, out, _ = run_main(capsys, "metrics", "--network", K3)
+    assert code == 0
+    assert "diameter: 1" in out and "mean_geodesic: 1.0" in out
+    assert len(sweeps) == 1
+
+
 def test_metrics_konigsberg_lines(capsys):
     code, out, _ = run_main(capsys, "metrics", "--network", KONIGSBERG)
     assert code == 0
@@ -218,6 +234,64 @@ def test_filter_syntax_error_is_exit_1(capsys):
     assert code == 1
     assert out == ""
     assert "filter" in err
+
+
+@pytest.fixture
+def loop_net(tmp_path):
+    net = tmp_path / "loop.xml"
+    net.write_text(
+        '<network><node key="k1" a="1"/><edge from="k1" to="k1"/></network>',
+        encoding="utf-8",
+    )
+    return str(net)
+
+
+_F, _P = MAX_FORMULA_DEPTH, MAX_FILTER_DEPTH
+# a filter at its own cap: nested predicates, three levels each
+_DEEP_FILTER = "self::*[" * (_P // 3) + "@a" + "]" * (_P // 3)
+
+
+@pytest.mark.parametrize(
+    "command, text",
+    [
+        ("check", "EX " * _F + f"[{_DEEP_FILTER}]"),
+        ("check", " | ".join([f"[{_DEEP_FILTER}]"] * (_F + 1))),
+        ("check", "(" * _F + "[@a]" + ")" * _F),
+        ("check", "AU([@b], " * _F + "[@a]" + ")" * _F),
+        ("query", _DEEP_FILTER),
+        ("query", "(" * _P + "@a" + ")" * _P),
+        ("query", " or ".join(["@b"] * _P + ["@a"])),
+    ],
+    ids=["prefix", "or-chain", "parentheses", "until", "predicates",
+         "filter-parentheses", "filter-chain"],
+)
+def test_input_at_depth_cap_runs_end_to_end(capsys, loop_net, command, text):
+    flag = "--formula" if command == "check" else "--filter"
+    code, out, err = run_main(capsys, command, "--network", loop_net, flag, text)
+    assert (code, out, err) == (0, "k1\n", "")
+
+
+@pytest.mark.parametrize(
+    "command, text, message",
+    [
+        ("check", "EX " * 3000 + "[@a]",
+         f"formula: line 1, column {3 * _F + 1}: formula nested deeper"),
+        ("check", " | ".join(["[@a]"] * 1500),
+         f"formula: line 1, column {7 * _F + 6}: formula nested deeper"),
+        ("check", "EX [" + "(" * (_P + 1) + "@a" + ")" * (_P + 1) + "]",
+         f"formula: line 1, column {_P + 5}: in filter: filter nested deeper"),
+        ("query", "(" * 2000 + "@a" + ")" * 2000,
+         f"filter: line 1, column {_P + 1}: filter nested deeper"),
+    ],
+    ids=["prefix", "or-chain", "filter-in-formula", "filter-parentheses"],
+)
+def test_input_past_depth_cap_is_exit_1(capsys, loop_net, command, text, message):
+    flag = "--formula" if command == "check" else "--filter"
+    code, out, err = run_main(capsys, command, "--network", loop_net, flag, text)
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"netcheck: {message}")
+    assert err.count("\n") == 1 and err.endswith("\n")
 
 
 def test_missing_network_file_is_exit_2(capsys):

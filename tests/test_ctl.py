@@ -1,6 +1,7 @@
 """Checker semantics: frozen instances, dualities, witnesses, oracle parity."""
 
 import random
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -147,12 +148,79 @@ def test_eg_through_larger_cycle():
     assert model_check(net, labels, Temporal("EG", Atom("p"))) == {"a", "b", "c"}
 
 
+def test_eg_prunes_back_along_a_chain():
+    # v0 -> ... -> v5 -> t: each v stays in p only until its successor
+    # drops out, so the pruning has to travel back the whole chain
+    chain = [(f"v{i}", f"v{i + 1}") for i in range(5)] + [("v5", "t")]
+    labels = lm({f"v{i}": ["p"] for i in range(6)})
+    eg = Temporal("EG", Atom("p"))
+    assert model_check(make_network(chain), labels, eg) == frozenset()
+    # a loop at the far end keeps the whole chain
+    looped = make_network(chain + [("v5", "v5")])
+    assert model_check(looped, labels, eg) == {f"v{i}" for i in range(6)}
+
+
 def test_af_on_a_cycle_fails():
     # the loop can postpone p forever
     net = make_network([("a", "b"), ("b", "a"), ("b", "c")])
     labels = lm({"c": ["p"]})
     assert model_check(net, labels, Temporal("AF", Atom("p"))) == {"c"}
     assert model_check(net, labels, Temporal("EF", Atom("p"))) == {"a", "b", "c"}
+
+
+def _hub(n):
+    """Hub h joined both ways to leaves l0..l(n-1), except that every
+    fourth leaf only receives an edge and so is a sink. p holds at the
+    hub and at the leaves whose index is not a multiple of 3, q at the
+    leaves whose index is a multiple of 5."""
+    leaves = [f"l{i:05d}" for i in range(n)]
+    edges = [("h", k) for k in leaves]
+    edges += [(k, "h") for i, k in enumerate(leaves) if i % 4]
+    assignments = {k: [] for k in leaves}
+    assignments["h"] = ["p"]
+    for i, k in enumerate(leaves):
+        if i % 3:
+            assignments[k].append("p")
+        if i % 5 == 0:
+            assignments[k].append("q")
+    return make_network(edges), lm(assignments), leaves
+
+
+# EG, AF and AU on the hub, each with its satisfaction set as a
+# predicate on the leaf index and whether the hub is in it.
+_HUB_CASES = [
+    # every p-node has a p-successor or is a sink
+    (Temporal("EG", Atom("p")), True, lambda i: i % 3 != 0),
+    # the hub is outside the region, so only its sink leaves survive
+    (Temporal("EG", Not(Atom("p"))), False, lambda i: i % 12 == 0),
+    # only a sink leaf outside p can avoid p forever
+    (Temporal("AF", Atom("p")), True, lambda i: i % 12 != 0),
+    # q then p: a q-leaf reaches p at the hub unless it is a sink
+    (Until("AU", Atom("q"), Atom("p")), True,
+     lambda i: i % 3 != 0 or (i % 5 == 0 and i % 4 != 0)),
+]
+
+
+def test_eg_af_au_linear_on_two_way_hub():
+    # Each operator is O(n+m) by counter pruning. A quadratic pass over
+    # the hub's successor list would grow about 16x for 4x the leaves;
+    # a linear one measures 4-6x, cache effects included.
+    times = []
+    for n in (5_000, 20_000):
+        net, labels, leaves = _hub(n)
+        for f, hub, leaf in _HUB_CASES:
+            expected = {k for i, k in enumerate(leaves) if leaf(i)}
+            expected |= {"h"} if hub else set()
+            assert model_check(net, labels, f) == expected, f
+        best = float("inf")
+        for _ in range(5):
+            t0 = time.perf_counter()
+            for f, _, _ in _HUB_CASES:
+                model_check(net, labels, f)
+            best = min(best, time.perf_counter() - t0)
+        times.append(best)
+    ratio = times[1] / times[0]
+    assert 2.0 <= ratio <= 10.0, f"4x leaves took {ratio:.1f}x as long ({times})"
 
 
 def test_until_needs_left_to_hold_up_to_right():

@@ -7,7 +7,13 @@ from hypothesis import given, strategies as st
 
 from netcheck.errors import FilterTypeError, ParseError
 from netcheck.xmldoc import parse_xml, string_value
-from netcheck.xpath import eval_filter, eval_path, parse_filter, render_filter
+from netcheck.xpath import (
+    MAX_FILTER_DEPTH,
+    eval_filter,
+    eval_path,
+    parse_filter,
+    render_filter,
+)
 
 DOC = parse_xml(
     '<lib genre="mixed">'
@@ -52,6 +58,33 @@ def test_unknown_axis_rejected():
 def test_trailing_junk_rejected():
     with pytest.raises(ParseError):
         parse_filter("title )")
+
+
+# Filters nested ``depth`` levels deep, each with the 1-based column of
+# the token that opens or continues its deepest level. A predicate is
+# three levels: the step, its path and the test around the next one.
+FILTER_NESTINGS = {
+    "not": lambda d: ("not(" * d + "@a" + ")" * d, 4 * d - 3),
+    "parentheses": lambda d: ("(" * d + "@a" + ")" * d, d),
+    "or chain": lambda d: (" or ".join(["@a"] * (d + 1)), 6 * d - 2),
+    "and chain": lambda d: (" and ".join(["@a"] * (d + 1)), 7 * d - 3),
+    "predicates": lambda d: ("*[" * (d // 3) + "@a" + "]" * (d // 3), 2 * (d // 3)),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(FILTER_NESTINGS))
+def test_filter_depth_cap(shape):
+    text, _ = FILTER_NESTINGS[shape](MAX_FILTER_DEPTH)
+    expr = parse_filter(text)
+    assert parse_filter(render_filter(expr)) == expr
+    assert eval_filter(expr, DOC) is False  # <lib> has no @a
+    # predicates come three levels at a time
+    over = MAX_FILTER_DEPTH + (3 if shape == "predicates" else 1)
+    text, col = FILTER_NESTINGS[shape](over)
+    with pytest.raises(ParseError) as exc:
+        parse_filter(text)
+    assert exc.value.message == f"filter nested deeper than {MAX_FILTER_DEPTH} levels"
+    assert exc.value.column == col
 
 
 def test_numeric_predicate_is_boolean_not_positional():
