@@ -20,12 +20,10 @@ O(filters * nodes) plus O(formula * (nodes + edges)).
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
-
 from .ctl import And, Atom, Bool, Formula, LabelMap, Not, Or, Temporal, Until, model_check
 from .errors import FilterTypeError, MissingFilterError, ParseError
 from .network import Network
-from .xpath import FilterExpr, eval_filter, parse_filter, render_filter
+from .xpath import FilterExpr, _compile_filter, parse_filter, render_filter
 
 _UNARY_KEYWORDS = {"EX", "AX", "EF", "AF", "EG", "AG",
                    "IEX", "IAX", "IEF", "IAF", "IEG", "IAG"}
@@ -294,15 +292,13 @@ def collect_filters(formula: Formula) -> list[FilterExpr]:
     return found
 
 
-def label_nodes(net: Network, formula: Formula, parallel: int = 1
-                ) -> tuple[LabelMap, FilterRegistry]:
+def label_nodes(net: Network, formula: Formula) -> tuple[LabelMap, FilterRegistry]:
     """Labelling stage: evaluate each distinct filter of the formula at
     every node payload.
 
     Returns the label map plus the registry pairing filters with their
-    generated proposition ids. Filter evaluations are independent, so
-    ``parallel`` > 1 spreads them over a thread pool without changing
-    the result. A FilterTypeError is re-raised annotated with the
+    generated proposition ids. Each filter is compiled once and then run
+    at every payload. A FilterTypeError is re-raised annotated with the
     offending node key and filter; with several failures the first in
     (filter, key) order wins.
     """
@@ -311,29 +307,16 @@ def label_nodes(net: Network, formula: Formula, parallel: int = 1
         registry.register(f)
     keys = net.node_keys()
     assignments: dict[str, set[str]] = {k: set() for k in keys}
-
-    def evaluate(filter_expr: FilterExpr, key: str) -> bool:
-        try:
-            return eval_filter(filter_expr, net.payload(key))
-        except FilterTypeError as exc:
-            raise FilterTypeError(
-                f"filter {render_filter(filter_expr)!r} at node {key!r}: {exc}"
-            ) from exc
-
-    if parallel > 1 and keys:
-        with ThreadPoolExecutor(max_workers=parallel) as pool:
-            for filter_expr in registry.filters():
-                prop = registry.prop_for(filter_expr)
-                futures = [pool.submit(evaluate, filter_expr, k) for k in keys]
-                for key, fut in zip(keys, futures):
-                    if fut.result():
-                        assignments[key].add(prop)
-    else:
-        for filter_expr in registry.filters():
-            prop = registry.prop_for(filter_expr)
-            for key in keys:
-                if evaluate(filter_expr, key):
+    for filter_expr, prop in zip(registry.filters(), registry.props()):
+        holds = _compile_filter(filter_expr)
+        for key in keys:
+            try:
+                if holds(net.payload(key)):
                     assignments[key].add(prop)
+            except FilterTypeError as exc:
+                raise FilterTypeError(
+                    f"filter {render_filter(filter_expr)!r} at node {key!r}: {exc}"
+                ) from exc
 
     labels = LabelMap(
         frozenset(registry.props()),
@@ -366,8 +349,8 @@ def replace_filters(formula: Formula, registry: FilterRegistry) -> Formula:
                  replace_filters(formula.right, registry))
 
 
-def check(net: Network, formula: Formula, parallel: int = 1) -> frozenset[str]:
+def check(net: Network, formula: Formula) -> frozenset[str]:
     """Label, replace, and model-check; returns the satisfying keys."""
-    labels, registry = label_nodes(net, formula, parallel=parallel)
+    labels, registry = label_nodes(net, formula)
     propositional = replace_filters(formula, registry)
     return model_check(net, labels, propositional)

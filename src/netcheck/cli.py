@@ -28,7 +28,7 @@ from .metrics import (
     eulerian_path_exists,
 )
 from .network import Network, load_network
-from .xpath import eval_filter, parse_filter
+from .xpath import _compile_filter, parse_filter
 
 EXIT_OK = 0
 EXIT_SYNTAX = 1
@@ -50,7 +50,6 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--formula", metavar="TEXT")
     group.add_argument("--formula-file", metavar="PATH")
     check_p.add_argument("--witness-for", metavar="KEY")
-    check_p.add_argument("--parallel", type=int, default=1, metavar="N")
     check_p.add_argument("--format", choices=("lines", "json"), default="lines")
 
     query_p = sub.add_parser("query", help="print keys whose payload matches a filter")
@@ -116,7 +115,7 @@ def _run_check(args) -> int:
         return _fail(EXIT_FORMAT, f"network: {exc}")
 
     try:
-        labels, registry = label_nodes(net, formula, parallel=max(1, args.parallel))
+        labels, registry = label_nodes(net, formula)
         propositional = replace_filters(formula, registry)
         satisfying = model_check(net, labels, propositional)
         witness_report = None
@@ -185,10 +184,11 @@ def _run_query(args) -> int:
         return _fail(EXIT_FORMAT, f"cannot read network: {exc}")
     except (ParseError, FormatError) as exc:
         return _fail(EXIT_FORMAT, f"network: {exc}")
+    holds = _compile_filter(filter_expr)
     keys = []
     try:
         for key in net.node_keys():
-            if eval_filter(filter_expr, net.payload(key)):
+            if holds(net.payload(key)):
                 keys.append(key)
     except FilterTypeError as exc:
         return _fail(EXIT_TYPE, f"evaluation: at node '{key}': {exc}")

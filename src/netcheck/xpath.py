@@ -15,10 +15,17 @@ path operand holds when some item satisfies it. The relational operators
 raise FilterTypeError when an operand's string value does not parse.
 ``=`` and ``!=`` compare numerically when either side is a number
 literal or a count, and by string value otherwise.
+
+A filter is compiled once into nested closures (once per labelling
+pass, or per ``eval_filter`` call) and then run at each context item.
+Within one evaluation, a predicate's result at an item is cached, so a
+predicate reached from many items of an outer path is evaluated once
+per item; the cache is dropped when the evaluation returns.
 """
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass
 from decimal import Decimal
@@ -434,6 +441,16 @@ def parse_filter(text: str) -> FilterExpr:
 
 # ---------------------------------------------------------------------------
 # Evaluation
+#
+# Compiling settles node tests, comparison kinds and literal conversions.
+# Each predicate's memo is registered in ``memos``, and the top-level
+# function clears them all when it returns.
+
+
+def eval_filter(expr: FilterExpr, context: XmlElement) -> bool:
+    """Evaluate a filter at an element; raises FilterTypeError when a
+    relational comparison meets a value that is not a number."""
+    return _compile_filter(expr)(context)
 
 
 def eval_path(path: LocationPath, context: XmlItem) -> list[XmlItem]:
@@ -442,189 +459,303 @@ def eval_path(path: LocationPath, context: XmlItem) -> list[XmlItem]:
     Returns a duplicate-free list in document order. Each step's
     predicates filter that step's result.
     """
-    items: list[XmlItem] = [context]
-    for step in path.steps:
-        seen: set[int] = set()
-        collected: list[XmlItem] = []
-        for item in items:
-            for cand in _axis_items(step.axis, item):
-                if _test_matches(step.test, step.axis, cand):
-                    key = id(cand)
-                    if key not in seen:
-                        seen.add(key)
-                        collected.append(cand)
-        collected.sort(key=doc_order_key)
-        for pred in step.predicates:
-            collected = [it for it in collected if _eval_boolean(pred, it)]
-        items = collected
-    return items
+    memos: list[dict] = []
+    return _top_level(_compile_path(path, memos), memos)(context)
 
 
-def _descendants(element: XmlElement):
-    stack = list(reversed(element.children))
+def _compile_filter(expr: FilterExpr):
+    """Compile a filter into a function of the context item that returns
+    the same bool, or raises the same FilterTypeError, as evaluating it
+    there. Compile once and call it at every payload."""
+    memos: list[dict] = []
+    return _top_level(_compile_bool(expr, memos), memos)
+
+
+def _top_level(run, memos: list[dict]):
+    if not memos:
+        return run
+
+    def call(context):
+        try:
+            return run(context)
+        finally:
+            for memo in memos:
+                memo.clear()
+
+    return call
+
+
+def _compile_bool(expr: FilterExpr, memos: list[dict]):
+    if isinstance(expr, And):
+        left, right = _compile_bool(expr.left, memos), _compile_bool(expr.right, memos)
+        return lambda item: left(item) and right(item)
+    if isinstance(expr, Or):
+        left, right = _compile_bool(expr.left, memos), _compile_bool(expr.right, memos)
+        return lambda item: left(item) or right(item)
+    if isinstance(expr, Not):
+        operand = _compile_bool(expr.operand, memos)
+        return lambda item: not operand(item)
+    if isinstance(expr, Comparison):
+        return _compile_comparison(expr, memos)
+    if isinstance(expr, Contains):
+        path, needle = _compile_path(expr.path, memos), expr.needle
+        return lambda item: any(needle in string_value(it) for it in path(item))
+    if isinstance(expr, (Exists, CountExpr, LocationPath)):
+        path = _compile_path(expr if isinstance(expr, LocationPath) else expr.path, memos)
+        return lambda item: bool(path(item))
+    if isinstance(expr, StringLiteral):
+        value = expr.value != ""
+        return lambda item: value
+    if isinstance(expr, NumberLiteral):
+        value = expr.value != 0
+        return lambda item: value
+    raise AssertionError(expr)
+
+
+def _compile_path(path: LocationPath, memos: list[dict]):
+    steps = [_compile_step(step, memos) for step in path.steps]
+
+    def run(item):
+        items = [item]
+        for step in steps:
+            if not items:
+                break
+            items = step(items)
+        return items
+
+    return run
+
+
+# Axes whose items, taken from one context item, are duplicate-free and
+# already in document order. Ancestor runs upwards, so it is sorted.
+_IN_ORDER_AXES = frozenset(Axis) - {Axis.ANCESTOR}
+
+
+def _compile_step(step: Step, memos: list[dict]):
+    candidates = _compile_candidates(step.axis, step.test)
+    preds = [_compile_predicate(pred, memos) for pred in step.predicates]
+    in_order = step.axis in _IN_ORDER_AXES
+
+    def run(items):
+        if in_order and len(items) == 1:
+            found = candidates(items[0])
+        else:
+            seen: set = set()
+            found = []
+            for item in items:
+                for cand in candidates(item):
+                    if cand not in seen:
+                        seen.add(cand)
+                        found.append(cand)
+            found.sort(key=doc_order_key)
+        for pred in preds:
+            found = [it for it in found if pred(it)]
+        return found
+
+    return run
+
+
+def _compile_predicate(pred: FilterExpr, memos: list[dict]):
+    test = _compile_bool(pred, memos)
+    memo: dict = {}
+    memos.append(memo)
+
+    def run(item):
+        hit = memo.get(item)
+        if hit is None:
+            hit = memo[item] = test(item)
+        return hit
+
+    return run
+
+
+def _compile_candidates(axis: Axis, test: NodeTest):
+    """Function from a context item to a new list of the items on the
+    axis that pass the node test, in axis order."""
+    if axis is Axis.ATTRIBUTE and isinstance(test, NameTest):
+        name = test.name
+
+        def named_attribute(item):
+            if isinstance(item, XmlElement):
+                return [a for a in item.attr_items if a.name == name]
+            return []
+
+        return named_attribute
+    items = _AXES[axis]
+    if isinstance(test, AnyItemTest):
+        return lambda item: list(items(item))
+    if isinstance(test, TextTest):
+        if axis is Axis.ATTRIBUTE:
+            return lambda item: []
+        kind = XmlText
+    else:
+        kind = XmlAttribute if axis is Axis.ATTRIBUTE else XmlElement
+    if isinstance(test, NameTest):
+        name = test.name
+        return lambda item: [
+            c for c in items(item) if isinstance(c, kind) and c.name == name
+        ]
+    return lambda item: [c for c in items(item) if isinstance(c, kind)]
+
+
+def _descendants(element: XmlElement, out: list) -> list:
+    stack = element.children[::-1]
     while stack:
         node = stack.pop()
-        yield node
-        if isinstance(node, XmlElement):
-            stack.extend(reversed(node.children))
+        out.append(node)
+        if isinstance(node, XmlElement) and node.children:
+            stack += node.children[::-1]
+    return out
 
 
-def _axis_items(axis: Axis, item: XmlItem):
-    if axis is Axis.CHILD:
-        return iter(item.children) if isinstance(item, XmlElement) else iter(())
-    if axis is Axis.DESCENDANT:
-        return _descendants(item) if isinstance(item, XmlElement) else iter(())
-    if axis is Axis.DESCENDANT_OR_SELF:
-        def gen():
-            yield item
-            if isinstance(item, XmlElement):
-                yield from _descendants(item)
-        return gen()
-    if axis is Axis.PARENT:
-        parent = item.owner if isinstance(item, XmlAttribute) else item.parent
-        return iter(() if parent is None else (parent,))
-    if axis is Axis.ANCESTOR:
-        def gen():
-            node = item.owner if isinstance(item, XmlAttribute) else item.parent
-            while node is not None:
-                yield node
-                node = node.parent
-        return gen()
-    if axis is Axis.SELF:
-        return iter((item,))
-    if axis is Axis.ATTRIBUTE:
-        return iter(item.attr_items) if isinstance(item, XmlElement) else iter(())
-    if axis is Axis.FOLLOWING_SIBLING:
-        if isinstance(item, XmlAttribute) or item.parent is None:
-            return iter(())
-        return iter(item.parent.children[item.index + 1 :])
-    if axis is Axis.PRECEDING_SIBLING:
-        if isinstance(item, XmlAttribute) or item.parent is None:
-            return iter(())
-        return iter(item.parent.children[: item.index])
-    raise AssertionError(axis)
+def _up(item: XmlItem):
+    return item.owner if isinstance(item, XmlAttribute) else item.parent
 
 
-def _test_matches(test: NodeTest, axis: Axis, item: XmlItem) -> bool:
-    if isinstance(test, AnyItemTest):
-        return True
-    if axis is Axis.ATTRIBUTE:
-        if isinstance(test, NameTest):
-            return isinstance(item, XmlAttribute) and item.name == test.name
-        if isinstance(test, AnyElementTest):
-            return isinstance(item, XmlAttribute)
-        return False
-    if isinstance(test, NameTest):
-        return isinstance(item, XmlElement) and item.name == test.name
-    if isinstance(test, AnyElementTest):
-        return isinstance(item, XmlElement)
-    return isinstance(item, XmlText)
+def _parent(item: XmlItem) -> tuple:
+    parent = _up(item)
+    return () if parent is None else (parent,)
 
 
-def eval_filter(expr: FilterExpr, context: XmlElement) -> bool:
-    """Evaluate a filter at an element; raises FilterTypeError when a
-    relational comparison meets a value that is not a number."""
-    return _eval_boolean(expr, context)
+def _ancestors(item: XmlItem) -> list:
+    out = []
+    node = _up(item)
+    while node is not None:
+        out.append(node)
+        node = node.parent
+    return out
 
 
-def _eval_boolean(expr: FilterExpr, item: XmlItem) -> bool:
-    if isinstance(expr, And):
-        return _eval_boolean(expr.left, item) and _eval_boolean(expr.right, item)
-    if isinstance(expr, Or):
-        return _eval_boolean(expr.left, item) or _eval_boolean(expr.right, item)
-    if isinstance(expr, Not):
-        return not _eval_boolean(expr.operand, item)
-    if isinstance(expr, Comparison):
-        return _compare(expr, item)
-    if isinstance(expr, Exists):
-        return bool(eval_path(expr.path, item))
-    if isinstance(expr, Contains):
-        return any(expr.needle in string_value(it) for it in eval_path(expr.path, item))
-    if isinstance(expr, CountExpr):
-        return bool(eval_path(expr.path, item))
-    if isinstance(expr, StringLiteral):
-        return expr.value != ""
-    if isinstance(expr, NumberLiteral):
-        return expr.value != 0
-    if isinstance(expr, LocationPath):
-        return bool(eval_path(expr, item))
-    raise AssertionError(expr)
+def _siblings(item: XmlItem, after: bool):
+    if isinstance(item, XmlAttribute) or item.parent is None:
+        return ()
+    children = item.parent.children
+    return children[item.index + 1 :] if after else children[: item.index]
+
+
+# Each axis as a function from a context item to its items, in axis order.
+_AXES = {
+    Axis.CHILD: lambda item: item.children if isinstance(item, XmlElement) else (),
+    Axis.DESCENDANT: lambda item: (
+        _descendants(item, []) if isinstance(item, XmlElement) else ()
+    ),
+    Axis.DESCENDANT_OR_SELF: lambda item: (
+        _descendants(item, [item]) if isinstance(item, XmlElement) else (item,)
+    ),
+    Axis.PARENT: _parent,
+    Axis.ANCESTOR: _ancestors,
+    Axis.SELF: lambda item: (item,),
+    Axis.ATTRIBUTE: lambda item: item.attr_items if isinstance(item, XmlElement) else (),
+    Axis.FOLLOWING_SIBLING: lambda item: _siblings(item, True),
+    Axis.PRECEDING_SIBLING: lambda item: _siblings(item, False),
+}
 
 
 _NUMBER_RE = re.compile(r"[+-]?(\d+(\.\d*)?|\.\d+)\Z")
 
 
-def _to_number(kind: str, value) -> Decimal:
-    if kind == "num":
-        return value
-    if kind == "bool":
-        return Decimal(1 if value else 0)
+def _to_number(value: str) -> Decimal:
     s = value.strip(" \t\r\n")
     if not _NUMBER_RE.match(s):
         raise FilterTypeError(f"cannot interpret {value!r} as a number")
     return Decimal(s)
 
 
-def _to_boolean(kind: str, value) -> bool:
-    if kind == "bool":
-        return value
-    if kind == "num":
-        return value != 0
-    return value != ""
+_OPERATORS = {
+    "=": operator.eq, "!=": operator.ne,
+    "<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge,
+}
+
+# How a value of each operand kind is converted when a comparison is
+# made on numbers or on booleans; string comparisons take strings as
+# they are. A path's items compare by their string values.
+_CONVERT = {
+    "num": {"str": _to_number, "bool": lambda v: Decimal(1 if v else 0)},
+    "bool": {"str": lambda v: v != ""},
+    "str": {},
+}
 
 
-def _scalar_compare(lkind: str, lval, op: str, rkind: str, rval) -> bool:
-    if op in ("<", "<=", ">", ">="):
-        a = _to_number(lkind, lval)
-        b = _to_number(rkind, rval)
-        if op == "<":
-            return a < b
-        if op == "<=":
-            return a <= b
-        if op == ">":
-            return a > b
-        return a >= b
-    if lkind == "num" or rkind == "num":
-        eq = _to_number(lkind, lval) == _to_number(rkind, rval)
-    elif lkind == "bool" or rkind == "bool":
-        eq = _to_boolean(lkind, lval) == _to_boolean(rkind, rval)
-    else:
-        eq = lval == rval
-    return eq if op == "=" else not eq
-
-
-def _operand_value(operand: Operand, item: XmlItem) -> tuple[str, object]:
-    if isinstance(operand, LocationPath):
-        return ("nodes", eval_path(operand, item))
-    if isinstance(operand, StringLiteral):
-        return ("str", operand.value)
-    if isinstance(operand, NumberLiteral):
-        return ("num", operand.value)
-    if isinstance(operand, CountExpr):
-        return ("num", Decimal(len(eval_path(operand.path, item))))
+def _operand_kind(operand: Operand) -> str:
+    if isinstance(operand, (NumberLiteral, CountExpr)):
+        return "num"
     if isinstance(operand, Contains):
-        return ("bool", _eval_boolean(operand, item))
-    raise AssertionError(operand)
+        return "bool"
+    return "str"  # a string literal, or a path's string values
 
 
-def _compare(cmp: Comparison, item: XmlItem) -> bool:
-    lkind, lval = _operand_value(cmp.left, item)
-    rkind, rval = _operand_value(cmp.right, item)
-    if lkind == "nodes" and rkind == "nodes":
-        return any(
-            _scalar_compare("str", string_value(a), cmp.op, "str", string_value(b))
-            for a in lval
-            for b in rval
-        )
-    if lkind == "nodes":
-        return any(
-            _scalar_compare("str", string_value(a), cmp.op, rkind, rval) for a in lval
-        )
-    if rkind == "nodes":
-        return any(
-            _scalar_compare(lkind, lval, cmp.op, "str", string_value(b)) for b in rval
-        )
-    return _scalar_compare(lkind, lval, cmp.op, rkind, rval)
+def _compile_comparison(cmp: Comparison, memos: list[dict]):
+    """Existential comparison. Both operands are evaluated, left first;
+    then pairs are compared in order, converting the left value before
+    the right, until one holds."""
+    lkind, rkind = _operand_kind(cmp.left), _operand_kind(cmp.right)
+    if cmp.op not in ("=", "!=") or "num" in (lkind, rkind):
+        on = "num"
+    elif "bool" in (lkind, rkind):
+        on = "bool"
+    else:
+        on = "str"
+    lnodes, left, lconv = _compile_side(cmp.left, _CONVERT[on].get(lkind), memos)
+    rnodes, right, rconv = _compile_side(cmp.right, _CONVERT[on].get(rkind), memos)
+    compare = _converting(_OPERATORS[cmp.op], lconv, rconv)
+
+    if lnodes and rnodes:
+        def run(item):
+            lvals, rvals = left(item), right(item)
+            if not rvals:
+                return False
+            rvals = [string_value(b) for b in rvals]
+            for a in lvals:
+                a = string_value(a)
+                for b in rvals:
+                    if compare(a, b):
+                        return True
+            return False
+    elif lnodes:
+        def run(item):
+            lvals, b = left(item), right(item)
+            return any(compare(string_value(a), b) for a in lvals)
+    elif rnodes:
+        def run(item):
+            a, rvals = left(item), right(item)
+            return any(compare(a, string_value(b)) for b in rvals)
+    else:
+        def run(item):
+            return compare(left(item), right(item))
+    return run
+
+
+def _converting(compare, lconv, rconv):
+    if lconv is None and rconv is None:
+        return compare
+    lconv = lconv or _identity
+    rconv = rconv or _identity
+    return lambda a, b: compare(lconv(a), rconv(b))
+
+
+def _identity(value):
+    return value
+
+
+def _compile_side(operand: Operand, convert, memos: list[dict]):
+    """(is a path?, value function, converter) for one comparison
+    operand. A literal's value is converted here, once; a literal that
+    does not convert keeps its converter, so that it raises only when a
+    comparison reaches it, as it would unconverted."""
+    if isinstance(operand, LocationPath):
+        return True, _compile_path(operand, memos), convert
+    if isinstance(operand, CountExpr):
+        path = _compile_path(operand.path, memos)
+        return False, lambda item: Decimal(len(path(item))), convert
+    if isinstance(operand, Contains):
+        return False, _compile_bool(operand, memos), convert
+    value = operand.value
+    if convert is not None:
+        try:
+            value, convert = convert(value), None
+        except FilterTypeError:
+            value = operand.value
+    return False, lambda item: value, convert
 
 
 # ---------------------------------------------------------------------------

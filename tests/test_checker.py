@@ -229,15 +229,6 @@ def test_pipeline_matches_inline_evaluation(seed):
     assert check(net, f) == direct_check(net, f)
 
 
-@given(st.integers(0, 10 ** 9))
-@settings(max_examples=40, deadline=None)
-def test_parallel_labelling_matches_serial(seed):
-    rng = random.Random(seed)
-    net = random_attributed_network(rng, max_n=7)
-    f = parse_formula(random_xpl_text(rng, depth=3))
-    assert check(net, f, parallel=4) == check(net, f, parallel=1)
-
-
 def test_check_is_deterministic_across_runs():
     rng = random.Random(42)
     net = random_attributed_network(rng, max_n=8)

@@ -70,13 +70,6 @@ def test_check_formula_file(capsys, tmp_path):
     assert out == "w1\nw3\n"
 
 
-def test_check_parallel_same_output(capsys):
-    argv = ["check", "--network", COLLAB, "--formula", "EF [count(paper) > 100]"]
-    base = run_main(capsys, *argv)
-    para = run_main(capsys, *argv, "--parallel", "4")
-    assert base == para
-
-
 # -- witness ---------------------------------------------------------------------
 
 

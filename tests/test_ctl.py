@@ -55,6 +55,32 @@ def test_formula_length_counts_nodes():
     assert formula_length(Not(And(TRUE, FALSE))) == 4
 
 
+class CountedProp(str):
+    """Proposition id that counts how often it is hashed."""
+
+    hashes = 0
+
+    def __hash__(self):
+        self.hashes += 1
+        return str.__hash__(self)
+
+
+def test_long_chain_hashes_each_node_a_bounded_number_of_times():
+    # EX p1 | EX p2 | ... | EX p150 nests 150 deep. If every lookup
+    # rehashed the whole subtree, p1 would be hashed once per enclosing
+    # node; hashed once per node, each proposition is hashed by its atom
+    # and by the two label lookups of the atom's check, whatever its depth.
+    props = [CountedProp(f"p{i}") for i in range(1, 151)]
+    labels = lm({"a": props[:1]}, props=props)
+    formula = Temporal("EX", Atom(props[0]))
+    for p in props[1:]:
+        formula = Or(formula, Temporal("EX", Atom(p)))
+    for p in props:
+        p.hashes = 0
+    assert model_check(make_network([("a", "a")]), labels, formula) == {"a"}
+    assert max(p.hashes for p in props) <= 3
+
+
 def test_label_map_build_checks_universe():
     with pytest.raises(UnboundAtomError):
         LabelMap.build({"a": ["z"]}, props=["p"])

@@ -1,19 +1,32 @@
 """Filter language tests: parsing, axes, comparison semantics, rendering."""
 
+import sys
 from decimal import Decimal
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from netcheck.errors import FilterTypeError, ParseError
-from netcheck.xmldoc import parse_xml, string_value
+from netcheck.xmldoc import XmlElement, parse_xml, string_value
 from netcheck.xpath import (
     MAX_FILTER_DEPTH,
+    And,
+    Axis,
+    Comparison,
+    Contains,
+    CountExpr,
+    Exists,
+    LocationPath,
+    Not,
+    Or,
+    _compile_filter,
     eval_filter,
     eval_path,
     parse_filter,
     render_filter,
 )
+
+from tests import xpath_reference as reference
 
 DOC = parse_xml(
     '<lib genre="mixed">'
@@ -317,3 +330,137 @@ def test_numeric_equality_matches_decimal(value, scale):
     doc = parse_xml(f'<r n="{text}"/>')
     assert eval_filter(parse_filter(f"@n = {value}"), doc)
     assert Decimal(text) == Decimal(value)
+
+
+# -- compiled evaluator against the reference interpreter -------------------------
+
+# Element and attribute names, and the values of attributes and text.
+# "abc", "" and "1e3" do not parse as numbers, " 3 " parses after trimming.
+ELEMENTS = ("a", "b", "c")
+ATTRIBUTES = ("x", "y")
+VALUES = ("1", "2.5", " 3 ", "-1", "abc", "", "1e3")
+COMPARE_OPS = ("=", "!=", "<", "<=", ">", ">=")
+
+
+@st.composite
+def document_texts(draw, depth=3):
+    name = draw(st.sampled_from(ELEMENTS))
+    attrs = draw(st.dictionaries(st.sampled_from(ATTRIBUTES), st.sampled_from(VALUES),
+                                 max_size=2))
+    inner = st.sampled_from(VALUES)
+    if depth > 0:
+        inner = st.one_of(inner, document_texts(depth - 1))
+    children = draw(st.lists(inner, max_size=3))
+    attr_text = "".join(f' {k}="{v}"' for k, v in attrs.items())
+    return f"<{name}{attr_text}>{''.join(children)}</{name}>"
+
+
+@st.composite
+def filter_texts(draw, depth=3):
+    kind = draw(st.sampled_from(("cmp", "cmp", "operand", "not", "and", "or")))
+    if depth <= 0 or kind == "operand":
+        return draw(operand_texts(depth))
+    if kind == "cmp":
+        op = draw(st.sampled_from(COMPARE_OPS))
+        return f"{draw(operand_texts(depth))} {op} {draw(operand_texts(depth))}"
+    if kind == "not":
+        return f"not({draw(filter_texts(depth - 1))})"
+    return f"({draw(filter_texts(depth - 1))}) {kind} ({draw(filter_texts(depth - 1))})"
+
+
+@st.composite
+def operand_texts(draw, depth):
+    kind = draw(st.sampled_from(("path", "path", "string", "number", "count", "contains")))
+    if kind == "string":
+        return f'"{draw(st.sampled_from(VALUES))}"'
+    if kind == "number":
+        return draw(st.sampled_from(("0", "1", "2.5", "3")))
+    path = draw(path_texts(depth))
+    if kind == "count":
+        return f"count({path})"
+    if kind == "contains":
+        return f'contains({path}, "{draw(st.sampled_from(("1", "b", "")))}")'
+    return path
+
+
+@st.composite
+def path_texts(draw, depth):
+    steps = draw(st.lists(step_texts(depth), min_size=1, max_size=3))
+    text = steps[0]
+    for step in steps[1:]:
+        text += draw(st.sampled_from(("/", "//"))) + step
+    return draw(st.sampled_from(("", "", "//"))) + text
+
+
+@st.composite
+def step_texts(draw, depth):
+    kind = draw(st.sampled_from(("axis", "axis", "axis", "abbreviation")))
+    if kind == "abbreviation":
+        return draw(st.sampled_from((".", "..", "@x", "@y") + ELEMENTS))
+    axis = draw(st.sampled_from([a.value for a in Axis]))
+    test = draw(st.sampled_from(ELEMENTS + ATTRIBUTES + ("*", "text()")))
+    preds = draw(st.lists(filter_texts(depth - 1), max_size=2)) if depth > 0 else []
+    return f"{axis}::{test}" + "".join(f"[{p}]" for p in preds)
+
+
+def _items(root):
+    """Every item of a document: elements, their attributes, and text."""
+    out, stack = [], [root]
+    while stack:
+        node = stack.pop()
+        out.append(node)
+        if isinstance(node, XmlElement):
+            out.extend(node.attr_items)
+            stack.extend(reversed(node.children))
+    return out
+
+
+def _location_paths(expr):
+    """Every location path in a filter, predicates' paths included."""
+    if isinstance(expr, (And, Or)):
+        return _location_paths(expr.left) + _location_paths(expr.right)
+    if isinstance(expr, Not):
+        return _location_paths(expr.operand)
+    if isinstance(expr, Comparison):
+        return _location_paths(expr.left) + _location_paths(expr.right)
+    if isinstance(expr, (Exists, CountExpr, Contains)):
+        return _location_paths(expr.path)
+    if isinstance(expr, LocationPath):
+        found = [expr]
+        for step in expr.steps:
+            for pred in step.predicates:
+                found += _location_paths(pred)
+        return found
+    return []
+
+
+def _outcome(evaluate, *args):
+    try:
+        return "value", evaluate(*args)
+    except FilterTypeError as exc:
+        return "error", str(exc)
+
+
+@given(st.lists(document_texts(), min_size=2, max_size=2), filter_texts())
+@settings(max_examples=200, deadline=None)
+def test_compiled_evaluator_matches_reference(texts, filter_text):
+    # Same booleans and the same document-ordered item lists as the
+    # reference, or the same FilterTypeError message, at every item of
+    # two documents. One compiled filter is also run at every item in
+    # turn, as labelling runs it at every payload; it must keep no
+    # reference to the items it visited once it returns.
+    expr = parse_filter(filter_text)
+    holds = _compile_filter(expr)
+    located = _location_paths(expr)
+    for root in map(parse_xml, texts):
+        items = _items(root)
+        for item in items:
+            want = _outcome(reference.eval_filter, expr, item)
+            assert _outcome(eval_filter, expr, item) == want
+            before = [sys.getrefcount(it) for it in items]
+            assert _outcome(holds, item) == want
+            assert [sys.getrefcount(it) for it in items] == before
+            for path in located:
+                assert _outcome(eval_path, path, item) == _outcome(
+                    reference.eval_path, path, item
+                )
