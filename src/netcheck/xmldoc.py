@@ -8,15 +8,33 @@ entity position is an error. Text consisting entirely of whitespace is
 dropped, so indentation between tags never becomes data; all other text
 is kept verbatim and adjacent runs are merged.
 
+Parsing is one left-to-right pass of compiled regular expressions over
+the whole text. Open elements wait on an explicit stack, so nesting depth
+is limited by memory, not by the interpreter's recursion limit; the line
+and column of an error are worked out from its offset only when it is
+raised. Serializing and comparing trees are iterative as well.
+
 Trees are treated as immutable once parsing returns.
 """
 
 from __future__ import annotations
 
+import re
+
 from .errors import ParseError
 
 _XML_WS = " \t\r\n"
 _ENTITIES = {"amp": "&", "lt": "<", "gt": ">", "quot": '"', "apos": "'"}
+# Names: ASCII letters, digits, underscore, hyphen, dot; no leading digit.
+_NAME = re.compile(r"[A-Za-z_.\-][A-Za-z0-9_.\-]*")
+_WS = re.compile(r"[ \t\r\n]*")
+# Whitespace and comments around the root element. An unterminated
+# comment is left unmatched, for the caller to report.
+_MISC = re.compile(r"(?:[ \t\r\n]+|<!--.*?-->)*", re.S)
+_TEXT = re.compile(r"[^<&]+")
+_ATTR_VALUE = {'"': re.compile(r'[^"<&]*'), "'": re.compile(r"[^'<&]*")}
+# At most eight characters between '&' and ';'.
+_ENTITY = re.compile(r"&([^;]{0,8});")
 
 
 class XmlElement:
@@ -97,51 +115,10 @@ def string_value(item: XmlItem) -> str:
     return "".join(parts)
 
 
-def _is_name_start(c: str) -> bool:
-    # Names: ASCII letters, digits, underscore, hyphen, dot; no leading digit.
-    return (c.isascii() and c.isalpha()) or c in "_-."
 
-
-def _is_name_char(c: str) -> bool:
-    return (c.isascii() and (c.isalpha() or c.isdigit())) or c in "_-."
-
-
-class _Scanner:
-    __slots__ = ("text", "n", "i", "line", "col")
-
-    def __init__(self, text: str):
-        self.text = text
-        self.n = len(text)
-        self.i = 0
-        self.line = 1
-        self.col = 1
-
-    def at_end(self) -> bool:
-        return self.i >= self.n
-
-    def peek(self) -> str:
-        return self.text[self.i] if self.i < self.n else ""
-
-    def startswith(self, s: str) -> bool:
-        return self.text.startswith(s, self.i)
-
-    def advance(self) -> str:
-        c = self.text[self.i]
-        self.i += 1
-        if c == "\n":
-            self.line += 1
-            self.col = 1
-        else:
-            self.col += 1
-        return c
-
-    def skip(self, k: int) -> None:
-        for _ in range(k):
-            self.advance()
-
-    def error(self, message: str, line: int | None = None, col: int | None = None):
-        raise ParseError(message, line if line is not None else self.line,
-                         col if col is not None else self.col)
+def _error(text: str, i: int, message: str) -> ParseError:
+    """ParseError at offset ``i`` of ``text``, with 1-based line and column."""
+    return ParseError(message, text.count("\n", 0, i) + 1, i - text.rfind("\n", 0, i))
 
 
 def parse_xml(data: bytes | str) -> XmlElement:
@@ -161,191 +138,156 @@ def parse_xml(data: bytes | str) -> XmlElement:
         text = data
     if text.startswith("﻿"):
         text = text[1:]
+    n = len(text)
 
-    sc = _Scanner(text)
-    counter = [0]
-    _skip_between_elements(sc, allow_declaration=True)
-    if sc.at_end():
-        sc.error("document has no root element")
-    if sc.peek() != "<":
-        sc.error("content outside the root element")
-    root = _parse_element(sc, counter)
-    _skip_between_elements(sc)
-    if not sc.at_end():
-        if sc.peek() == "<":
-            sc.error("multiple root elements")
-        sc.error("content outside the root element")
+    i = 0
+    if text.startswith("<?xml"):
+        i = text.find("?>") + 2
+        if i == 1:
+            raise _error(text, 0, "unterminated XML declaration")
+    i = _skip_misc(text, i)
+    if i == n:
+        raise _error(text, i, "document has no root element")
+    if text[i] != "<":
+        raise _error(text, i, "content outside the root element")
+    root, j, is_open = _start_tag(text, i, 0)
+    count = 1  # document-order rank of the next item
+    stack = [(root, i)] if is_open else []  # open elements, start offsets
+    run: list[str] = []  # text of the innermost open element since its last tag
+    i = j
+    while stack:
+        m = _TEXT.match(text, i)
+        if m:
+            run.append(m[0])
+            i = m.end()
+        if i == n:
+            elem, start = stack[-1]
+            raise _error(text, start, f"unterminated element <{elem.name}>")
+        if text[i] == "&":
+            c, i = _entity(text, i)
+            run.append(c)
+            continue
+        if text.startswith("<!--", i):
+            # Comments do not break up runs of text.
+            end = text.find("-->", i + 4)
+            if end < 0:
+                raise _error(text, i, "unterminated comment")
+            i = end + 3
+            continue
+        if text.startswith("<!", i):
+            raise _error(text, i, "'<!' markup is not supported")
+        if text.startswith("<?", i):
+            raise _error(text, i, "processing instructions are not supported")
+        parent = stack[-1][0]
+        if run:
+            s = "".join(run)
+            run.clear()
+            if s.strip(_XML_WS):  # inter-tag whitespace is formatting, not data
+                parent.children.append(XmlText(s, count))
+                count += 1
+        if text.startswith("</", i):
+            m = _NAME.match(text, i + 2)
+            if m is None:
+                raise _error(text, i + 2, "expected element name")
+            j = _WS.match(text, m.end()).end()
+            if not text.startswith(">", j):
+                raise _error(text, j, "expected '>' in closing tag")
+            if m[0] != parent.name:
+                raise _error(text, i, f"mismatched closing tag: expected </{parent.name}>, "
+                                      f"found </{m[0]}>")
+            stack.pop()
+            for k, child in enumerate(parent.children):
+                child.parent, child.index = parent, k
+            i = j + 1
+        else:
+            child, j, is_open = _start_tag(text, i, count)
+            count += 1
+            parent.children.append(child)
+            if is_open:
+                stack.append((child, i))
+            i = j
+    i = _skip_misc(text, i)
+    if i < n:
+        if text[i] == "<":
+            raise _error(text, i, "multiple root elements")
+        raise _error(text, i, "content outside the root element")
     return root
 
 
-def _skip_between_elements(sc: _Scanner, allow_declaration: bool = False) -> None:
-    if allow_declaration and sc.startswith("<?xml"):
-        line, col = sc.line, sc.col
-        while not sc.startswith("?>"):
-            if sc.at_end():
-                sc.error("unterminated XML declaration", line, col)
-            sc.advance()
-        sc.skip(2)
-    while not sc.at_end():
-        c = sc.peek()
-        if c in _XML_WS:
-            sc.advance()
-        elif sc.startswith("<!--"):
-            _skip_comment(sc)
-        else:
-            return
+def _skip_misc(text: str, i: int) -> int:
+    """Offset of the first character from ``i`` on that is neither
+    whitespace nor part of a comment."""
+    i = _MISC.match(text, i).end()
+    if text.startswith("<!--", i):
+        raise _error(text, i, "unterminated comment")
+    return i
 
 
-def _skip_comment(sc: _Scanner) -> None:
-    line, col = sc.line, sc.col
-    sc.skip(4)
-    while not sc.startswith("-->"):
-        if sc.at_end():
-            sc.error("unterminated comment", line, col)
-        sc.advance()
-    sc.skip(3)
-
-
-def _read_name(sc: _Scanner, what: str) -> str:
-    if sc.at_end() or not _is_name_start(sc.peek()):
-        sc.error(f"expected {what}")
-    chars = [sc.advance()]
-    while not sc.at_end() and _is_name_char(sc.peek()):
-        chars.append(sc.advance())
-    return "".join(chars)
-
-
-def _read_entity(sc: _Scanner) -> str:
-    line, col = sc.line, sc.col
-    sc.advance()  # '&'
-    name_chars: list[str] = []
-    while True:
-        if sc.at_end() or len(name_chars) > 8:
-            sc.error("unterminated entity reference", line, col)
-        c = sc.advance()
-        if c == ";":
-            break
-        name_chars.append(c)
-    name = "".join(name_chars)
-    if name not in _ENTITIES:
-        sc.error(f"unknown entity &{name};", line, col)
-    return _ENTITIES[name]
-
-
-def _parse_element(sc: _Scanner, counter: list[int]) -> XmlElement:
-    start_line, start_col = sc.line, sc.col
-    sc.advance()  # '<'
-    name = _read_name(sc, "element name")
-    pos = counter[0]
-    counter[0] += 1
-
+def _start_tag(text: str, i: int, pos: int) -> tuple[XmlElement, int, bool]:
+    """Parse the start tag whose '<' is at offset ``i`` into an element of
+    rank ``pos``. Returns the element, the offset after the tag, and
+    whether the element is open (False for ``<a/>``)."""
+    m = _NAME.match(text, i + 1)
+    if m is None:
+        raise _error(text, i + 1, "expected element name")
+    name = m[0]
     attrs: dict[str, str] = {}
+    j = m.end()
     while True:
-        saw_ws = False
-        while not sc.at_end() and sc.peek() in _XML_WS:
-            sc.advance()
-            saw_ws = True
-        if sc.at_end():
-            sc.error(f"unterminated start tag <{name}>", start_line, start_col)
-        c = sc.peek()
-        if c in "/>":
+        k = _WS.match(text, j).end()
+        if k == len(text):
+            raise _error(text, i, f"unterminated start tag <{name}>")
+        if text[k] in "/>":
             break
-        if not saw_ws:
-            sc.error("expected whitespace before attribute")
-        attr_line, attr_col = sc.line, sc.col
-        attr_name = _read_name(sc, "attribute name")
-        while not sc.at_end() and sc.peek() in _XML_WS:
-            sc.advance()
-        if sc.peek() != "=":
-            sc.error(f"expected '=' after attribute {attr_name!r}")
-        sc.advance()
-        while not sc.at_end() and sc.peek() in _XML_WS:
-            sc.advance()
-        quote = sc.peek()
-        if quote not in "'\"":
-            sc.error("attribute value must be quoted")
-        q_line, q_col = sc.line, sc.col
-        sc.advance()
-        value_parts: list[str] = []
+        if k == j:
+            raise _error(text, k, "expected whitespace before attribute")
+        m = _NAME.match(text, k)
+        if m is None:
+            raise _error(text, k, "expected attribute name")
+        attr_name = m[0]
+        j = _WS.match(text, m.end()).end()
+        if not text.startswith("=", j):
+            raise _error(text, j, f"expected '=' after attribute {attr_name!r}")
+        q = _WS.match(text, j + 1).end()
+        quote = text[q:q + 1]
+        if quote not in ("'", '"'):
+            raise _error(text, q, "attribute value must be quoted")
+        plain = _ATTR_VALUE[quote]
+        parts: list[str] = []
+        j = q + 1
         while True:
-            if sc.at_end():
-                sc.error("unterminated attribute value", q_line, q_col)
-            c = sc.peek()
-            if c == quote:
-                sc.advance()
+            m = plain.match(text, j)
+            parts.append(m[0])
+            j = m.end()
+            if j == len(text):
+                raise _error(text, q, "unterminated attribute value")
+            if text[j] == quote:
                 break
-            if c == "<":
-                sc.error("'<' is not allowed in an attribute value")
-            if c == "&":
-                value_parts.append(_read_entity(sc))
-            else:
-                value_parts.append(sc.advance())
+            if text[j] == "<":
+                raise _error(text, j, "'<' is not allowed in an attribute value")
+            c, j = _entity(text, j)
+            parts.append(c)
         if attr_name in attrs:
-            sc.error(f"duplicate attribute {attr_name!r}", attr_line, attr_col)
-        attrs[attr_name] = "".join(value_parts)
-
+            raise _error(text, k, f"duplicate attribute {attr_name!r}")
+        attrs[attr_name] = "".join(parts)
+        j += 1
     elem = XmlElement(name, attrs, pos)
-    if sc.peek() == "/":
-        sc.advance()
-        if sc.peek() != ">":
-            sc.error("expected '>' after '/'")
-        sc.advance()
-        return elem
-    sc.advance()  # '>'
+    if text[k] == ">":
+        return elem, k + 1, True
+    if not text.startswith(">", k + 1):
+        raise _error(text, k + 1, "expected '>' after '/'")
+    return elem, k + 2, False
 
-    text_parts: list[str] = []
 
-    def flush_text() -> None:
-        if not text_parts:
-            return
-        s = "".join(text_parts)
-        text_parts.clear()
-        if s.strip(_XML_WS) == "":
-            return  # inter-tag whitespace is formatting, not data
-        node = XmlText(s, counter[0])
-        counter[0] += 1
-        node.parent = elem
-        node.index = len(elem.children)
-        elem.children.append(node)
-
-    while True:
-        if sc.at_end():
-            sc.error(f"unterminated element <{name}>", start_line, start_col)
-        c = sc.peek()
-        if c == "<":
-            if sc.startswith("</"):
-                flush_text()
-                end_line, end_col = sc.line, sc.col
-                sc.skip(2)
-                end_name = _read_name(sc, "element name")
-                while not sc.at_end() and sc.peek() in _XML_WS:
-                    sc.advance()
-                if sc.peek() != ">":
-                    sc.error("expected '>' in closing tag")
-                sc.advance()
-                if end_name != name:
-                    sc.error(
-                        f"mismatched closing tag: expected </{name}>, found </{end_name}>",
-                        end_line, end_col,
-                    )
-                return elem
-            if sc.startswith("<!--"):
-                # Comments do not break up runs of text.
-                _skip_comment(sc)
-            elif sc.startswith("<!"):
-                sc.error("'<!' markup is not supported")
-            elif sc.startswith("<?"):
-                sc.error("processing instructions are not supported")
-            else:
-                flush_text()
-                child = _parse_element(sc, counter)
-                child.parent = elem
-                child.index = len(elem.children)
-                elem.children.append(child)
-        elif c == "&":
-            text_parts.append(_read_entity(sc))
-        else:
-            text_parts.append(sc.advance())
+def _entity(text: str, i: int) -> tuple[str, int]:
+    """Decode the entity reference at offset ``i``; return its character
+    and the offset after it."""
+    m = _ENTITY.match(text, i)
+    if m is None:
+        raise _error(text, i, "unterminated entity reference")
+    if m[1] not in _ENTITIES:
+        raise _error(text, i, f"unknown entity &{m[1]};")
+    return _ENTITIES[m[1]], m.end()
 
 
 def escape_text(s: str) -> str:
@@ -359,25 +301,25 @@ def escape_attr(s: str) -> str:
 def serialize_xml(element: XmlElement) -> str:
     """Serialize a tree back to text; reparsing yields a structurally
     identical tree."""
-    parts: list[str] = []
-    _serialize_into(element, parts)
-    return "".join(parts)
-
-
-def _serialize_into(element: XmlElement, out: list[str]) -> None:
-    out.append(f"<{element.name}")
-    for n, v in element.attrs.items():
-        out.append(f' {n}="{escape_attr(v)}"')
-    if not element.children:
-        out.append("/>")
-        return
-    out.append(">")
-    for child in element.children:
-        if isinstance(child, XmlText):
-            out.append(escape_text(child.text))
+    out: list[str] = []
+    stack: list[XmlElement | XmlText | str] = [element]  # str: a closing tag
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):
+            out.append(item)
+        elif isinstance(item, XmlText):
+            out.append(escape_text(item.text))
         else:
-            _serialize_into(child, out)
-    out.append(f"</{element.name}>")
+            out.append(f"<{item.name}")
+            for n, v in item.attrs.items():
+                out.append(f' {n}="{escape_attr(v)}"')
+            if not item.children:
+                out.append("/>")
+                continue
+            out.append(">")
+            stack.append(f"</{item.name}>")
+            stack.extend(reversed(item.children))
+    return "".join(out)
 
 
 def xml_equal(a: XmlElement | XmlText, b: XmlElement | XmlText) -> bool:
@@ -386,10 +328,14 @@ def xml_equal(a: XmlElement | XmlText, b: XmlElement | XmlText) -> bool:
     Attribute order is ignored; document positions and parents are not
     compared.
     """
-    if isinstance(a, XmlText) or isinstance(b, XmlText):
-        return isinstance(a, XmlText) and isinstance(b, XmlText) and a.text == b.text
-    if a.name != b.name or a.attrs != b.attrs:
-        return False
-    if len(a.children) != len(b.children):
-        return False
-    return all(xml_equal(x, y) for x, y in zip(a.children, b.children))
+    pairs = [(a, b)]
+    while pairs:
+        x, y = pairs.pop()
+        if isinstance(x, XmlText) or isinstance(y, XmlText):
+            if not (isinstance(x, XmlText) and isinstance(y, XmlText) and x.text == y.text):
+                return False
+        elif x.name != y.name or x.attrs != y.attrs or len(x.children) != len(y.children):
+            return False
+        else:
+            pairs.extend(zip(x.children, y.children))
+    return True

@@ -287,6 +287,20 @@ def test_input_past_depth_cap_is_exit_1(capsys, loop_net, command, text, message
     assert err.count("\n") == 1 and err.endswith("\n")
 
 
+@pytest.mark.parametrize(
+    "command, flag, text",
+    [("check", "--formula", "EF [d]"), ("query", "--filter", "d")],
+)
+def test_payload_nested_3000_deep_runs_end_to_end(capsys, tmp_path, command, flag, text):
+    net = tmp_path / "deep.xml"
+    net.write_text(
+        '<network><node key="k1">' + "<d>" * 3000 + "</d>" * 3000 + "</node></network>",
+        encoding="utf-8",
+    )
+    code, out, err = run_main(capsys, command, "--network", str(net), flag, text)
+    assert (code, out, err) == (0, "k1\n", "")
+
+
 def test_missing_network_file_is_exit_2(capsys):
     code, out, err = run_main(
         capsys, "check", "--network", "no/such/file.xml", "--formula", "true"
@@ -304,13 +318,16 @@ def test_network_flag_required_when_formula_is_valid(capsys):
 
 def test_malformed_network_is_exit_2(capsys, tmp_path):
     bad = tmp_path / "bad.xml"
-    bad.write_text("<graph/>", encoding="utf-8")
-    code, out, err = run_main(
-        capsys, "check", "--network", str(bad), "--formula", "true"
-    )
-    assert code == 2
-    assert out == ""
-    assert "network" in err
+    # the second input ends right after '=', where a value must start
+    for text in ("<graph/>", '<network><node key="a" x='):
+        bad.write_text(text, encoding="utf-8")
+        code, out, err = run_main(
+            capsys, "check", "--network", str(bad), "--formula", "true"
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("netcheck: network:")
+        assert err.count("\n") == 1 and err.endswith("\n")
 
 
 def test_type_error_is_exit_3(capsys, tmp_path):

@@ -1,7 +1,9 @@
 """Document parser, serializer, and ordering tests."""
 
+import sys
+
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from netcheck.errors import ParseError
 from netcheck.xmldoc import (
@@ -15,6 +17,7 @@ from netcheck.xmldoc import (
     string_value,
     xml_equal,
 )
+from tests import xmldoc_reference as reference
 
 
 def test_basic_structure():
@@ -145,6 +148,13 @@ def test_error_carries_line_and_column():
     assert f"line {err.line}, column {err.column}" in str(err)
 
 
+def test_value_cut_off_after_equals_rejected():
+    with pytest.raises(ParseError) as exc:
+        parse_xml("<a x=")
+    err = exc.value
+    assert (err.message, err.line, err.column) == ("attribute value must be quoted", 1, 6)
+
+
 def test_invalid_utf8_rejected():
     with pytest.raises(ParseError):
         parse_xml(b"<a>\xff</a>")
@@ -228,3 +238,70 @@ def test_parse_serialize_round_trip(source):
     doc = parse_xml(source)
     again = parse_xml(serialize_xml(doc))
     assert xml_equal(doc, again)
+
+
+# -- depth -------------------------------------------------------------------
+
+
+def test_tree_nested_5000_deep_at_default_recursion_limit():
+    depth = 5000
+    assert sys.getrecursionlimit() < depth
+    source = "<d>" * depth + "x" + "</d>" * depth
+    doc = parse_xml(source)
+    assert serialize_xml(doc) == source
+    assert xml_equal(doc, parse_xml(serialize_xml(doc)))
+    assert not xml_equal(doc, parse_xml(source.replace("x", "y")))
+
+
+# -- differential test against the reference scanner -------------------------
+
+_TOKENS = [
+    "<", ">", "/", "=", '"', "'", "&", ";", "<!--", "-->", "<!", "<?xml", "?>",
+    "a", "b", "x1", "_", "-", ".", "amp", "lt", "quot", "nbsp",
+    " ", "\t", "\n", "\r", "\r\n", "é", "中", "\ufeff",
+]
+_xmlish = st.lists(st.sampled_from(_TOKENS), max_size=30).map("".join)
+
+
+@st.composite
+def _edited_document(draw):
+    """A valid document with a few tokens inserted or characters deleted."""
+    source = draw(_element_source())
+    for _ in range(draw(st.integers(1, 3))):
+        k = draw(st.integers(0, len(source)))
+        if draw(st.booleans()):
+            source = source[:k] + draw(_xmlish) + source[k:]
+        else:
+            source = source[:k] + source[k + draw(st.integers(1, 4)):]
+    return source
+
+
+def _outcome(parse, source):
+    """The tree as a flat list in document order, or the error."""
+    try:
+        root = parse(source)
+    except ParseError as err:
+        return ("error", err.message, err.line, err.column)
+    items = []
+    stack = [root]
+    while stack:
+        item = stack.pop()
+        parent = item.parent.pos if item.parent is not None else None
+        if isinstance(item, XmlText):
+            items.append(("text", item.text, item.pos, item.index, parent))
+        else:
+            attrs = [(a.name, a.value, a.owner is item, a.order_key) for a in item.attr_items]
+            items.append(
+                ("element", item.name, list(item.attrs.items()), attrs,
+                 item.pos, item.index, parent)
+            )
+            stack.extend(reversed(item.children))
+    return ("tree", items)
+
+
+@settings(max_examples=400)
+@given(st.one_of(_xmlish, _xmlish.map(lambda s: "<a" + s), _edited_document()))
+@example('<network><node key="a" x=')
+@example('<?xml version="1.0"?>\r\n<!-- c -->\n<a>t<!-- c -->u&amp;<b/> </a><!-- d -->')
+def test_parser_matches_reference(source):
+    assert _outcome(parse_xml, source) == _outcome(reference.parse_xml, source)
