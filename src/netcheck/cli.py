@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 
 from . import __version__
 from .checker import label_nodes, parse_formula, replace_filters
@@ -100,7 +99,7 @@ def _run_check(args) -> int:
         try:
             with open(args.formula_file, "r", encoding="utf-8") as fh:
                 formula_text = fh.read()
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             return _fail(EXIT_FORMAT, f"cannot read formula file: {exc}")
     try:
         formula = parse_formula(formula_text)
@@ -199,10 +198,6 @@ def _run_query(args) -> int:
     return EXIT_OK
 
 
-def _format_ratio(value: Fraction) -> float:
-    return float(value)
-
-
 def _run_metrics(args) -> int:
     try:
         net = _load(args)
@@ -213,30 +208,23 @@ def _run_metrics(args) -> int:
 
     comp = components(net)
     hist = degree_histogram(net)
+    longest, mean = _geodesics(net) if net.n > 0 else (None, None)
+    # keys in print order; None means "not printed" and null in JSON
     data: dict = {
         "nodes": net.n,
         "edges": net.m,
         "directed": net.directed,
         "component_count": len(comp),
         "giant_component_size": len(comp.giant),
-        "clustering_coefficient": _format_ratio(clustering_coefficient(net)),
+        "clustering_coefficient": float(clustering_coefficient(net)),
+        "diameter": longest,
+        "mean_geodesic": None if mean is None else float(mean),
+        "degree_histogram": hist.counts,
+        "in_degree_histogram": hist.in_counts,
+        "out_degree_histogram": hist.out_counts,
+        "eulerian_path": None,
     }
-    if net.n > 0:
-        longest, mean = _geodesics(net)
-        data["diameter"] = longest
-        data["mean_geodesic"] = _format_ratio(mean)
-    else:
-        data["diameter"] = None
-        data["mean_geodesic"] = None
-    if net.directed:
-        data["degree_histogram"] = None
-        data["in_degree_histogram"] = hist.in_counts
-        data["out_degree_histogram"] = hist.out_counts
-        data["eulerian_path"] = None
-    else:
-        data["degree_histogram"] = hist.counts
-        data["in_degree_histogram"] = None
-        data["out_degree_histogram"] = None
+    if not net.directed:
         try:
             data["eulerian_path"] = eulerian_path_exists(net)
         except FormatError as exc:
@@ -261,21 +249,7 @@ def _jsonable(data: dict) -> dict:
 
 def _metrics_lines(data: dict) -> list[str]:
     lines = []
-    for key in (
-        "nodes",
-        "edges",
-        "directed",
-        "component_count",
-        "giant_component_size",
-        "clustering_coefficient",
-        "diameter",
-        "mean_geodesic",
-        "degree_histogram",
-        "in_degree_histogram",
-        "out_degree_histogram",
-        "eulerian_path",
-    ):
-        value = data[key]
+    for key, value in data.items():
         if value is None:
             continue
         if isinstance(value, bool):

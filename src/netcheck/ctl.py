@@ -207,7 +207,7 @@ class _Checker:
     def __init__(self, net: Network, labels: LabelMap):
         self.universe = frozenset(net.nodes)
         view = net.adjacency()
-        self.forward = (dict(view.successors), dict(view.predecessors))
+        self.forward = (view.successors, view.predecessors)
         self.backward = (self.forward[1], self.forward[0])
         self.labels = labels
         self.memo: dict[Formula, frozenset[str]] = {}

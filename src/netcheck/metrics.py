@@ -2,15 +2,17 @@
 
 Clustering, components, and geodesic statistics are defined on the
 undirected simple view of the network: directions are dropped, parallel
-edges collapse, self-loops are ignored. Degree histograms and the
-Eulerian-path criterion instead respect edge multiplicity. Ratios are
-returned as exact f:class:`fractions.Fraction` values so callers decide
-how to format them.
+edges collapse, self-loops are ignored. They read that view and its
+weak components from :attr:`Network.simple_view` and
+:attr:`Network.component_ids`, which each network builds once and
+shares across every statistic. Degree histograms and the Eulerian-path
+criterion instead respect edge multiplicity and read the edge records.
+Ratios are returned as exact :class:`fractions.Fraction` values so
+callers decide how to format them.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -18,28 +20,18 @@ from .errors import EmptyNetworkError, FormatError
 from .network import Network
 
 
-def simple_neighbours(net: Network) -> dict[str, set[str]]:
-    """Undirected simple view: distinct neighbours, no self-loops."""
-    adj: dict[str, set[str]] = {k: set() for k in net.nodes}
-    for e in net.edges:
-        if e.src != e.dst:
-            adj[e.src].add(e.dst)
-            adj[e.dst].add(e.src)
-    return adj
-
-
 def triangle_triple_counts(net: Network) -> tuple[int, int]:
     """(number of triangles, number of connected triples) of the simple
     undirected view. A triple is a node with an unordered pair of
     distinct neighbours, so each triangle yields three triples."""
-    adj = simple_neighbours(net)
-    triples = sum(len(nbrs) * (len(nbrs) - 1) // 2 for nbrs in adj.values())
+    adj = net.simple_view
+    triples = sum(len(nbrs) * (len(nbrs) - 1) // 2 for nbrs in adj)
     triangles = 0
-    for v, nbrs in adj.items():
+    for v, nbrs in enumerate(adj):
         for w in nbrs:
             if w > v:
                 # common neighbours above w close each triangle once
-                triangles += sum(1 for u in (adj[v] & adj[w]) if u > w)
+                triangles += sum(1 for u in nbrs & adj[w] if u > w)
     return triangles, triples
 
 
@@ -68,29 +60,14 @@ class ComponentDecomposition:
 
 
 def components(net: Network) -> ComponentDecomposition:
-    adj = simple_neighbours(net)
-    seen: set[str] = set()
-    comps: list[tuple[str, ...]] = []
-    for start in net.node_keys():
-        if start in seen:
-            continue
-        comp = {start}
-        seen.add(start)
-        queue = deque([start])
-        while queue:
-            v = queue.popleft()
-            for w in adj[v]:
-                if w not in seen:
-                    seen.add(w)
-                    comp.add(w)
-                    queue.append(w)
-        comps.append(tuple(sorted(comp)))
-    comps.sort(key=lambda c: (-len(c), c[0]))
-    return ComponentDecomposition(tuple(comps))
+    keys = net.node_keys()
+    return ComponentDecomposition(
+        tuple(tuple(keys[i] for i in comp) for comp in net.component_ids)
+    )
 
 
 # Sources per bit-parallel sweep; each sweep holds one mask of this many
-# bits per giant-component node.
+# bits per node.
 _BLOCK = 1024
 
 
@@ -112,23 +89,20 @@ def _giant_distance_sums(net: Network) -> tuple[int, int, int]:
     """
     if net.n == 0:
         raise EmptyNetworkError("network has no nodes")
-    giant = components(net).giant
-    index = {key: i for i, key in enumerate(giant)}
-    nbrs = simple_neighbours(net)
-    # a component is closed under adjacency, so every neighbour is indexed
-    adj = [[index[w] for w in nbrs[key]] for key in giant]
+    giant = net.component_ids[0]
+    adj = net.simple_view
     size = len(giant)
     longest = 0
     total = 0
     for lo in range(0, size, _BLOCK):
-        hi = min(lo + _BLOCK, size)
-        block = (1 << (hi - lo)) - 1
-        unseen = [block] * size
+        sources = giant[lo:lo + _BLOCK]
+        block = (1 << len(sources)) - 1
+        # nodes outside the giant are never reached and keep their mask
+        unseen = [block] * len(adj)
         frontier: dict[int, int] = {}
-        for s in range(lo, hi):
-            bit = 1 << (s - lo)
-            unseen[s] ^= bit
-            frontier[s] = bit
+        for i, s in enumerate(sources):
+            unseen[s] ^= 1 << i
+            frontier[s] = 1 << i
         depth = 0
         while frontier:
             depth += 1
@@ -217,18 +191,23 @@ def eulerian_path_exists(net: Network) -> bool:
     """
     if net.directed:
         raise ValueError("Eulerian path criterion applies to undirected networks")
-    degs = {k: 0 for k in net.nodes}
+    odd: set[str] = set()
+    touched: set[str] = set()
     for e in net.edges:
-        w = e.weight
-        if w != w.to_integral_value():
+        # the decimal digits give integrality and parity without the
+        # quadratic int(w); a self-loop adds 2w, which is always even
+        _, digits, exponent = e.weight.as_tuple()
+        if exponent < 0 and any(digits[exponent:]):
             raise FormatError(
-                f"edge weight {w} is not an integer multiplicity"
+                f"edge weight {e.weight} is not an integer multiplicity"
             )
-        degs[e.src] += int(w)
-        degs[e.dst] += int(w)
-    odd = sum(1 for d in degs.values() if d % 2 == 1)
-    if odd not in (0, 2):
+        touched.update((e.src, e.dst))
+        if e.src != e.dst and exponent <= 0 and digits[exponent - 1] % 2:
+            odd ^= {e.src, e.dst}
+    if len(odd) not in (0, 2):
         return False
     # every edge in one component (isolated nodes do not matter)
-    comp_of = {k: i for i, comp in enumerate(components(net).components) for k in comp}
-    return len({comp_of[k] for k, d in degs.items() if d > 0}) <= 1
+    keys = net.node_keys()
+    return sum(
+        1 for comp in net.component_ids if any(keys[i] in touched for i in comp)
+    ) <= 1

@@ -10,13 +10,16 @@ multiset of weighted edges. The XML format is::
 An undirected edge is a single record incident to both endpoints.
 Parallel edges are kept as separate records; adjacency lists are
 deduplicated and sorted, and multiplicity is answered separately.
-Weights must be positive; the logic ignores them entirely.
+Weights must be positive; the logic ignores them entirely. The
+undirected simple view and its weak components, which the statistics
+share, are built on first use and kept.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from decimal import Decimal, InvalidOperation
+from functools import cached_property
 from typing import Mapping
 
 from .errors import FormatError, UnknownKeyError
@@ -115,6 +118,43 @@ class Network:
 
     def adjacency(self) -> AdjacencyView:
         return AdjacencyView(self._succ, self._pred)
+
+    @cached_property
+    def simple_view(self) -> tuple[frozenset[int], ...]:
+        """Undirected simple view by node id, the position of a key in
+        :meth:`node_keys`: the distinct neighbour ids of each node, with
+        directions dropped, parallel edges collapsed and self-loops
+        ignored. Built on first use and kept; a network never changes."""
+        index = {key: i for i, key in enumerate(self._keys)}
+        adj: list[set[int]] = [set() for _ in self._keys]
+        for e in self.edges:
+            if e.src != e.dst:
+                a, b = index[e.src], index[e.dst]
+                adj[a].add(b)
+                adj[b].add(a)
+        return tuple(map(frozenset, adj))
+
+    @cached_property
+    def component_ids(self) -> tuple[tuple[int, ...], ...]:
+        """Weakly connected components of :attr:`simple_view` as
+        ascending id tuples, largest first, ties by smallest id. Ids
+        follow key order, so this is also the order by smallest key."""
+        adj = self.simple_view
+        seen = [False] * len(adj)
+        comps = []
+        for start in range(len(adj)):
+            if seen[start]:
+                continue
+            seen[start] = True
+            comp = [start]
+            for v in comp:  # breadth-first: the list grows as it is read
+                for w in adj[v]:
+                    if not seen[w]:
+                        seen[w] = True
+                        comp.append(w)
+            comps.append(tuple(sorted(comp)))
+        comps.sort(key=lambda c: (-len(c), c[0]))
+        return tuple(comps)
 
     def transpose(self) -> "Network":
         """Network with every edge reversed; undirected networks are

@@ -9,7 +9,6 @@ import random
 from collections import deque
 
 from netcheck.ctl import Atom, Bool, Not, And, Or, Temporal, Until, UNARY_OPS, UNTIL_OPS
-from netcheck.metrics import components, simple_neighbours
 from netcheck.network import Edge, Network
 from netcheck.xmldoc import parse_xml
 
@@ -49,12 +48,43 @@ def random_network(rng: random.Random, max_n=8, p=0.3, directed=True):
     return make_network(edges, directed=directed, keys=keys)
 
 
+def simple_adjacency(net: Network) -> dict[str, set[str]]:
+    """Undirected simple view straight from the edge records: distinct
+    neighbour keys, no self-loops."""
+    adj: dict[str, set[str]] = {k: set() for k in net.nodes}
+    for e in net.edges:
+        if e.src != e.dst:
+            adj[e.src].add(e.dst)
+            adj[e.dst].add(e.src)
+    return adj
+
+
+def union_find_components(net: Network) -> tuple[tuple[str, ...], ...]:
+    """Weak components by union-find over the edge records: keys
+    ascending inside each, largest first, ties by smallest key."""
+    parent = {k: k for k in net.nodes}
+
+    def find(k):
+        while parent[k] != k:
+            parent[k] = parent[parent[k]]
+            k = parent[k]
+        return k
+
+    for e in net.edges:
+        parent[find(e.src)] = find(e.dst)
+    groups: dict[str, list[str]] = {}
+    for k in net.nodes:
+        groups.setdefault(find(k), []).append(k)
+    comps = [tuple(sorted(g)) for g in groups.values()]
+    return tuple(sorted(comps, key=lambda c: (-len(c), c[0])))
+
+
 def all_pairs_bfs(net: Network):
     """Independent all-pairs figures for the giant component, one
     breadth-first search per source: (size, diameter, sum of
     ordered-pair distances)."""
-    giant = set(components(net).giant)
-    adj = simple_neighbours(net)
+    giant = set(union_find_components(net)[0])
+    adj = simple_adjacency(net)
     longest = 0
     total = 0
     for s in giant:

@@ -3,11 +3,15 @@
 import json
 import subprocess
 import sys
+from collections import Counter
+from functools import cached_property
+from pathlib import Path
 
 import pytest
 
 from netcheck.checker import MAX_FORMULA_DEPTH
 from netcheck.cli import main
+from netcheck.network import Network
 from netcheck.xpath import MAX_FILTER_DEPTH
 
 WEB = "fixtures/web.xml"
@@ -68,6 +72,18 @@ def test_check_formula_file(capsys, tmp_path):
     )
     assert code == 0
     assert out == "w1\nw3\n"
+
+
+def test_formula_file_not_utf8_is_exit_2(capsys, tmp_path):
+    p = tmp_path / "f.xpl"
+    p.write_bytes(b"\xff\xfeE\x00X\x00")
+    code, out, err = run_main(
+        capsys, "check", "--network", WEB, "--formula-file", str(p)
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("netcheck: cannot read formula file: ")
+    assert err.count("\n") == 1
 
 
 # -- witness ---------------------------------------------------------------------
@@ -182,10 +198,32 @@ def test_metrics_report_runs_one_geodesic_sweep(capsys, monkeypatch):
     monkeypatch.setattr(
         metrics, "_giant_distance_sums", lambda net: sweeps.append(net) or sweep(net)
     )
+    builds = Counter()
+    for name in ("simple_view", "component_ids"):
+        build = getattr(Network, name).func
+        counted = cached_property(
+            lambda net, build=build, name=name: builds.update([name]) or build(net)
+        )
+        counted.__set_name__(Network, name)
+        monkeypatch.setattr(Network, name, counted)
     code, out, _ = run_main(capsys, "metrics", "--network", K3)
     assert code == 0
     assert "diameter: 1" in out and "mean_geodesic: 1.0" in out
     assert len(sweeps) == 1
+    assert builds == {"simple_view": 1, "component_ids": 1}
+
+
+PINNED = json.loads(Path(__file__).with_name("metrics_pinned.json").read_text())
+
+
+@pytest.mark.parametrize("fmt", ["lines", "json"])
+@pytest.mark.parametrize("fixture", sorted(PINNED))
+def test_metrics_output_pinned(capsys, fixture, fmt):
+    code, out, _ = run_main(
+        capsys, "metrics", "--network", f"fixtures/{fixture}", "--format", fmt
+    )
+    expected = PINNED[fixture][fmt]
+    assert (code, out) == (expected["exit"], expected["stdout"])
 
 
 def test_metrics_konigsberg_lines(capsys):

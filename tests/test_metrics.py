@@ -2,6 +2,8 @@
 
 import itertools
 import random
+import time
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -16,12 +18,18 @@ from netcheck.metrics import (
     diameter,
     eulerian_path_exists,
     mean_geodesic,
-    simple_neighbours,
     triangle_triple_counts,
 )
 from netcheck.network import Edge, Network, load_network, parse_network
+from netcheck.xmldoc import parse_xml
 
-from tests.gens import all_pairs_bfs, make_network, random_network
+from tests.gens import (
+    all_pairs_bfs,
+    make_network,
+    random_network,
+    simple_adjacency,
+    union_find_components,
+)
 
 FIXTURES = "fixtures"
 
@@ -88,6 +96,42 @@ def test_directed_components_are_weak():
     assert len(components(net)) == 1
 
 
+@st.composite
+def messy_networks(draw):
+    """Directed or undirected networks with self-loops, parallel edges
+    and isolated nodes. Keys v0..v11 sort as strings, not as numbers,
+    and the node mapping is built in a shuffled order."""
+    n = draw(st.integers(0, 12))
+    keys = [f"v{i}" for i in range(n)]
+    edges = []
+    if n:
+        node = st.sampled_from(keys)
+        edges = draw(st.lists(st.tuples(node, node), max_size=24))
+        if edges:  # repeat some records as parallel edges
+            edges += draw(st.lists(st.sampled_from(edges), max_size=4))
+    order = draw(st.permutations(keys))
+    return Network(
+        draw(st.booleans()),
+        {k: parse_xml(f'<node key="{k}"/>') for k in order},
+        [Edge(a, b) for a, b in edges],
+    )
+
+
+@given(messy_networks())
+@settings(max_examples=200, deadline=None)
+def test_components_and_triangles_match_independent_oracles(net):
+    assert components(net).components == union_find_components(net)
+    adj = simple_adjacency(net)
+    keys = sorted(net.nodes)
+    triangles = sum(
+        1
+        for a, b, c in itertools.combinations(keys, 3)
+        if b in adj[a] and c in adj[a] and c in adj[b]
+    )
+    triples = sum(len(list(itertools.combinations(adj[k], 2))) for k in keys)
+    assert triangle_triple_counts(net) == (triangles, triples)
+
+
 # -- geodesics ----------------------------------------------------------------------
 
 
@@ -121,7 +165,7 @@ def _floyd_warshall(net):
     keys = list(net.node_keys())
     inf = float("inf")
     dist = {(a, b): (0 if a == b else inf) for a in keys for b in keys}
-    adj = simple_neighbours(net)
+    adj = simple_adjacency(net)
     for a in keys:
         for b in adj[a]:
             dist[(a, b)] = 1
@@ -149,7 +193,7 @@ def test_eight_node_fixture_matches_all_pairs_oracle():
 def test_distance_stats_match_all_pairs_oracle(seed):
     rng = random.Random(seed)
     net = random_network(rng, max_n=7, directed=False)
-    giant = set(components(net).giant)
+    giant = set(union_find_components(net)[0])
     dist = _floyd_warshall(net)
     in_giant = {
         (a, b): d for (a, b), d in dist.items() if a in giant and b in giant
@@ -309,6 +353,42 @@ def test_weight_acts_as_multiplicity():
     )
     assert eulerian_path_exists(tripled) is True
     assert _eulerian_by_search(doubled) and _eulerian_by_search(tripled)
+
+
+def _star_with_spoke(weight):
+    # hub-a carries the weight, hub-b and hub-c weigh 1: an odd weight
+    # leaves four odd nodes, an even one leaves b and c
+    return parse_network(
+        '<network directed="false"><node key="hub"/><node key="a"/>'
+        '<node key="b"/><node key="c"/>'
+        f'<edge from="hub" to="a" weight="{weight}"/>'
+        '<edge from="hub" to="b"/><edge from="hub" to="c"/></network>'
+    )
+
+
+@pytest.mark.parametrize(
+    "weight, small",
+    [
+        ("1e1000000", "1e2"),
+        ("7" * 300_000, "3"),
+        ("30E-1", "3"),
+        ("2.000", "2"),
+        ("1" + "0" * 300_000 + ".0", "10"),
+    ],
+    ids=["1e1000000", "300k-digit-odd", "30E-1", "2.000", "300k-digit-even"],
+)
+def test_eulerian_parity_of_long_weights(weight, small):
+    big, small_net = _star_with_spoke(weight), _star_with_spoke(small)
+    start = time.perf_counter()
+    found = eulerian_path_exists(big)
+    elapsed = time.perf_counter() - start
+    assert found == eulerian_path_exists(small_net)
+    assert found == (int(Decimal(small)) % 2 == 0)
+    assert elapsed < 0.5
+    # a self-loop of any weight keeps every parity
+    loop = Edge("hub", "hub", big.edges[0].weight)
+    looped = Network(False, small_net.nodes, small_net.edges + (loop,))
+    assert eulerian_path_exists(looped) == found
 
 
 def test_directed_network_rejected():
