@@ -10,7 +10,7 @@ multiset of weighted edges. The XML format is::
 An undirected edge is a single record incident to both endpoints.
 Parallel edges are kept as separate records; adjacency lists are
 deduplicated and sorted, and multiplicity is answered separately.
-Weights must be positive; the logic ignores them entirely. The
+Weights must be finite and positive; the logic ignores them entirely. The
 undirected simple view and its weak components, which the statistics
 share, are built on first use and kept.
 """
@@ -59,7 +59,7 @@ class Network:
                 raise FormatError(f"edge endpoint {e.src!r} is not a declared node")
             if e.dst not in self.nodes:
                 raise FormatError(f"edge endpoint {e.dst!r} is not a declared node")
-            if e.weight <= 0:
+            if not e.weight.is_finite() or e.weight <= 0:
                 raise FormatError(f"edge weight must be positive, got {e.weight}")
             succ[e.src].add(e.dst)
             pred[e.dst].add(e.src)
@@ -182,6 +182,7 @@ def parse_network(data: bytes | str) -> Network:
 
     nodes: dict[str, XmlElement] = {}
     edges: list[Edge] = []
+    weights: dict[str, Decimal] = {}  # weight text -> its checked value
     for child in root.children:
         if isinstance(child, XmlText):
             raise FormatError("text content is not allowed inside <network>")
@@ -207,12 +208,15 @@ def parse_network(data: bytes | str) -> Network:
             if child.children:
                 raise FormatError("<edge> must be empty")
             weight_attr = child.attrs.get("weight", "1")
-            try:
-                weight = Decimal(weight_attr)
-            except InvalidOperation:
-                raise FormatError(f"edge weight must be numeric, got {weight_attr!r}") from None
-            if not weight.is_finite() or weight <= 0:
-                raise FormatError(f"edge weight must be positive, got {weight_attr!r}")
+            weight = weights.get(weight_attr)
+            if weight is None:
+                try:
+                    weight = Decimal(weight_attr)
+                except InvalidOperation:
+                    raise FormatError(f"edge weight must be numeric, got {weight_attr!r}") from None
+                if not weight.is_finite() or weight <= 0:
+                    raise FormatError(f"edge weight must be positive, got {weight_attr!r}")
+                weights[weight_attr] = weight
             edges.append(Edge(child.attrs["from"], child.attrs["to"], weight))
         else:
             raise FormatError(f"unknown element <{child.name}> inside <network>")

@@ -12,7 +12,11 @@ Parsing is one left-to-right pass of compiled regular expressions over
 the whole text. Open elements wait on an explicit stack, so nesting depth
 is limited by memory, not by the interpreter's recursion limit; the line
 and column of an error are worked out from its offset only when it is
-raised. Serializing and comparing trees are iterative as well.
+raised. Each start tag is matched whole by one regular expression, and
+its attributes are read from the matched span; only a tag that this
+match refuses is walked token by token, to raise the error for its
+first fault. An element builds its attribute items on first use.
+Serializing and comparing trees are iterative as well.
 
 Trees are treated as immutable once parsing returns.
 """
@@ -20,14 +24,24 @@ Trees are treated as immutable once parsing returns.
 from __future__ import annotations
 
 import re
+from typing import NoReturn
 
 from .errors import ParseError
 
 _XML_WS = " \t\r\n"
 _ENTITIES = {"amp": "&", "lt": "<", "gt": ">", "quot": '"', "apos": "'"}
 # Names: ASCII letters, digits, underscore, hyphen, dot; no leading digit.
-_NAME = re.compile(r"[A-Za-z_.\-][A-Za-z0-9_.\-]*")
+_NAME_RE = r"[A-Za-z_.\-][A-Za-z0-9_.\-]*"
+_NAME = re.compile(_NAME_RE)
 _WS = re.compile(r"[ \t\r\n]*")
+# One attribute with the whitespace before it: name, quoted value. The
+# value may still hold entity references, valid or not.
+_ATTR_RE = rf"""[ \t\r\n]+({_NAME_RE})[ \t\r\n]*=[ \t\r\n]*("[^"<]*"|'[^'<]*')"""
+_ATTR = re.compile(_ATTR_RE)
+# A whole start tag: name, attributes, and '/' if it closes itself.
+_START_TAG = re.compile(
+    rf"<(?P<name>{_NAME_RE})(?P<attrs>(?:{_ATTR_RE})*)[ \t\r\n]*(?P<close>/?)>"
+)
 # Whitespace and comments around the root element. An unterminated
 # comment is left unmatched, for the caller to report.
 _MISC = re.compile(r"(?:[ \t\r\n]+|<!--.*?-->)*", re.S)
@@ -40,7 +54,7 @@ _ENTITY = re.compile(r"&([^;]{0,8});")
 class XmlElement:
     """Element item: tag name, attributes, ordered children, parent link."""
 
-    __slots__ = ("name", "attrs", "children", "parent", "pos", "index", "attr_items")
+    __slots__ = ("name", "attrs", "children", "parent", "pos", "index", "_attr_items")
 
     def __init__(self, name: str, attrs: dict[str, str], pos: int):
         self.name = name
@@ -49,9 +63,19 @@ class XmlElement:
         self.parent: XmlElement | None = None
         self.pos = pos  # document-order rank of this item
         self.index = 0  # position within parent.children
-        self.attr_items = tuple(
-            XmlAttribute(self, n, v, (pos, 1, i)) for i, (n, v) in enumerate(attrs.items())
-        )
+        self._attr_items: tuple[XmlAttribute, ...] | None = None
+
+    @property
+    def attr_items(self) -> tuple[XmlAttribute, ...]:
+        """The attributes as items, in source order. Built on first
+        access and kept, so every access returns the same tuple."""
+        items = self._attr_items
+        if items is None:
+            pos = self.pos
+            items = self._attr_items = tuple(
+                XmlAttribute(self, n, v, (pos, 1, i)) for i, (n, v) in enumerate(self.attrs.items())
+            )
+        return items
 
     def __repr__(self) -> str:
         return f"XmlElement({self.name!r})"
@@ -227,11 +251,40 @@ def _start_tag(text: str, i: int, pos: int) -> tuple[XmlElement, int, bool]:
     """Parse the start tag whose '<' is at offset ``i`` into an element of
     rank ``pos``. Returns the element, the offset after the tag, and
     whether the element is open (False for ``<a/>``)."""
+    m = _START_TAG.match(text, i)
+    if m is not None:
+        attrs = _attributes(text, m) if m["attrs"] else {}
+        if attrs is not None:
+            return XmlElement(m["name"], attrs, pos), m.end(), not m["close"]
+    _reject_start_tag(text, i)
+
+
+def _attributes(text: str, m: re.Match) -> dict[str, str] | None:
+    """The attributes of the start tag that ``_START_TAG`` matched as
+    ``m``, or None if a name repeats or a value holds an unterminated or
+    unknown entity reference."""
+    attrs = {}
+    pairs = _ATTR.findall(text, m.start("attrs"), m.end("attrs"))
+    for name, value in pairs:
+        value = value[1:-1]
+        if "&" in value:
+            refs = _ENTITY.findall(value)
+            if len(refs) != value.count("&") or not all(r in _ENTITIES for r in refs):
+                return None
+            value = _ENTITY.sub(lambda r: _ENTITIES[r[1]], value)
+        attrs[name] = value
+    return attrs if len(attrs) == len(pairs) else None
+
+
+def _reject_start_tag(text: str, i: int) -> NoReturn:
+    """Walk the start tag at offset ``i`` token by token and raise the
+    ParseError for its first fault. Runs only on tags that
+    ``_START_TAG`` or the checks after it refused, so it always raises."""
     m = _NAME.match(text, i + 1)
     if m is None:
         raise _error(text, i + 1, "expected element name")
     name = m[0]
-    attrs: dict[str, str] = {}
+    seen: set[str] = set()
     j = m.end()
     while True:
         k = _WS.match(text, j).end()
@@ -253,30 +306,23 @@ def _start_tag(text: str, i: int, pos: int) -> tuple[XmlElement, int, bool]:
         if quote not in ("'", '"'):
             raise _error(text, q, "attribute value must be quoted")
         plain = _ATTR_VALUE[quote]
-        parts: list[str] = []
         j = q + 1
         while True:
-            m = plain.match(text, j)
-            parts.append(m[0])
-            j = m.end()
+            j = plain.match(text, j).end()
             if j == len(text):
                 raise _error(text, q, "unterminated attribute value")
             if text[j] == quote:
                 break
             if text[j] == "<":
                 raise _error(text, j, "'<' is not allowed in an attribute value")
-            c, j = _entity(text, j)
-            parts.append(c)
-        if attr_name in attrs:
+            j = _entity(text, j)[1]
+        if attr_name in seen:
             raise _error(text, k, f"duplicate attribute {attr_name!r}")
-        attrs[attr_name] = "".join(parts)
+        seen.add(attr_name)
         j += 1
-    elem = XmlElement(name, attrs, pos)
-    if text[k] == ">":
-        return elem, k + 1, True
-    if not text.startswith(">", k + 1):
+    if text[k] == "/" and not text.startswith(">", k + 1):
         raise _error(text, k + 1, "expected '>' after '/'")
-    return elem, k + 2, False
+    raise AssertionError(f"start tag at offset {i} is well-formed but was refused")
 
 
 def _entity(text: str, i: int) -> tuple[str, int]:

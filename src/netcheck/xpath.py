@@ -576,8 +576,9 @@ def _compile_candidates(axis: Axis, test: NodeTest):
         name = test.name
 
         def named_attribute(item):
-            if isinstance(item, XmlElement):
-                return [a for a in item.attr_items if a.name == name]
+            # Looking in ``attrs`` first leaves the items unbuilt on a miss.
+            if isinstance(item, XmlElement) and name in item.attrs:
+                return [a for a in item._attr_items or item.attr_items if a.name == name]
             return []
 
         return named_attribute
@@ -634,6 +635,8 @@ def _siblings(item: XmlItem, after: bool):
 
 
 # Each axis as a function from a context item to its items, in axis order.
+# Attribute steps read the slot behind the lazy ``XmlElement.attr_items``
+# and call the property, a function call per access, only to build it.
 _AXES = {
     Axis.CHILD: lambda item: item.children if isinstance(item, XmlElement) else (),
     Axis.DESCENDANT: lambda item: (
@@ -645,7 +648,9 @@ _AXES = {
     Axis.PARENT: _parent,
     Axis.ANCESTOR: _ancestors,
     Axis.SELF: lambda item: (item,),
-    Axis.ATTRIBUTE: lambda item: item.attr_items if isinstance(item, XmlElement) else (),
+    Axis.ATTRIBUTE: lambda item: (
+        item._attr_items or item.attr_items if isinstance(item, XmlElement) else ()
+    ),
     Axis.FOLLOWING_SIBLING: lambda item: _siblings(item, True),
     Axis.PRECEDING_SIBLING: lambda item: _siblings(item, False),
 }

@@ -1,6 +1,8 @@
 """Network ingestion, adjacency, transpose, and round-trip tests."""
 
 import random
+import time
+from decimal import Decimal
 
 import pytest
 
@@ -147,6 +149,56 @@ def test_constructor_validates_endpoints_and_weights():
 
     with pytest.raises(FormatError):
         Network(True, {"a": payload}, [Edge("a", "a", decimal.Decimal(0))])
+
+
+@pytest.mark.parametrize("weight", ["Infinity", "-Infinity", "NaN", "sNaN"])
+def test_constructor_rejects_non_finite_weights(weight):
+    payload = parse_xml('<node key="a"/>')
+    with pytest.raises(FormatError, match="edge weight must be positive"):
+        Network(True, {"a": payload}, [Edge("a", "a", Decimal(weight))])
+
+
+def test_parse_network_shares_one_weight_per_text():
+    net = parse_network(
+        '<network><node key="a"/><edge from="a" to="a" weight="2.5"/>'
+        '<edge from="a" to="a"/><edge from="a" to="a" weight="2.5"/>'
+        '<edge from="a" to="a" weight="2.50"/></network>'
+    )
+    w = [e.weight for e in net.edges]
+    assert w == [Decimal("2.5"), 1, Decimal("2.5"), Decimal("2.5")]
+    assert w[0] is w[2] and w[0] is not w[3]
+    assert str(w[3]) == "2.50"
+
+
+def _chain_file(n):
+    """A directed chain of n nodes, each with an attributed payload, and
+    n - 1 weighted edges."""
+    parts = ["<network>"]
+    parts += [f'<node key="n{i}"><p v="{i % 7}" w="x">t{i}</p></node>' for i in range(n)]
+    parts += [f'<edge from="n{i}" to="n{i + 1}" weight="{1 + i % 3}"/>' for i in range(n - 1)]
+    parts.append("</network>")
+    return "\n".join(parts).encode()
+
+
+def test_parse_network_linear_on_chains():
+    # One pass over the text and one over the children. A quadratic step
+    # would grow about 16x for 4x the nodes; a linear one measures 4-6x,
+    # the collector and cache effects included.
+    times = []
+    for n in (5_000, 20_000):
+        data = _chain_file(n)
+        net = parse_network(data)
+        assert (net.n, net.m) == (n, n - 1)
+        assert net.successors(f"n{n - 2}") == (f"n{n - 1}",)
+        assert net.payload("n3").children[0].attrs == {"v": "3", "w": "x"}
+        best = float("inf")
+        for _ in range(3):
+            t0 = time.perf_counter()
+            parse_network(data)
+            best = min(best, time.perf_counter() - t0)
+        times.append(best)
+    ratio = times[1] / times[0]
+    assert 2.0 <= ratio <= 10.0, f"4x nodes took {ratio:.1f}x as long ({times})"
 
 
 def test_transpose_reverses_edges():

@@ -7,6 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from netcheck.errors import ParseError
 from netcheck.xmldoc import (
+    XmlAttribute,
     XmlElement,
     XmlText,
     doc_order_key,
@@ -17,6 +18,7 @@ from netcheck.xmldoc import (
     string_value,
     xml_equal,
 )
+from netcheck.xpath import eval_path, parse_filter
 from tests import xmldoc_reference as reference
 
 
@@ -168,6 +170,26 @@ def test_document_order_attrs_before_children():
     assert items == [root, ax, ay, b]
 
 
+def test_attr_items_built_once_and_shared_with_xpath():
+    root = parse_xml('<a x="1" y="&lt;2"><b x="3"/><c/></a>')
+    b, c = root.children
+    assert eval_path(parse_filter("@z").path, root) == []
+    assert root._attr_items is None  # a named step that misses builds no items
+    for elem in (root, b, c):
+        items = elem.attr_items
+        assert elem.attr_items is items
+        eager = [(elem, n, v, (elem.pos, 1, i)) for i, (n, v) in enumerate(elem.attrs.items())]
+        assert [(a.owner, a.name, a.value, a.order_key) for a in items] == eager
+        assert all(isinstance(a, XmlAttribute) for a in items)
+    assert [a.value for a in root.attr_items] == ["1", "<2"]
+    assert c.attr_items == ()
+    (x,) = eval_path(parse_filter("@x").path, root)
+    assert x is root.attr_items[0]
+    assert eval_path(parse_filter("attribute::*").path, root)[1] is root.attr_items[1]
+    (bx,) = eval_path(parse_filter("*/@x").path, root)
+    assert bx is b.attr_items[0]
+
+
 def test_serialize_self_closing_and_escaping():
     root = parse_xml('<a t="x&amp;y">a&lt;b<e/></a>')
     text = serialize_xml(root)
@@ -197,9 +219,10 @@ def test_xml_equal_detects_differences():
 # -- round-trip property -----------------------------------------------------
 
 _names = st.from_regex(r"[a-z][a-z0-9_.\-]{0,5}", fullmatch=True)
-_attr_values = st.text(
-    alphabet=st.characters(codec="utf-8", exclude_characters="\x00\r"),
-    max_size=8,
+_attr_values = st.one_of(
+    st.text(alphabet=st.characters(codec="utf-8", exclude_characters="\x00\r"), max_size=8),
+    # mostly characters that must be written as entity references
+    st.text(alphabet="a &<>\"'\t\n", max_size=8),
 )
 _texts = st.text(
     alphabet=st.characters(codec="utf-8", exclude_characters="\x00\r"),
@@ -208,16 +231,33 @@ _texts = st.text(
 ).filter(lambda s: s.strip(" \t\n") != "")
 
 
+# Whitespace inside a tag: before an attribute, around '=', before '>'.
+_tag_ws = st.lists(st.sampled_from([" ", "  ", "\t", "\n", "\r\n"]), min_size=1, max_size=3).map("".join)
+_opt_tag_ws = st.one_of(st.just(""), _tag_ws)
+
+
 @st.composite
-def _element_source(draw, depth=2):
+def _attribute_source(draw, name):
+    value = draw(_attr_values)
+    if draw(st.booleans()):
+        quoted = f'"{escape_attr(value)}"'
+    else:
+        quoted = "'" + escape_text(value).replace("'", "&apos;") + "'"
+    return f"{draw(_tag_ws)}{name}{draw(_opt_tag_ws)}={draw(_opt_tag_ws)}{quoted}"
+
+
+@st.composite
+def _element_source(draw, depth=2, repeats=False):
+    """A well-formed element, unless ``repeats`` lets it now and then
+    carry one attribute name twice."""
     name = draw(_names)
-    n_attrs = draw(st.integers(0, 2))
+    n_attrs = draw(st.integers(0, 3))
     attr_names = draw(
         st.lists(_names, min_size=n_attrs, max_size=n_attrs, unique=True)
     )
-    attrs = "".join(
-        f' {an}="{escape_attr(draw(_attr_values))}"' for an in attr_names
-    )
+    if repeats and attr_names and draw(st.integers(0, 9)) == 0:
+        attr_names.insert(draw(st.integers(0, len(attr_names))), draw(st.sampled_from(attr_names)))
+    attrs = "".join(draw(_attribute_source(an)) for an in attr_names) + draw(_opt_tag_ws)
     if depth <= 0:
         return f"<{name}{attrs}/>"
     parts = []
@@ -227,7 +267,7 @@ def _element_source(draw, depth=2):
             parts.append(escape_text(draw(_texts)))
             last_was_text = True
         else:
-            parts.append(draw(_element_source(depth=depth - 1)))
+            parts.append(draw(_element_source(depth - 1, repeats)))
             last_was_text = False
     body = "".join(parts)
     return f"<{name}{attrs}>{body}</{name}>"
@@ -266,7 +306,7 @@ _xmlish = st.lists(st.sampled_from(_TOKENS), max_size=30).map("".join)
 @st.composite
 def _edited_document(draw):
     """A valid document with a few tokens inserted or characters deleted."""
-    source = draw(_element_source())
+    source = draw(_element_source(repeats=True))
     for _ in range(draw(st.integers(1, 3))):
         k = draw(st.integers(0, len(source)))
         if draw(st.booleans()):
@@ -300,8 +340,16 @@ def _outcome(parse, source):
 
 
 @settings(max_examples=400)
-@given(st.one_of(_xmlish, _xmlish.map(lambda s: "<a" + s), _edited_document()))
+@given(st.one_of(
+    _xmlish, _xmlish.map(lambda s: "<a" + s), _element_source(repeats=True), _edited_document()
+))
 @example('<network><node key="a" x=')
+@example('<a\tx\r\n=  \'&lt;&apos;"\'\ny="&amp;&quot;\'"\n/><!-- whitespace, both quotes -->')
+@example('<a x="1"y="2"/>')  # the tag regex fails: no space between attributes
+@example('<a x="&nbsp;"/>')  # unknown entity in a value
+@example('<a x="a&b"/>')  # unterminated entity in a value
+@example('<a x="&b" y=";"/>')  # an entity that would run past the closing quote
+@example('<a x="1" y="2" x="3"/>')  # repeated attribute name
 @example('<?xml version="1.0"?>\r\n<!-- c -->\n<a>t<!-- c -->u&amp;<b/> </a><!-- d -->')
 def test_parser_matches_reference(source):
     assert _outcome(parse_xml, source) == _outcome(reference.parse_xml, source)
