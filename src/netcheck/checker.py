@@ -9,13 +9,17 @@ filters::
 Prefix operators (quantifiers and ``!``) bind tightest, then ``&``,
 then ``|``; EU/AU/IEU/IAU use function-call syntax.
 
+Parsing is one pass: at each '[' the formula lexer hands the text to
+the filter parser, which stops at the ']' that closes the filter, so
+filter errors carry columns of the whole formula.
+
 Checking is staged. First every distinct filter of the formula is
-evaluated at every node payload and recorded under a generated
-proposition id (the labelling stage, equivalent to selecting the nodes
-whose payload matches each filter). Then filters are substituted by
-their proposition ids, preserving the formula's shape. Finally the
-propositional checker runs on the labelled network. The stages cost
-O(filters * nodes) plus O(formula * (nodes + edges)).
+evaluated at every node payload, and the set of nodes whose payload
+matches it is recorded under a generated proposition id (the labelling
+stage). Then filters are substituted by their proposition ids,
+preserving the formula's shape. Finally the propositional checker runs
+on the labelled network, reading each atom's set from the labelling.
+The stages cost O(filters * nodes) plus O(formula * (nodes + edges)).
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ from __future__ import annotations
 from .ctl import And, Atom, Bool, Formula, LabelMap, Not, Or, Temporal, Until, model_check
 from .errors import FilterTypeError, MissingFilterError, ParseError
 from .network import Network
-from .xpath import FilterExpr, _compile_filter, parse_filter, render_filter
+from .xpath import FilterExpr, _compile_filter, _parse_bracketed, _Parser, _Tok, render_filter
 
 _UNARY_KEYWORDS = {"EX", "AX", "EF", "AF", "EG", "AG",
                    "IEX", "IAX", "IEF", "IAF", "IEG", "IAG"}
@@ -35,17 +39,15 @@ class FilterRegistry:
     generated proposition ids p1, p2, ..."""
 
     def __init__(self):
-        self._prop_of: dict[FilterExpr, str] = {}
+        self._prop_of: dict[FilterExpr, str] = {}  # in registration order
         self._filter_of: dict[str, FilterExpr] = {}
-        self._order: list[FilterExpr] = []
 
     def register(self, filter_expr: FilterExpr) -> str:
         prop = self._prop_of.get(filter_expr)
         if prop is None:
-            prop = f"p{len(self._order) + 1}"
+            prop = f"p{len(self._prop_of) + 1}"
             self._prop_of[filter_expr] = prop
             self._filter_of[prop] = filter_expr
-            self._order.append(filter_expr)
         return prop
 
     def prop_for(self, filter_expr: FilterExpr) -> str:
@@ -63,55 +65,21 @@ class FilterRegistry:
             raise MissingFilterError(f"no filter registered for {prop!r}") from None
 
     def filters(self) -> tuple[FilterExpr, ...]:
-        return tuple(self._order)
+        return tuple(self._prop_of)
 
     def props(self) -> tuple[str, ...]:
-        return tuple(self._prop_of[f] for f in self._order)
+        return tuple(self._prop_of.values())
 
     def __len__(self) -> int:
-        return len(self._order)
+        return len(self._prop_of)
 
 
 # ---------------------------------------------------------------------------
 # Parsing
 
 
-def _extract_filter(text: str, start: int) -> tuple[FilterExpr, int]:
-    """Parse the bracketed filter starting at text[start] == '['.
-
-    Returns (filter, index past the closing bracket). Tracks nesting
-    and string literals so brackets inside predicates do not end the
-    filter early.
-    """
-    depth = 0
-    quote = None
-    i = start
-    n = len(text)
-    while i < n:
-        c = text[i]
-        if quote is not None:
-            if c == quote:
-                quote = None
-        elif c in "'\"":
-            quote = c
-        elif c == "[":
-            depth += 1
-        elif c == "]":
-            depth -= 1
-            if depth == 0:
-                inner = text[start + 1 : i]
-                try:
-                    return parse_filter(inner), i + 1
-                except ParseError as exc:
-                    raise ParseError(
-                        f"in filter: {exc.message}", 1, start + 1 + exc.column
-                    ) from exc
-        i += 1
-    raise ParseError("unterminated filter bracket", 1, start + 1)
-
-
-def _tokenize_formula(text: str) -> list[tuple[str, object, int]]:
-    toks: list[tuple[str, object, int]] = []
+def _tokenize_formula(text: str) -> list[_Tok]:
+    toks: list[_Tok] = []
     i, n = 0, len(text)
     while i < n:
         c = text[i]
@@ -120,11 +88,11 @@ def _tokenize_formula(text: str) -> list[tuple[str, object, int]]:
             continue
         col = i + 1
         if c == "[":
-            expr, i = _extract_filter(text, i)
-            toks.append(("FILTER", expr, col))
+            expr, i = _parse_bracketed(text, i)
+            toks.append(_Tok("FILTER", expr, col))
             continue
         if c in "&|!(),":
-            toks.append(("SYM", c, col))
+            toks.append(_Tok("SYM", c, col))
             i += 1
             continue
         if c.isascii() and c.isalpha():
@@ -137,12 +105,12 @@ def _tokenize_formula(text: str) -> list[tuple[str, object, int]]:
                 or word in _UNTIL_KEYWORDS
                 or word in ("true", "false")
             ):
-                toks.append(("WORD", word, col))
+                toks.append(_Tok("WORD", word, col))
                 i = j
                 continue
             raise ParseError(f"unknown keyword {word!r}", 1, col)
         raise ParseError(f"unexpected character {c!r}", 1, col)
-    toks.append(("END", "", n + 1))
+    toks.append(_Tok("END", "", n + 1))
     return toks
 
 
@@ -155,66 +123,25 @@ def _tokenize_formula(text: str) -> list[tuple[str, object, int]]:
 MAX_FORMULA_DEPTH = 150
 
 
-class _FormulaParser:
-    """Recursive descent; every parse method returns (formula, depth),
-    where a bare atom has depth 0."""
-
-    def __init__(self, toks):
-        self.toks = toks
-        self.i = 0
-        self.open = 0  # prefix operators, parentheses and untils being parsed
-
-    def peek(self):
-        return self.toks[self.i]
-
-    def next(self):
-        tok = self.toks[self.i]
-        self.i += 1
-        return tok
-
-    def expect_sym(self, value: str) -> None:
-        kind, val, col = self.next()
-        if kind != "SYM" or val != value:
-            raise ParseError(f"expected {value!r}", 1, col)
-
-    def within(self, depth: int, col: int) -> int:
-        if depth > MAX_FORMULA_DEPTH:
-            raise ParseError(
-                f"formula nested deeper than {MAX_FORMULA_DEPTH} levels", 1, col
-            )
-        return depth
-
-    def enter(self, col: int) -> None:
-        # checked on the way down as well, so that the parser's own
-        # recursion is bounded before any subtree is complete
-        self.open = self.within(self.open + 1, col)
-
-    def parse(self) -> Formula:
-        f, _ = self.parse_or()
-        kind, val, col = self.peek()
-        if kind != "END":
-            raise ParseError(f"unexpected trailing input {val!r}", 1, col)
-        return f
+class _FormulaParser(_Parser):
+    what = "formula"
+    max_depth = MAX_FORMULA_DEPTH
 
     def parse_or(self) -> tuple[Formula, int]:
         f, depth = self.parse_and()
-        while self._at_sym("|"):
-            col = self.next()[2]
+        while self.at_sym("|"):
+            col = self.next().col
             g, d = self.parse_and()
             f, depth = Or(f, g), self.within(max(depth, d) + 1, col)
         return f, depth
 
     def parse_and(self) -> tuple[Formula, int]:
         f, depth = self.parse_unary()
-        while self._at_sym("&"):
-            col = self.next()[2]
+        while self.at_sym("&"):
+            col = self.next().col
             g, d = self.parse_unary()
             f, depth = And(f, g), self.within(max(depth, d) + 1, col)
         return f, depth
-
-    def _at_sym(self, value: str) -> bool:
-        kind, val, _ = self.peek()
-        return kind == "SYM" and val == value
 
     def parse_unary(self) -> tuple[Formula, int]:
         kind, val, col = self.peek()
@@ -257,10 +184,7 @@ def parse_formula(text: str) -> Formula:
     filter carry the offset within the whole formula text. A formula
     nested deeper than ``MAX_FORMULA_DEPTH`` levels is a ParseError at
     the operator, parenthesis or until that goes past it."""
-    toks = _tokenize_formula(text)
-    if toks[0][0] == "END":
-        raise ParseError("empty formula", 1, 1)
-    return _FormulaParser(toks).parse()
+    return _FormulaParser(_tokenize_formula(text), 1).parse()
 
 
 # ---------------------------------------------------------------------------
@@ -296,33 +220,33 @@ def label_nodes(net: Network, formula: Formula) -> tuple[LabelMap, FilterRegistr
     """Labelling stage: evaluate each distinct filter of the formula at
     every node payload.
 
-    Returns the label map plus the registry pairing filters with their
-    generated proposition ids. Each filter is compiled once and then run
-    at every payload. A FilterTypeError is re-raised annotated with the
-    offending node key and filter; with several failures the first in
-    (filter, key) order wins.
+    Returns the label map, which holds the set of keys where each
+    proposition holds, plus the registry pairing filters with their
+    generated proposition ids. Each filter is compiled once and then
+    run at every payload, in one pass over the keys that builds its
+    set. A FilterTypeError is re-raised annotated with the offending
+    node key and filter; with several failures the first in (filter,
+    key) order wins.
     """
     registry = FilterRegistry()
     for f in collect_filters(formula):
         registry.register(f)
     keys = net.node_keys()
-    assignments: dict[str, set[str]] = {k: set() for k in keys}
+    payloads = net.nodes
+    sat: dict[str, frozenset[str]] = {}
     for filter_expr, prop in zip(registry.filters(), registry.props()):
         holds = _compile_filter(filter_expr)
-        for key in keys:
-            try:
-                if holds(net.payload(key)):
-                    assignments[key].add(prop)
-            except FilterTypeError as exc:
-                raise FilterTypeError(
-                    f"filter {render_filter(filter_expr)!r} at node {key!r}: {exc}"
-                ) from exc
-
-    labels = LabelMap(
-        frozenset(registry.props()),
-        {k: frozenset(v) for k, v in assignments.items()},
-    )
-    return labels, registry
+        matched = []
+        try:
+            for key in keys:
+                if holds(payloads[key]):
+                    matched.append(key)
+        except FilterTypeError as exc:
+            raise FilterTypeError(
+                f"filter {render_filter(filter_expr)!r} at node {key!r}: {exc}"
+            ) from exc
+        sat[prop] = frozenset(matched)
+    return LabelMap(frozenset(sat), sat, frozenset(keys)), registry
 
 
 def replace_filters(formula: Formula, registry: FilterRegistry) -> Formula:

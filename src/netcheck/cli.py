@@ -16,8 +16,8 @@ import json
 import sys
 
 from . import __version__
-from .checker import label_nodes, parse_formula, replace_filters
-from .ctl import NotSatisfiedError, Witness, model_check, witness
+from .checker import check, label_nodes, parse_formula, replace_filters
+from .ctl import Atom, NotSatisfiedError, model_check, witness
 from .errors import FilterTypeError, FormatError, ParseError, UnknownKeyError
 from .metrics import (
     _geodesics,
@@ -27,7 +27,7 @@ from .metrics import (
     eulerian_path_exists,
 )
 from .network import Network, load_network
-from .xpath import _compile_filter, parse_filter
+from .xpath import parse_filter
 
 EXIT_OK = 0
 EXIT_SYNTAX = 1
@@ -80,10 +80,17 @@ def _fail(code: int, message: str) -> int:
     return code
 
 
-def _load(args) -> Network:
-    if args.network is None:
-        raise FormatError("--network is required")
-    return load_network(args.network)
+def _load(args) -> Network | int:
+    """The network named by ``--network``, or the exit code after
+    reporting why it could not be loaded."""
+    try:
+        if args.network is None:
+            raise FormatError("--network is required")
+        return load_network(args.network)
+    except OSError as exc:
+        return _fail(EXIT_FORMAT, f"cannot read network: {exc}")
+    except (ParseError, FormatError) as exc:
+        return _fail(EXIT_FORMAT, f"network: {exc}")
 
 
 def _emit(lines: list[str]) -> None:
@@ -106,12 +113,9 @@ def _run_check(args) -> int:
     except ParseError as exc:
         return _fail(EXIT_SYNTAX, f"formula: {exc}")
 
-    try:
-        net = _load(args)
-    except OSError as exc:
-        return _fail(EXIT_FORMAT, f"cannot read network: {exc}")
-    except (ParseError, FormatError) as exc:
-        return _fail(EXIT_FORMAT, f"network: {exc}")
+    net = _load(args)
+    if isinstance(net, int):
+        return net
 
     try:
         labels, registry = label_nodes(net, formula)
@@ -177,20 +181,13 @@ def _run_query(args) -> int:
         filter_expr = parse_filter(args.filter)
     except ParseError as exc:
         return _fail(EXIT_SYNTAX, f"filter: {exc}")
+    net = _load(args)
+    if isinstance(net, int):
+        return net
     try:
-        net = _load(args)
-    except OSError as exc:
-        return _fail(EXIT_FORMAT, f"cannot read network: {exc}")
-    except (ParseError, FormatError) as exc:
-        return _fail(EXIT_FORMAT, f"network: {exc}")
-    holds = _compile_filter(filter_expr)
-    keys = []
-    try:
-        for key in net.node_keys():
-            if holds(net.payload(key)):
-                keys.append(key)
+        keys = sorted(check(net, Atom(filter_expr)))
     except FilterTypeError as exc:
-        return _fail(EXIT_TYPE, f"evaluation: at node '{key}': {exc}")
+        return _fail(EXIT_TYPE, f"evaluation: {exc}")
     if args.format == "json":
         _emit([json.dumps(keys, indent=2)])
     else:
@@ -199,12 +196,9 @@ def _run_query(args) -> int:
 
 
 def _run_metrics(args) -> int:
-    try:
-        net = _load(args)
-    except OSError as exc:
-        return _fail(EXIT_FORMAT, f"cannot read network: {exc}")
-    except (ParseError, FormatError) as exc:
-        return _fail(EXIT_FORMAT, f"network: {exc}")
+    net = _load(args)
+    if isinstance(net, int):
+        return net
 
     comp = components(net)
     hist = degree_histogram(net)

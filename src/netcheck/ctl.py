@@ -10,16 +10,17 @@ AF to the current node, and collapses EU to its right argument.
 Two evaluators are provided. ``model_check`` is the production
 algorithm: bottom-up over the formula with memoization on structural
 equality, one O(n+m) set computation per operator for n nodes and m
-edges (backward breadth-first fixpoints, and backward counter pruning
-for EG). ``oracle_check`` recomputes satisfaction by deliberately
-different brute-force means and is capped at 12 nodes; it exists so the
-two can be compared on random instances.
+edges. An atom's set is read from the ``LabelMap``; EU is a backward
+breadth-first least fixpoint, EF is EU with a true left operand, and EG
+is backward counter pruning. ``oracle_check`` recomputes satisfaction
+by deliberately different brute-force means and is capped at 12 nodes;
+it exists so the two can be compared on random instances.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from typing import Iterable, Mapping
 
 from .errors import (
@@ -146,14 +147,16 @@ def _split_op(op: str) -> tuple[str, bool]:
 class LabelMap:
     """Assignment of registered proposition ids to nodes.
 
-    ``by_node`` maps every node key to the set of propositions holding
-    there; ``props`` is the registered universe, so an unlabelled but
+    ``sat`` maps each registered proposition to the set of node keys
+    where it holds, and ``keys`` is the set of keys the map labels.
+    ``props`` is the registered universe, so an unlabelled but
     registered proposition is simply false everywhere, while an
     unregistered one is an error.
     """
 
     props: frozenset[str]
-    by_node: dict[str, frozenset[str]] = field(default_factory=dict)
+    sat: dict[str, frozenset[str]]
+    keys: frozenset[str]
 
     @classmethod
     def build(cls, assignments: Mapping[str, Iterable[str]],
@@ -162,20 +165,24 @@ class LabelMap:
         universe = frozenset(props) if props is not None else frozenset(
             p for ps in by_node.values() for p in ps
         )
+        holders: dict[str, list[str]] = {p: [] for p in universe}
         for key, ps in by_node.items():
             extra = ps - universe
             if extra:
                 raise UnboundAtomError(
                     f"node {key!r} labelled with unregistered propositions {sorted(extra)}"
                 )
-        return cls(universe, by_node)
+            for p in ps:
+                holders[p].append(key)
+        sat = {p: frozenset(ks) for p, ks in holders.items()}
+        return cls(universe, sat, frozenset(by_node))
 
     def holds(self, prop: str, key: str) -> bool:
-        return prop in self.by_node.get(key, frozenset())
+        return key in self.sat.get(prop, ())
 
 
 def _check_labels(net: Network, labels: LabelMap) -> None:
-    unknown = set(labels.by_node) - set(net.nodes)
+    unknown = labels.keys.difference(net.nodes)
     if unknown:
         raise UnknownKeyError(
             f"label map mentions keys not in the network: {sorted(unknown)}"
@@ -190,14 +197,16 @@ def model_check(net: Network, labels: LabelMap, formula: Formula) -> frozenset[s
     """Satisfaction set of a formula over a labelled network.
 
     Bottom-up over the formula, memoized on structural equality, with
-    per-operator set computations in O(n+m) for n nodes and m edges: EX
-    by predecessor scan, EF and EU by backward breadth-first fixpoints,
-    EG by backward counter pruning (each operand node counts its
-    successors in the operand; a node whose count falls to zero drops
-    out and decrements its predecessors, while a sink of the original
-    graph never drops). Universal operators go through their
-    existential duals. Inverse operators run the same computations on
-    the transposed relation. The whole check is O(|formula|*(n+m)).
+    per-operator set computations in O(n+m) for n nodes and m edges: an
+    atom reads the set the label map holds for it, EX is a predecessor
+    scan, EU a backward breadth-first fixpoint and EF the same fixpoint
+    with a left operand of every node (E[true U s]), EG backward counter
+    pruning (each operand node counts its successors in the operand; a
+    node whose count falls to zero drops out and decrements its
+    predecessors, while a sink of the original graph never drops).
+    Universal operators go through their existential duals. Inverse
+    operators run the same computations on the transposed relation.
+    The whole check is O(|formula|*(n+m)).
     """
     _check_labels(net, labels)
     return _Checker(net, labels).sat(formula)
@@ -226,9 +235,7 @@ class _Checker:
         if isinstance(f, Atom):
             if f.value not in self.labels.props:
                 raise UnboundAtomError(f"unregistered proposition {f.value!r}")
-            return frozenset(
-                k for k, ps in self.labels.by_node.items() if f.value in ps
-            )
+            return self.labels.sat.get(f.value, frozenset())
         if isinstance(f, Not):
             return self.universe - self.sat(f.operand)
         if isinstance(f, And):
@@ -243,10 +250,11 @@ class _Checker:
                 return self._pre(s, pred)
             if base == "AX":
                 return self.universe - self._pre(self.universe - s, pred)
+            # EF s = E[true U s], and AG is its dual.
             if base == "EF":
-                return self._reach(s, pred)
+                return self._eu(self.universe, s, pred)
             if base == "AG":
-                return self.universe - self._reach(self.universe - s, pred)
+                return self.universe - self._eu(self.universe, self.universe - s, pred)
             if base == "EG":
                 return self._eg(s, succ, pred)
             # AF via the EG dual.
@@ -267,18 +275,6 @@ class _Checker:
     @staticmethod
     def _pre(s: frozenset[str], pred) -> frozenset[str]:
         return frozenset(v for w in s for v in pred[w])
-
-    @staticmethod
-    def _reach(s: frozenset[str], pred) -> frozenset[str]:
-        seen = set(s)
-        queue = deque(s)
-        while queue:
-            w = queue.popleft()
-            for v in pred[w]:
-                if v not in seen:
-                    seen.add(v)
-                    queue.append(v)
-        return frozenset(seen)
 
     @staticmethod
     def _eu(a: frozenset[str], b: frozenset[str], pred) -> frozenset[str]:

@@ -40,9 +40,6 @@ class AdjacencyView:
     successors: Mapping[str, tuple[str, ...]]
     predecessors: Mapping[str, tuple[str, ...]]
 
-    def transposed(self) -> "AdjacencyView":
-        return AdjacencyView(self.predecessors, self.successors)
-
 
 class Network:
     """Immutable network: payloads by key plus an edge multiset."""

@@ -30,6 +30,7 @@ import re
 from dataclasses import dataclass
 from decimal import Decimal
 from enum import Enum
+from typing import NamedTuple
 
 from .errors import FilterTypeError, ParseError
 from .xmldoc import (
@@ -158,18 +159,27 @@ FilterExpr = (
 _COMPARE_OPS = ("!=", "<=", ">=", "=", "<", ">")
 _TWO_CHAR_SYMS = ("::", "//", "..", "!=", "<=", ">=")
 _ONE_CHAR_SYMS = "()[]/@=<>,.*"
+_NUMBER_TOKEN = re.compile(r"\d+(\.\d+)?")
+_NAME_TOKEN = re.compile(r"[A-Za-z_][A-Za-z0-9_.\-]*")
 
 
-@dataclass(frozen=True)
-class _Tok:
-    kind: str  # NAME NUMBER STRING SYM END
-    value: str
-    col: int  # 1-based character offset
+class _Tok(NamedTuple):
+    """A token of a filter, or of a formula (kind FILTER holds a parsed
+    filter)."""
+
+    kind: str  # NAME NUMBER STRING SYM FILTER END
+    value: object
+    col: int  # 1-based character offset into the whole text
 
 
-def _tokenize_filter(text: str) -> list[_Tok]:
+def _lex_filter(text: str, start: int, bracketed: bool) -> list[_Tok]:
+    """Tokens of the filter that starts at ``text[start]``, ending in an
+    END token. A bracketed filter stops at the first ']' that closes no
+    '[' of its own, and its END token, with value ']', takes that
+    column; if the text ends first, its END token has value ''."""
     toks: list[_Tok] = []
-    i, n = 0, len(text)
+    depth = 0
+    i, n = start, len(text)
     while i < n:
         c = text[i]
         if c in " \t\r\n":
@@ -183,15 +193,16 @@ def _tokenize_filter(text: str) -> list[_Tok]:
             toks.append(_Tok("STRING", text[i + 1 : j], col))
             i = j + 1
             continue
-        if c.isdigit():
-            m = re.match(r"\d+(\.\d+)?", text[i:])
+        # isdigit() also holds for digits such as '²' that \d does not match
+        m = _NUMBER_TOKEN.match(text, i) if c.isdigit() else None
+        if m is not None:
             toks.append(_Tok("NUMBER", m.group(0), col))
-            i += m.end()
+            i = m.end()
             continue
         if (c.isascii() and c.isalpha()) or c == "_":
-            m = re.match(r"[A-Za-z_][A-Za-z0-9_.\-]*", text[i:])
+            m = _NAME_TOKEN.match(text, i)
             toks.append(_Tok("NAME", m.group(0), col))
-            i += m.end()
+            i = m.end()
             continue
         two = text[i : i + 2]
         if two in _TWO_CHAR_SYMS:
@@ -199,6 +210,13 @@ def _tokenize_filter(text: str) -> list[_Tok]:
             i += 2
             continue
         if c in _ONE_CHAR_SYMS:
+            if c == "[":
+                depth += 1
+            elif c == "]":
+                if bracketed and depth == 0:
+                    toks.append(_Tok("END", "]", col))
+                    return toks
+                depth -= 1
             toks.append(_Tok("SYM", c, col))
             i += 1
             continue
@@ -211,25 +229,20 @@ def _tokenize_filter(text: str) -> list[_Tok]:
 # Parser
 
 
-# Deepest filter the parser accepts. Each not() and parenthesis adds a
-# level, and so does each further operand of an and/or chain. A
-# predicate adds three, for the step, the path and the test around the
-# next predicate. Later passes recurse over the tree (hashing, equality,
-# evaluation, rendering) at up to four frames a level, so this keeps
-# them well inside Python's default recursion limit of 1000, also for a
-# filter inside a formula at its own cap.
-MAX_FILTER_DEPTH = 60
-_PREDICATE_LEVELS = 3
+class _Parser:
+    """Recursive descent over tokens ending in END, shared by filters
+    and formulas. A subclass names what it parses and how deep that may
+    nest, and provides ``parse_or``. Its parse methods that can nest
+    return (result, depth), where a result without nesting has depth 0."""
 
+    what = ""
+    max_depth = 0
 
-class _FilterParser:
-    """Recursive descent; the parse methods that can nest return
-    (result, depth), where an expression without nesting has depth 0."""
-
-    def __init__(self, toks: list[_Tok]):
+    def __init__(self, toks: list[_Tok], start: int):
         self.toks = toks
+        self.start = start  # column where the parsed text begins
         self.i = 0
-        self.open = 0  # not(), parentheses and predicates being parsed
+        self.open = 0  # levels being parsed
 
     def peek(self) -> _Tok:
         return self.toks[self.i]
@@ -252,29 +265,50 @@ class _FilterParser:
         raise ParseError(message, 1, self.peek().col)
 
     def within(self, depth: int, col: int) -> int:
-        if depth > MAX_FILTER_DEPTH:
+        if depth > self.max_depth:
             raise ParseError(
-                f"filter nested deeper than {MAX_FILTER_DEPTH} levels", 1, col
+                f"{self.what} nested deeper than {self.max_depth} levels", 1, col
             )
         return depth
 
+    def enter(self, col: int, levels: int = 1) -> None:
+        # checked on the way down as well, so that the parser's own
+        # recursion is bounded before any subtree is complete
+        self.open = self.within(self.open + levels, col)
+
+    def parse(self):
+        if self.peek().kind == "END":
+            raise ParseError(f"empty {self.what}", 1, self.start)
+        result, _ = self.parse_or()
+        tok = self.peek()
+        if tok.kind != "END":
+            shown = f"[{render_filter(tok.value)}]" if tok.kind == "FILTER" else tok.value
+            self.error(f"unexpected trailing input {shown!r}")
+        return result
+
+
+# Deepest filter the parser accepts. Each not() and parenthesis adds a
+# level, and so does each further operand of an and/or chain. A
+# predicate adds three, for the step, the path and the test around the
+# next predicate. Later passes recurse over the tree (hashing, equality,
+# evaluation, rendering) at up to four frames a level, so this keeps
+# them well inside Python's default recursion limit of 1000, also for a
+# filter inside a formula at its own cap.
+MAX_FILTER_DEPTH = 60
+_PREDICATE_LEVELS = 3
+
+
+class _FilterParser(_Parser):
+    what = "filter"
+    max_depth = MAX_FILTER_DEPTH
+
     def nested(self, col: int, levels: int = 1) -> tuple[FilterExpr, int]:
         """The or-level expression inside the not(), parenthesis or
-        predicate opened at ``col``, ``levels`` deeper. The open levels
-        are checked on the way down as well, so that the parser's own
-        recursion is bounded before any subtree is complete."""
-        self.open = self.within(self.open + levels, col)
+        predicate opened at ``col``, ``levels`` deeper."""
+        self.enter(col, levels)
         expr, depth = self.parse_or()
         self.open -= levels
         return expr, self.within(depth + levels, col)
-
-    # filter := or-level
-    def parse(self) -> FilterExpr:
-        expr, _ = self.parse_or()
-        tok = self.peek()
-        if tok.kind != "END":
-            self.error(f"unexpected trailing input {tok.value!r}")
-        return expr
 
     def parse_or(self) -> tuple[FilterExpr, int]:
         expr, depth = self.parse_and()
@@ -433,10 +467,23 @@ def parse_filter(text: str) -> FilterExpr:
     """Parse a filter expression; raises ParseError with a character
     offset on malformed input, and at the not(), parenthesis, predicate
     or operator that takes it deeper than ``MAX_FILTER_DEPTH`` levels."""
-    toks = _tokenize_filter(text)
-    if toks[0].kind == "END":
-        raise ParseError("empty filter", 1, 1)
-    return _FilterParser(toks).parse()
+    return _FilterParser(_lex_filter(text, 0, bracketed=False), 1).parse()
+
+
+def _parse_bracketed(text: str, start: int) -> tuple[FilterExpr, int]:
+    """Parse the filter between the '[' at ``text[start]`` and the ']'
+    that closes it. Returns the filter and the index past that ']'.
+    Error columns are offsets into the whole text, and errors inside
+    the brackets say "in filter"."""
+    try:
+        toks = _lex_filter(text, start + 1, bracketed=True)
+        closed = toks[-1].value == "]"
+        expr = _FilterParser(toks, start + 2).parse() if closed else None
+    except ParseError as exc:
+        raise ParseError(f"in filter: {exc.message}", 1, exc.column) from exc
+    if expr is None:
+        raise ParseError("unterminated filter bracket", 1, start + 1)
+    return expr, toks[-1].col
 
 
 # ---------------------------------------------------------------------------

@@ -101,6 +101,42 @@ def test_filter_error_position_is_global():
     assert "in filter" in exc.value.message
 
 
+# (parser, text, message, column). A filter inside a formula is parsed
+# in place, so every column counts from the start of the whole formula.
+PARSE_ERRORS = [
+    (parse_formula, "EX [title = ]", "in filter: expected a node test", 13),
+    (parse_formula, "[  ]", "in filter: empty filter", 2),
+    (parse_formula, "EX []", "in filter: empty filter", 5),
+    (parse_formula, 'EF [book[@lang = "en"]/title', "unterminated filter bracket", 4),
+    (parse_formula, "EF [a = 'x'] & [b", "unterminated filter bracket", 16),
+    (parse_formula, '["]"', "unterminated filter bracket", 1),
+    (parse_formula, "[a]]", "unexpected character ']'", 4),
+    (parse_formula, "EU([a], [b = 1 = 2])", "in filter: unexpected trailing input '='", 16),
+    (parse_formula, "[a[b]c]", "in filter: unexpected trailing input 'c'", 6),
+    (parse_formula, '[a] [b/@c = "1"]', "unexpected trailing input '[b/@c = \"1\"]'", 5),
+    (parse_formula, "[a][b]", "unexpected trailing input '[b]'", 4),
+    (parse_formula, "   ", "empty formula", 1),
+    # two faults: the lexer meets the bad token before the missing ']'
+    (parse_formula, '[a = "x', "in filter: unterminated string literal", 6),
+    (parse_formula, "[a # b", "in filter: unexpected character '#'", 4),
+    (parse_formula, "[a = 'x]", "in filter: unterminated string literal", 6),
+    # a digit that isdigit() accepts but a decimal number cannot hold
+    (parse_formula, "[a = \u00b2]", "in filter: unexpected character '\u00b2'", 6),
+    (parse_filter, "]", "expected a node test", 1),
+    (parse_filter, "a[b]]", "unexpected trailing input ']'", 5),
+    (parse_filter, "a] #", "unexpected character '#'", 4),
+    (parse_filter, "", "empty filter", 1),
+    (parse_filter, "\u00b2", "unexpected character '\u00b2'", 1),
+]
+
+
+@pytest.mark.parametrize("parse, text, message, column", PARSE_ERRORS)
+def test_parse_error_message_and_column(parse, text, message, column):
+    with pytest.raises(ParseError) as exc:
+        parse(text)
+    assert (exc.value.message, exc.value.column) == (message, column)
+
+
 def test_nested_brackets_inside_filter():
     f = parse_formula('EF [book[@lang = "en"]/title]')
     assert isinstance(f.operand, Atom)

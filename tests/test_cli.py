@@ -226,6 +226,22 @@ def test_metrics_output_pinned(capsys, fixture, fmt):
     assert (code, out) == (expected["exit"], expected["stdout"])
 
 
+# check (four formulas, and one with --witness-for) and query (five
+# filters) on every fixture in both formats, captured before query
+# was routed through check.
+CHECK_AND_QUERY_PINNED = json.loads(
+    Path(__file__).with_name("cli_pinned.json").read_text()
+)
+
+
+@pytest.mark.parametrize(
+    "run", CHECK_AND_QUERY_PINNED, ids=lambda run: " ".join(run["argv"][2:])
+)
+def test_check_and_query_output_pinned(capsys, run):
+    code, out, _ = run_main(capsys, *run["argv"])
+    assert (code, out) == (run["exit"], run["stdout"])
+
+
 def test_metrics_konigsberg_lines(capsys):
     code, out, _ = run_main(capsys, "metrics", "--network", KONIGSBERG)
     assert code == 0
@@ -393,6 +409,10 @@ def test_query_type_error_is_exit_3(capsys, tmp_path):
     )
     assert code == 3
     assert out == ""
+    assert err == (
+        "netcheck: evaluation: filter 'name > 3' at node 'a': "
+        "cannot interpret 'word' as a number\n"
+    )
 
 
 def test_metrics_directed_eulerian_not_an_error(capsys):

@@ -101,6 +101,13 @@ def test_labels_for_unknown_nodes_rejected():
         model_check(net, lm({"zz": ["p"]}), Atom("p"))
 
 
+def test_unlabelled_unknown_node_rejected():
+    # a key with no proposition holds nowhere, but is still checked
+    net = make_network([("a", "b")])
+    with pytest.raises(UnknownKeyError):
+        model_check(net, LabelMap.build({"zz": []}), TRUE)
+
+
 # -- frozen instances ----------------------------------------------------------
 
 AU_EDGES = [

