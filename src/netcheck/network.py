@@ -180,6 +180,10 @@ def parse_network(data: bytes | str) -> Network:
     nodes: dict[str, XmlElement] = {}
     edges: list[Edge] = []
     weights: dict[str, Decimal] = {}  # weight text -> its checked value
+    # The payloads share the document's rank array. The root and the
+    # edges are dropped from it, so that the payloads do not keep them alive.
+    doc = root.doc
+    doc[root.pos] = None
     for child in root.children:
         if isinstance(child, XmlText):
             raise FormatError("text content is not allowed inside <network>")
@@ -215,6 +219,7 @@ def parse_network(data: bytes | str) -> Network:
                     raise FormatError(f"edge weight must be positive, got {weight_attr!r}")
                 weights[weight_attr] = weight
             edges.append(Edge(child.attrs["from"], child.attrs["to"], weight))
+            doc[child.pos] = None
         else:
             raise FormatError(f"unknown element <{child.name}> inside <network>")
     return Network(directed, nodes, edges)

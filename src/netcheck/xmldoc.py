@@ -18,7 +18,16 @@ match refuses is walked token by token, to raise the error for its
 first fault. An element builds its attribute items on first use.
 Serializing and comparing trees are iterative as well.
 
-Trees are treated as immutable once parsing returns.
+The parser ranks the items as it reads them: each element and text
+item gets its document-order rank ``pos``, each element the largest
+rank ``end`` in its subtree and ``doc``, the list of the document's
+elements and text items by rank, which all its elements share. The
+subtree of an element is then the slice ``doc[pos : end + 1]``, in
+document order. A tree built by hand has no ranks until ``_rank``
+walks it, which the filter evaluator does before it first runs on it.
+
+Trees are treated as immutable once parsing returns, and a tree built
+by hand once it is ranked.
 """
 
 from __future__ import annotations
@@ -52,9 +61,11 @@ _ENTITY = re.compile(r"&([^;]{0,8});")
 
 
 class XmlElement:
-    """Element item: tag name, attributes, ordered children, parent link."""
+    """Element item: tag name, attributes, ordered children, parent link,
+    and its ranks in the document that holds it."""
 
-    __slots__ = ("name", "attrs", "children", "parent", "pos", "index", "_attr_items")
+    __slots__ = ("name", "attrs", "children", "parent", "pos", "end", "doc", "index",
+                 "_attr_items")
 
     def __init__(self, name: str, attrs: dict[str, str], pos: int):
         self.name = name
@@ -62,6 +73,10 @@ class XmlElement:
         self.children: list[XmlElement | XmlText] = []
         self.parent: XmlElement | None = None
         self.pos = pos  # document-order rank of this item
+        self.end = pos  # largest rank in this element's subtree
+        # The document's elements and text items, indexed by rank, shared
+        # by all its elements; None until the tree is ranked.
+        self.doc: list[XmlElement | XmlText | None] | None = None
         self.index = 0  # position within parent.children
         self._attr_items: tuple[XmlAttribute, ...] | None = None
 
@@ -139,6 +154,39 @@ def string_value(item: XmlItem) -> str:
     return "".join(parts)
 
 
+def _rank(item: XmlItem) -> None:
+    """Rank the tree that holds ``item`` unless it is ranked already.
+
+    The parser ranks each document as it reads it. A tree built by hand
+    has no ranks; this preorder walk from its top gives it the same ones
+    the parser would: each element and text item its ``pos``, ``parent``
+    and ``index``, and each element its ``end`` and the shared ``doc``.
+    """
+    node = item.owner if isinstance(item, XmlAttribute) else item
+    if isinstance(node, XmlText):
+        node = node.parent
+    if node is None or node.doc is not None:
+        return
+    while node.parent is not None:
+        node = node.parent
+    doc: list[XmlElement | XmlText | None] = []
+    open_: list[XmlElement] = []  # the elements whose subtree the walk is in
+    stack: list[XmlElement | XmlText] = [node]
+    while stack:
+        node = stack.pop()
+        while open_ and open_[-1] is not node.parent:
+            open_.pop().end = len(doc) - 1
+        node.pos = len(doc)
+        doc.append(node)
+        if isinstance(node, XmlElement):
+            node.doc = doc
+            open_.append(node)
+            for k, child in enumerate(node.children):
+                child.parent, child.index = node, k
+            stack += reversed(node.children)
+    for element in open_:
+        element.end = len(doc) - 1
+
 
 def _error(text: str, i: int, message: str) -> ParseError:
     """ParseError at offset ``i`` of ``text``, with 1-based line and column."""
@@ -175,7 +223,7 @@ def parse_xml(data: bytes | str) -> XmlElement:
     if text[i] != "<":
         raise _error(text, i, "content outside the root element")
     root, j, is_open = _start_tag(text, i, 0)
-    count = 1  # document-order rank of the next item
+    doc = root.doc = [root]  # elements and text items, in document order
     stack = [(root, i)] if is_open else []  # open elements, start offsets
     run: list[str] = []  # text of the innermost open element since its last tag
     i = j
@@ -207,8 +255,9 @@ def parse_xml(data: bytes | str) -> XmlElement:
             s = "".join(run)
             run.clear()
             if s.strip(_XML_WS):  # inter-tag whitespace is formatting, not data
-                parent.children.append(XmlText(s, count))
-                count += 1
+                item = XmlText(s, len(doc))
+                parent.children.append(item)
+                doc.append(item)
         if text.startswith("</", i):
             m = _NAME.match(text, i + 2)
             if m is None:
@@ -220,12 +269,14 @@ def parse_xml(data: bytes | str) -> XmlElement:
                 raise _error(text, i, f"mismatched closing tag: expected </{parent.name}>, "
                                       f"found </{m[0]}>")
             stack.pop()
+            parent.end = len(doc) - 1
             for k, child in enumerate(parent.children):
                 child.parent, child.index = parent, k
             i = j + 1
         else:
-            child, j, is_open = _start_tag(text, i, count)
-            count += 1
+            child, j, is_open = _start_tag(text, i, len(doc))
+            child.doc = doc
+            doc.append(child)
             parent.children.append(child)
             if is_open:
                 stack.append((child, i))

@@ -16,11 +16,24 @@ raise FilterTypeError when an operand's string value does not parse.
 ``=`` and ``!=`` compare numerically when either side is a number
 literal or a count, and by string value otherwise.
 
-A filter is compiled once into nested closures (once per labelling
-pass, or per ``eval_filter`` call) and then run at each context item.
-Within one evaluation, a predicate's result at an item is cached, so a
-predicate reached from many items of an outer path is evaluated once
-per item; the cache is dropped when the evaluation returns.
+A filter is compiled once into nested closures, kept by filter in a
+bounded cache, and then run at each context item. Within one
+evaluation, a predicate's result at an item is cached, so a predicate
+reached from many items of an outer path is evaluated once per item;
+the cache is dropped when the evaluation returns.
+
+Each step maps a context list, duplicate-free and in document order, to
+a list of the same kind, using the document-order ranks of the items
+(see ``xmldoc``). A descendant or descendant-or-self step takes the
+slice ``doc[pos + 1 : end + 1]`` (``doc[pos : end + 1]``) of each
+context's subtree; from many contexts it is one pass that skips every
+context inside the subtree taken last, so the slices neither overlap
+nor need sorting. An ancestor step returns top-down and, from many
+contexts, stops climbing at the first rank it has passed. The other
+steps from many contexts merge their results by rank. A predicate that
+walks up, such as ``descendant::d[ancestor::d]``, still costs the depth
+of each item it tests, and ``contains`` reads whole string values, so
+both stay above linear on deeply nested payloads.
 """
 
 from __future__ import annotations
@@ -30,17 +43,11 @@ import re
 from dataclasses import dataclass
 from decimal import Decimal
 from enum import Enum
+from functools import lru_cache
 from typing import NamedTuple
 
 from .errors import FilterTypeError, ParseError
-from .xmldoc import (
-    XmlAttribute,
-    XmlElement,
-    XmlItem,
-    XmlText,
-    doc_order_key,
-    string_value,
-)
+from .xmldoc import XmlAttribute, XmlElement, XmlItem, XmlText, _rank, string_value
 
 
 class Axis(Enum):
@@ -491,7 +498,8 @@ def _parse_bracketed(text: str, start: int) -> tuple[FilterExpr, int]:
 #
 # Compiling settles node tests, comparison kinds and literal conversions.
 # Each predicate's memo is registered in ``memos``, and the top-level
-# function clears them all when it returns.
+# function clears them all when it returns. Every step maps a context
+# list, duplicate-free and in document order, to a list of the same kind.
 
 
 def eval_filter(expr: FilterExpr, context: XmlElement) -> bool:
@@ -510,19 +518,20 @@ def eval_path(path: LocationPath, context: XmlItem) -> list[XmlItem]:
     return _top_level(_compile_path(path, memos), memos)(context)
 
 
+@lru_cache(maxsize=256)
 def _compile_filter(expr: FilterExpr):
     """Compile a filter into a function of the context item that returns
     the same bool, or raises the same FilterTypeError, as evaluating it
-    there. Compile once and call it at every payload."""
+    there. Compiled filters are kept by filter, a bounded number of them;
+    each holds no item once it returns."""
     memos: list[dict] = []
     return _top_level(_compile_bool(expr, memos), memos)
 
 
 def _top_level(run, memos: list[dict]):
-    if not memos:
-        return run
-
     def call(context):
+        if context.__class__ is not XmlElement or context.doc is None:
+            _rank(context)  # a tree built by hand has no ranks until now
         try:
             return run(context)
         finally:
@@ -573,28 +582,14 @@ def _compile_path(path: LocationPath, memos: list[dict]):
     return run
 
 
-# Axes whose items, taken from one context item, are duplicate-free and
-# already in document order. Ancestor runs upwards, so it is sorted.
-_IN_ORDER_AXES = frozenset(Axis) - {Axis.ANCESTOR}
-
-
 def _compile_step(step: Step, memos: list[dict]):
-    candidates = _compile_candidates(step.axis, step.test)
+    select = _compile_axis(step.axis, step.test)
     preds = [_compile_predicate(pred, memos) for pred in step.predicates]
-    in_order = step.axis in _IN_ORDER_AXES
+    if not preds:
+        return select
 
     def run(items):
-        if in_order and len(items) == 1:
-            found = candidates(items[0])
-        else:
-            seen: set = set()
-            found = []
-            for item in items:
-                for cand in candidates(item):
-                    if cand not in seen:
-                        seen.add(cand)
-                        found.append(cand)
-            found.sort(key=doc_order_key)
+        found = select(items)
         for pred in preds:
             found = [it for it in found if pred(it)]
         return found
@@ -616,62 +611,124 @@ def _compile_predicate(pred: FilterExpr, memos: list[dict]):
     return run
 
 
-def _compile_candidates(axis: Axis, test: NodeTest):
-    """Function from a context item to a new list of the items on the
-    axis that pass the node test, in axis order."""
+def _compile_axis(axis: Axis, test: NodeTest):
+    """Function from a context list, duplicate-free and in document
+    order, to a new list of the items on the axis of any of them that
+    pass the node test, also duplicate-free and in document order."""
     if axis is Axis.ATTRIBUTE and isinstance(test, NameTest):
-        name = test.name
+        return _named_attributes(test.name)
+    keep = _node_test(axis, test)
+    if axis is Axis.DESCENDANT or axis is Axis.DESCENDANT_OR_SELF:
+        collect = _subtrees(axis is Axis.DESCENDANT_OR_SELF)
+    elif axis is Axis.ANCESTOR:
+        collect = _ancestors
+    elif axis is Axis.SELF:
+        return keep
+    else:
+        return _merged(axis, keep)
+    if keep is list:
+        return collect
+    return lambda items: keep(collect(items))
 
-        def named_attribute(item):
-            # Looking in ``attrs`` first leaves the items unbuilt on a miss.
-            if isinstance(item, XmlElement) and name in item.attrs:
-                return [a for a in item._attr_items or item.attr_items if a.name == name]
-            return []
 
-        return named_attribute
-    items = _AXES[axis]
+def _node_test(axis: Axis, test: NodeTest):
+    """Function from a list of items on the axis to a new list of those
+    that pass the test."""
     if isinstance(test, AnyItemTest):
-        return lambda item: list(items(item))
+        return list
     if isinstance(test, TextTest):
         if axis is Axis.ATTRIBUTE:
-            return lambda item: []
-        kind = XmlText
-    else:
-        kind = XmlAttribute if axis is Axis.ATTRIBUTE else XmlElement
+            return lambda found: []
+        return lambda found: [c for c in found if isinstance(c, XmlText)]
+    kind = XmlAttribute if axis is Axis.ATTRIBUTE else XmlElement
     if isinstance(test, NameTest):
         name = test.name
-        return lambda item: [
-            c for c in items(item) if isinstance(c, kind) and c.name == name
-        ]
-    return lambda item: [c for c in items(item) if isinstance(c, kind)]
+        return lambda found: [c for c in found if isinstance(c, kind) and c.name == name]
+    return lambda found: [c for c in found if isinstance(c, kind)]
 
 
-def _descendants(element: XmlElement, out: list) -> list:
-    stack = element.children[::-1]
-    while stack:
-        node = stack.pop()
-        out.append(node)
-        if isinstance(node, XmlElement) and node.children:
-            stack += node.children[::-1]
-    return out
+def _named_attributes(name: str):
+    def collect(items):
+        found = []
+        for item in items:
+            # Looking in ``attrs`` first leaves the items unbuilt on a miss.
+            if isinstance(item, XmlElement) and name in item.attrs:
+                found += [a for a in item._attr_items or item.attr_items if a.name == name]
+        return found
+
+    return collect
 
 
-def _up(item: XmlItem):
-    return item.owner if isinstance(item, XmlAttribute) else item.parent
+def _subtrees(or_self: bool):
+    """The descendant axis, or descendant-or-self. An element's subtree
+    is the slice ``doc[pos:end + 1]``. A context that lies inside the
+    subtree taken last is skipped, so the slices never overlap and
+    follow one another in document order."""
+    skip = 0 if or_self else 1
+
+    def collect(items):
+        found = []
+        last = -1  # the end rank of the subtree taken last
+        for item in items:
+            if isinstance(item, XmlElement):
+                if item.pos > last:
+                    last = item.end
+                    found += item.doc[item.pos + skip : last + 1]
+            # Attributes come only from attribute steps and from self or
+            # descendant-or-self steps on attributes, so a list that
+            # holds one holds only attributes.
+            elif or_self and (isinstance(item, XmlAttribute) or item.pos > last):
+                found.append(item)
+        return found
+
+    return collect
+
+
+def _ancestors(items: list) -> list:
+    """The ancestor axis, top-down from each context. The ancestors of a
+    context that are not those of an earlier one all follow the ones
+    found so far, so the walk up stops at the first rank it has passed."""
+    found = []
+    for item in items:
+        last = found[-1].pos if found else -1
+        chain = []
+        node = item.owner if isinstance(item, XmlAttribute) else item.parent
+        while node is not None and node.pos > last:
+            chain.append(node)
+            node = node.parent
+        found += reversed(chain)
+    return found
+
+
+def _merged(axis: Axis, keep):
+    """An axis that takes one context at a time, from a context list.
+    The attributes of elements in document order are in document order
+    already. Children of distinct contexts never repeat, but those of
+    nested contexts interleave, and parents and siblings may repeat
+    too, so these are merged by rank."""
+    items_of = _AXES[axis]
+
+    def collect(items):
+        if len(items) == 1:
+            return keep(items_of(items[0]))
+        found = []
+        for item in items:
+            found += items_of(item)
+        if axis is not Axis.ATTRIBUTE:
+            if axis is not Axis.CHILD:
+                found = list(set(found))
+            found.sort(key=_POS)
+        return keep(found)
+
+    return collect
+
+
+_POS = operator.attrgetter("pos")
 
 
 def _parent(item: XmlItem) -> tuple:
-    parent = _up(item)
+    parent = item.owner if isinstance(item, XmlAttribute) else item.parent
     return () if parent is None else (parent,)
-
-
-def _ancestors(item: XmlItem) -> list:
-    out = []
-    node = _up(item)
-    while node is not None:
-        out.append(node)
-        node = node.parent
-    return out
 
 
 def _siblings(item: XmlItem, after: bool):
@@ -681,20 +738,13 @@ def _siblings(item: XmlItem, after: bool):
     return children[item.index + 1 :] if after else children[: item.index]
 
 
-# Each axis as a function from a context item to its items, in axis order.
-# Attribute steps read the slot behind the lazy ``XmlElement.attr_items``
-# and call the property, a function call per access, only to build it.
+# The axes that take one context at a time, as functions from a context
+# item to its items in document order. Attribute steps read the slot
+# behind the lazy ``XmlElement.attr_items`` and call the property, a
+# function call per access, only to build it.
 _AXES = {
     Axis.CHILD: lambda item: item.children if isinstance(item, XmlElement) else (),
-    Axis.DESCENDANT: lambda item: (
-        _descendants(item, []) if isinstance(item, XmlElement) else ()
-    ),
-    Axis.DESCENDANT_OR_SELF: lambda item: (
-        _descendants(item, [item]) if isinstance(item, XmlElement) else (item,)
-    ),
     Axis.PARENT: _parent,
-    Axis.ANCESTOR: _ancestors,
-    Axis.SELF: lambda item: (item,),
     Axis.ATTRIBUTE: lambda item: (
         item._attr_items or item.attr_items if isinstance(item, XmlElement) else ()
     ),
@@ -706,6 +756,7 @@ _AXES = {
 _NUMBER_RE = re.compile(r"[+-]?(\d+(\.\d*)?|\.\d+)\Z")
 
 
+@lru_cache(maxsize=4096)
 def _to_number(value: str) -> Decimal:
     s = value.strip(" \t\r\n")
     if not _NUMBER_RE.match(s):

@@ -1,5 +1,6 @@
 """Network ingestion, adjacency, transpose, and round-trip tests."""
 
+import gc
 import random
 import time
 from decimal import Decimal
@@ -15,7 +16,7 @@ from netcheck.network import (
     parse_network,
     serialize_network,
 )
-from netcheck.xmldoc import parse_xml
+from netcheck.xmldoc import XmlElement, parse_xml
 
 from tests.gens import make_network, random_network
 
@@ -156,6 +157,31 @@ def test_constructor_rejects_non_finite_weights(weight):
     payload = parse_xml('<node key="a"/>')
     with pytest.raises(FormatError, match="edge weight must be positive"):
         Network(True, {"a": payload}, [Edge("a", "a", Decimal(weight))])
+
+
+def test_parse_network_releases_root_and_edges():
+    # The payloads share the document's rank array, so parse_network
+    # drops the <network> root and every <edge> from it: once the
+    # collector has run, none of them is alive. (XmlElement has no
+    # __weakref__ slot, so the survivors are looked for among the
+    # collector's objects; the probe key singles out this network's.)
+    net = parse_network(
+        '<network><node key="release-probe"><p>x</p></node>'
+        '<edge from="release-probe" to="release-probe"/>'
+        '<node key="b"/><edge from="b" to="release-probe" weight="2"/></network>'
+    )
+    payload = net.payload("release-probe")
+    doc = payload.doc
+    gc.collect()
+    alive = [
+        o for o in gc.get_objects()
+        if isinstance(o, XmlElement)
+        and ("release-probe" in (o.attrs.get("from"), o.attrs.get("to"))
+             or (o.name == "network" and payload in o.children))
+    ]
+    assert alive == []
+    assert [item is None for item in doc] == [True, False, False, False, True, False, True]
+    assert doc[payload.pos] is payload and doc[net.payload("b").pos] is net.payload("b")
 
 
 def test_parse_network_shares_one_weight_per_text():

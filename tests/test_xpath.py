@@ -1,13 +1,15 @@
 """Filter language tests: parsing, axes, comparison semantics, rendering."""
 
 import sys
+import time
 from decimal import Decimal
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from netcheck.errors import FilterTypeError, ParseError
-from netcheck.xmldoc import XmlElement, parse_xml, string_value
+from netcheck.network import parse_network
+from netcheck.xmldoc import XmlAttribute, XmlElement, XmlText, parse_xml, string_value
 from netcheck.xpath import (
     MAX_FILTER_DEPTH,
     And,
@@ -464,3 +466,170 @@ def test_compiled_evaluator_matches_reference(texts, filter_text):
                 assert _outcome(eval_path, path, item) == _outcome(
                     reference.eval_path, path, item
                 )
+
+
+# -- ranks and steps by rank --------------------------------------------------------
+
+
+def _network_of(texts):
+    """A network whose payloads hold the documents, with an edge after
+    each, so that payload ranks start partway into one shared array."""
+    body = "".join(
+        f'<node key="k{i}">{text}</node><edge from="k{i}" to="k0"/>'
+        for i, text in enumerate(texts)
+    )
+    return parse_network(f"<network>{body}</network>")
+
+
+def _assert_ranked(root):
+    # Every element and text item sits at its rank in the shared array,
+    # and an element's end is the largest rank in its subtree, worked
+    # out here by a walk of our own.
+    doc = root.doc
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        assert doc[node.pos] is node
+        if isinstance(node, XmlElement):
+            assert node.doc is doc
+            largest, below = node.pos, list(node.children)
+            while below:
+                item = below.pop()
+                largest = max(largest, item.pos)
+                if isinstance(item, XmlElement):
+                    below.extend(item.children)
+            assert node.end == largest
+            stack.extend(node.children)
+
+
+@given(st.lists(document_texts(), min_size=1, max_size=3))
+@settings(max_examples=100, deadline=None)
+def test_ranks_index_the_shared_document(texts):
+    for text in texts:
+        _assert_ranked(parse_xml(text))
+    net = _network_of(texts)
+    docs = {id(net.payload(key).doc) for key in net.node_keys()}
+    assert len(docs) == 1
+    for key in net.node_keys():
+        _assert_ranked(net.payload(key))
+
+
+@given(st.lists(document_texts(), min_size=2, max_size=3), filter_texts())
+@settings(max_examples=100, deadline=None)
+def test_compiled_evaluator_matches_reference_in_networks(texts, filter_text):
+    # As test_compiled_evaluator_matches_reference, at every item of
+    # payloads that parse_network detached from one document.
+    expr = parse_filter(filter_text)
+    located = _location_paths(expr)
+    net = _network_of(texts)
+    for key in net.node_keys():
+        for item in _items(net.payload(key)):
+            assert _outcome(eval_filter, expr, item) == _outcome(
+                reference.eval_filter, expr, item
+            )
+            for path in located:
+                assert _outcome(eval_path, path, item) == _outcome(
+                    reference.eval_path, path, item
+                )
+
+
+TWIN = '<a x="1"><b y="2">t<c/>u</b><c x="3" y="4"><b>v</b><a/></c>w<b><c>z</c></b></a>'
+
+
+def _build_by_hand(element, parent=None):
+    """A copy of a parsed tree made with the constructors, with parent
+    links set but no ranks: every pos is 0 and no index is set."""
+    copy = XmlElement(element.name, dict(element.attrs), 0)
+    copy.parent = parent
+    for child in element.children:
+        if isinstance(child, XmlText):
+            text = XmlText(child.text, 0)
+            text.parent = copy
+            copy.children.append(text)
+        else:
+            copy.children.append(_build_by_hand(child, copy))
+    return copy
+
+
+def _signature(items):
+    return [
+        ("attribute", it.owner.pos, it.name) if isinstance(it, XmlAttribute)
+        else ("text", it.pos, it.text) if isinstance(it, XmlText)
+        else ("element", it.pos, it.name)
+        for it in items
+    ]
+
+
+@pytest.mark.parametrize("axis", [a.value for a in Axis])
+def test_tree_built_by_hand_matches_parsed_twin(axis):
+    # The first filter run on a tree built by hand ranks it, here from
+    # its last item, so the walk has to climb the parent links first.
+    parsed = parse_xml(TWIN)
+    built = _build_by_hand(parsed)
+    pairs = list(zip(_items(parsed), _items(built)))[::-1]
+    paths = [
+        parse_filter(f"{prefix}{axis}::{test}").path
+        for prefix in ("", "descendant-or-self::*/", "//text()/", "//@x/")
+        for test in ("a", "b", "c", "x", "*", "text()")
+    ]
+    for p_item, b_item in pairs:
+        for path in paths:
+            assert _signature(eval_path(path, b_item)) == _signature(eval_path(path, p_item))
+        assert eval_filter(parse_filter(f"{axis}::*"), b_item) == eval_filter(
+            parse_filter(f"{axis}::*"), p_item
+        )
+    # The walk gave the hand-built tree the ranks the parser gives.
+    for p_item, b_item in pairs:
+        if not isinstance(p_item, XmlAttribute):
+            assert (b_item.pos, b_item.index) == (p_item.pos, p_item.index)
+            assert (b_item.parent and b_item.parent.pos) == (p_item.parent and p_item.parent.pos)
+        if isinstance(p_item, XmlElement):
+            assert b_item.end == p_item.end
+            assert [it.pos for it in b_item.doc] == [it.pos for it in p_item.doc]
+
+
+def _nested(n):
+    """One payload of n nested <d> elements, each with a text item."""
+    return parse_xml("<d>z" * n + "</d>" * n)
+
+
+def test_descendant_steps_linear_on_deep_payloads():
+    # A descendant step takes the rank slice of each context's subtree
+    # and skips the contexts inside the slice taken last, so a step from
+    # n nested contexts is one pass. Enumerating every context's subtree
+    # and sorting, as the reference does, grows about 16x for 4x the
+    # depth; a linear pass measures 4-6x.
+    paths = [parse_filter(text).path
+             for text in ("descendant::d/descendant::d", "descendant-or-self::d//d")]
+    small = _nested(200)
+    for item in (small, small.children[1], small.children[1].children[1].children[0]):
+        for path in paths:
+            assert eval_path(path, item) == reference.eval_path(path, item)
+    times = []
+    for n in (4_000, 16_000):
+        root = _nested(n)
+        assert [len(eval_path(path, root)) for path in paths] == [n - 2, n - 1]
+        best = float("inf")
+        for _ in range(7):
+            t0 = time.perf_counter()
+            for path in paths:
+                eval_path(path, root)
+            best = min(best, time.perf_counter() - t0)
+        times.append(best)
+    ratio = times[1] / times[0]
+    assert 2.0 <= ratio <= 10.0, f"4x depth took {ratio:.1f}x as long ({times})"
+
+
+def test_eval_filter_compiles_each_filter_once(monkeypatch):
+    import netcheck.xpath as xpath
+
+    xpath._compile_filter.cache_clear()
+    compiled = []
+    real = xpath._compile_bool
+    monkeypatch.setattr(
+        xpath, "_compile_bool", lambda expr, memos: compiled.append(expr) or real(expr, memos)
+    )
+    expr = parse_filter('book[author = "Cid"]/title = "Beta" and count(@genre) = 1')
+    assert eval_filter(expr, DOC) is True
+    assert eval_filter(expr, DOC.children[0]) is False
+    assert compiled.count(expr) == 1
