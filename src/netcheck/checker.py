@@ -24,14 +24,13 @@ The stages cost O(filters * nodes) plus O(formula * (nodes + edges)).
 
 from __future__ import annotations
 
-from .ctl import And, Atom, Bool, Formula, LabelMap, Not, Or, Temporal, Until, model_check
+from .ctl import (UNARY_OPS, UNTIL_OPS, And, Atom, Bool, Formula, LabelMap, Not, Or, Temporal,
+                  Until, model_check)
 from .errors import FilterTypeError, MissingFilterError, ParseError
 from .network import Network
 from .xpath import FilterExpr, _compile_filter, _parse_bracketed, _Parser, _Tok, render_filter
 
-_UNARY_KEYWORDS = {"EX", "AX", "EF", "AF", "EG", "AG",
-                   "IEX", "IAX", "IEF", "IAF", "IEG", "IAG"}
-_UNTIL_KEYWORDS = {"EU", "AU", "IEU", "IAU"}
+_KEYWORDS = {*UNARY_OPS, *UNTIL_OPS, "true", "false"}
 
 
 class FilterRegistry:
@@ -100,11 +99,7 @@ def _tokenize_formula(text: str) -> list[_Tok]:
             while j < n and text[j].isascii() and text[j].isalpha():
                 j += 1
             word = text[i:j]
-            if (
-                word in _UNARY_KEYWORDS
-                or word in _UNTIL_KEYWORDS
-                or word in ("true", "false")
-            ):
+            if word in _KEYWORDS:
                 toks.append(_Tok("WORD", word, col))
                 i = j
                 continue
@@ -145,14 +140,14 @@ class _FormulaParser(_Parser):
 
     def parse_unary(self) -> tuple[Formula, int]:
         kind, val, col = self.peek()
-        if (kind == "SYM" and val == "!") or (kind == "WORD" and val in _UNARY_KEYWORDS):
+        if (kind == "SYM" and val == "!") or (kind == "WORD" and val in UNARY_OPS):
             self.next()
             self.enter(col)
             f, depth = self.parse_unary()
             self.open -= 1
             f = Not(f) if val == "!" else Temporal(val, f)
             return f, self.within(depth + 1, col)
-        if kind == "WORD" and val in _UNTIL_KEYWORDS:
+        if kind == "WORD" and val in UNTIL_OPS:
             self.next()
             self.expect_sym("(")
             self.enter(col)
@@ -201,14 +196,9 @@ def collect_filters(formula: Formula) -> list[FilterExpr]:
             if f.value not in seen:
                 seen.add(f.value)
                 found.append(f.value)
-        elif isinstance(f, Not):
+        elif isinstance(f, (Not, Temporal)):
             walk(f.operand)
-        elif isinstance(f, Temporal):
-            walk(f.operand)
-        elif isinstance(f, (And, Or)):
-            walk(f.left)
-            walk(f.right)
-        elif isinstance(f, Until):
+        elif isinstance(f, (And, Or, Until)):
             walk(f.left)
             walk(f.right)
 

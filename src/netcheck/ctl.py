@@ -343,12 +343,7 @@ def witness(net: Network, labels: LabelMap, formula: Formula, start: str) -> Wit
     """
     if start not in net.nodes:
         raise UnknownKeyError(f"unknown node key {start!r}")
-    if isinstance(formula, Temporal):
-        op = formula.op
-    elif isinstance(formula, Until):
-        op = formula.op
-    else:
-        op = None
+    op = formula.op if isinstance(formula, (Temporal, Until)) else None
     if op not in _WITNESSABLE:
         return Witness("none-available")
 

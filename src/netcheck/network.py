@@ -9,10 +9,12 @@ multiset of weighted edges. The XML format is::
 
 An undirected edge is a single record incident to both endpoints.
 Parallel edges are kept as separate records; adjacency lists are
-deduplicated and sorted, and multiplicity is answered separately.
-Weights must be finite and positive; the logic ignores them entirely. The
-undirected simple view and its weak components, which the statistics
-share, are built on first use and kept.
+deduplicated and sorted, and an undirected network keeps one map that
+serves as both successors and predecessors. Multiplicity is counted
+from the records when it is asked for. Weights must be finite and
+positive; the logic ignores them entirely. The undirected simple view
+and its weak components, which the statistics share, are built on
+first use from the adjacency maps and kept.
 """
 
 from __future__ import annotations
@@ -49,8 +51,8 @@ class Network:
         self.nodes: dict[str, XmlElement] = dict(nodes)
         self.edges: tuple[Edge, ...] = tuple(edges)
         succ: dict[str, set[str]] = {k: set() for k in self.nodes}
-        pred: dict[str, set[str]] = {k: set() for k in self.nodes}
-        mult: dict[tuple[str, str], int] = {}
+        # An undirected edge joins both ends both ways, so one map serves.
+        pred = {k: set() for k in self.nodes} if directed else succ
         for e in self.edges:
             if e.src not in self.nodes:
                 raise FormatError(f"edge endpoint {e.src!r} is not a declared node")
@@ -60,15 +62,8 @@ class Network:
                 raise FormatError(f"edge weight must be positive, got {e.weight}")
             succ[e.src].add(e.dst)
             pred[e.dst].add(e.src)
-            mult[(e.src, e.dst)] = mult.get((e.src, e.dst), 0) + 1
-            if not directed:
-                succ[e.dst].add(e.src)
-                pred[e.src].add(e.dst)
-                if e.src != e.dst:
-                    mult[(e.dst, e.src)] = mult.get((e.dst, e.src), 0) + 1
         self._succ = {k: tuple(sorted(v)) for k, v in succ.items()}
-        self._pred = {k: tuple(sorted(v)) for k, v in pred.items()}
-        self._mult = mult
+        self._pred = {k: tuple(sorted(v)) for k, v in pred.items()} if directed else self._succ
         self._keys = tuple(sorted(self.nodes))
 
     @property
@@ -106,12 +101,14 @@ class Network:
 
     def edge_multiplicity(self, src: str, dst: str) -> int:
         """Number of parallel edge records from src to dst (either
-        orientation counts when undirected)."""
+        orientation counts when undirected, a self-loop once), counted
+        from the records on each call."""
         if src not in self.nodes:
             raise UnknownKeyError(f"unknown node key {src!r}")
         if dst not in self.nodes:
             raise UnknownKeyError(f"unknown node key {dst!r}")
-        return self._mult.get((src, dst), 0)
+        ends = {(src, dst)} if self.directed else {(src, dst), (dst, src)}
+        return sum((e.src, e.dst) in ends for e in self.edges)
 
     def adjacency(self) -> AdjacencyView:
         return AdjacencyView(self._succ, self._pred)
@@ -121,15 +118,11 @@ class Network:
         """Undirected simple view by node id, the position of a key in
         :meth:`node_keys`: the distinct neighbour ids of each node, with
         directions dropped, parallel edges collapsed and self-loops
-        ignored. Built on first use and kept; a network never changes."""
+        ignored. Built on first use from the adjacency maps and kept; a
+        network never changes."""
         index = {key: i for i, key in enumerate(self._keys)}
-        adj: list[set[int]] = [set() for _ in self._keys]
-        for e in self.edges:
-            if e.src != e.dst:
-                a, b = index[e.src], index[e.dst]
-                adj[a].add(b)
-                adj[b].add(a)
-        return tuple(map(frozenset, adj))
+        succ, pred = self._succ, self._pred
+        return tuple(frozenset(index[w] for w in succ[k] + pred[k] if w != k) for k in self._keys)
 
     @cached_property
     def component_ids(self) -> tuple[tuple[int, ...], ...]:

@@ -18,16 +18,21 @@ match refuses is walked token by token, to raise the error for its
 first fault. An element builds its attribute items on first use.
 Serializing and comparing trees are iterative as well.
 
-The parser ranks the items as it reads them: each element and text
-item gets its document-order rank ``pos``, each element the largest
+The parser links and ranks each item as it makes it: each element and
+text item gets its ``parent``, its ``index`` among the parent's
+children and its document-order rank ``pos``, each element the largest
 rank ``end`` in its subtree and ``doc``, the list of the document's
 elements and text items by rank, which all its elements share. The
 subtree of an element is then the slice ``doc[pos : end + 1]``, in
-document order. A tree built by hand has no ranks until ``_rank``
-walks it, which the filter evaluator does before it first runs on it.
+document order. An attribute item is ordered after its owner, in
+source order; its ``order_key`` is worked out from the owner when
+asked. A tree built by hand has no ranks until ``_rank`` walks it,
+which the filter evaluator does before it first runs on it.
 
-Trees are treated as immutable once parsing returns, and a tree built
-by hand once it is ranked.
+Trees are treated as immutable once parsing returns. A tree built by
+hand must not change once a filter has run on it: its ranks are taken
+at that first run, and ``descendant`` steps would miss a child added
+later. Nothing enforces this.
 """
 
 from __future__ import annotations
@@ -86,10 +91,8 @@ class XmlElement:
         access and kept, so every access returns the same tuple."""
         items = self._attr_items
         if items is None:
-            pos = self.pos
-            items = self._attr_items = tuple(
-                XmlAttribute(self, n, v, (pos, 1, i)) for i, (n, v) in enumerate(self.attrs.items())
-            )
+            items = tuple(XmlAttribute(self, n, v) for n, v in self.attrs.items())
+            self._attr_items = items
         return items
 
     def __repr__(self) -> str:
@@ -114,13 +117,18 @@ class XmlText:
 class XmlAttribute:
     """Attribute item as exposed on the attribute axis."""
 
-    __slots__ = ("owner", "name", "value", "order_key")
+    __slots__ = ("owner", "name", "value")
 
-    def __init__(self, owner: XmlElement, name: str, value: str, order_key: tuple):
+    def __init__(self, owner: XmlElement, name: str, value: str):
         self.owner = owner
         self.name = name
         self.value = value
-        self.order_key = order_key
+
+    @property
+    def order_key(self) -> tuple:
+        """Document-order key: the owner's rank, then source order."""
+        owner = self.owner
+        return (owner.pos, 1, owner.attr_items.index(self))
 
     def __repr__(self) -> str:
         return f"XmlAttribute({self.name!r}={self.value!r})"
@@ -239,26 +247,29 @@ def parse_xml(data: bytes | str) -> XmlElement:
             c, i = _entity(text, i)
             run.append(c)
             continue
-        if text.startswith("<!--", i):
+        mark = text[i + 1:i + 2]  # the character after '<'
+        if mark == "!":
+            if not text.startswith("--", i + 2):
+                raise _error(text, i, "'<!' markup is not supported")
             # Comments do not break up runs of text.
             end = text.find("-->", i + 4)
             if end < 0:
                 raise _error(text, i, "unterminated comment")
             i = end + 3
             continue
-        if text.startswith("<!", i):
-            raise _error(text, i, "'<!' markup is not supported")
-        if text.startswith("<?", i):
+        if mark == "?":
             raise _error(text, i, "processing instructions are not supported")
         parent = stack[-1][0]
+        siblings = parent.children
         if run:
             s = "".join(run)
             run.clear()
             if s.strip(_XML_WS):  # inter-tag whitespace is formatting, not data
                 item = XmlText(s, len(doc))
-                parent.children.append(item)
+                item.parent, item.index = parent, len(siblings)
+                siblings.append(item)
                 doc.append(item)
-        if text.startswith("</", i):
+        if mark == "/":
             m = _NAME.match(text, i + 2)
             if m is None:
                 raise _error(text, i + 2, "expected element name")
@@ -270,14 +281,12 @@ def parse_xml(data: bytes | str) -> XmlElement:
                                       f"found </{m[0]}>")
             stack.pop()
             parent.end = len(doc) - 1
-            for k, child in enumerate(parent.children):
-                child.parent, child.index = parent, k
             i = j + 1
         else:
             child, j, is_open = _start_tag(text, i, len(doc))
-            child.doc = doc
+            child.doc, child.parent, child.index = doc, parent, len(siblings)
             doc.append(child)
-            parent.children.append(child)
+            siblings.append(child)
             if is_open:
                 stack.append((child, i))
             i = j

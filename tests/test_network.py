@@ -6,6 +6,7 @@ import time
 from decimal import Decimal
 
 import pytest
+from hypothesis import given, settings
 
 from netcheck.errors import FormatError, ParseError, UnknownKeyError
 from netcheck.network import (
@@ -19,6 +20,7 @@ from netcheck.network import (
 from netcheck.xmldoc import XmlElement, parse_xml
 
 from tests.gens import make_network, random_network
+from tests.test_metrics import messy_networks
 
 
 def test_minimal_directed():
@@ -86,6 +88,36 @@ def test_undirected_multiplicity_counts_both_orientations():
     assert net.edge_multiplicity("a", "b") == 2
     assert net.edge_multiplicity("b", "a") == 2
     assert net.m == 2
+
+
+def test_undirected_self_loop_counts_once():
+    net = parse_network(
+        '<network directed="false"><node key="a"/><node key="b"/>'
+        '<edge from="a" to="a"/><edge from="a" to="a"/><edge from="b" to="a"/></network>'
+    )
+    assert net.edge_multiplicity("a", "a") == 2
+    assert net.edge_multiplicity("a", "b") == net.edge_multiplicity("b", "a") == 1
+    assert net.successors("a") == net.predecessors("a") == ("a", "b")
+    assert net.simple_view == (frozenset({1}), frozenset({0}))
+
+
+@given(messy_networks())
+@settings(max_examples=200, deadline=None)
+def test_adjacency_and_multiplicity_match_edge_records(net):
+    # Each record is one (src, dst) pair, and one (dst, src) pair as
+    # well when undirected unless it is a self-loop.
+    pairs = [(e.src, e.dst) for e in net.edges]
+    if not net.directed:
+        pairs += [(b, a) for a, b in pairs if a != b]
+    keys = net.node_keys()
+    for a in keys:
+        assert net.successors(a) == tuple(sorted({d for s, d in pairs if s == a}))
+        assert net.predecessors(a) == tuple(sorted({s for s, d in pairs if d == a}))
+        for b in keys:
+            assert net.edge_multiplicity(a, b) == pairs.count((a, b))
+    simple = [{keys.index(b) for s, b in pairs if s == a and b != a}
+              | {keys.index(s) for s, b in pairs if b == a and s != a} for a in keys]
+    assert list(net.simple_view) == simple
 
 
 def test_unknown_key_raises():

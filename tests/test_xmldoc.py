@@ -353,3 +353,21 @@ def _outcome(parse, source):
 @example('<?xml version="1.0"?>\r\n<!-- c -->\n<a>t<!-- c -->u&amp;<b/> </a><!-- d -->')
 def test_parser_matches_reference(source):
     assert _outcome(parse_xml, source) == _outcome(reference.parse_xml, source)
+
+
+@pytest.mark.parametrize("source, expected", [
+    ("<a><!DOCTYPE x></a>", ("error", "'<!' markup is not supported", 1, 4)),
+    ("<a><!x></a>", ("error", "'<!' markup is not supported", 1, 4)),
+    ("<a>t<!-x</a>", ("error", "'<!' markup is not supported", 1, 5)),
+    ("<a>t<!", ("error", "'<!' markup is not supported", 1, 5)),
+    ("<a><?pi?></a>", ("error", "processing instructions are not supported", 1, 4)),
+    ("<a>t<!-- c</a>", ("error", "unterminated comment", 1, 5)),
+    ("<a>t<", ("error", "expected element name", 1, 6)),
+    ("<a><b/></", ("error", "expected element name", 1, 10)),
+    ("<a>a<!--c-->b</a>", ("tree", [("element", "a", [], [], 0, 0, None),
+                                    ("text", "ab", 1, 0, 0)])),
+])
+def test_markup_inside_an_element_matches_reference(source, expected):
+    # The parser dispatches on the character after '<'; the reference
+    # scanner tests each prefix in turn.
+    assert _outcome(parse_xml, source) == _outcome(reference.parse_xml, source) == expected

@@ -9,7 +9,14 @@ from hypothesis import given, settings, strategies as st
 
 from netcheck.errors import FilterTypeError, ParseError
 from netcheck.network import parse_network
-from netcheck.xmldoc import XmlAttribute, XmlElement, XmlText, parse_xml, string_value
+from netcheck.xmldoc import (
+    XmlAttribute,
+    XmlElement,
+    XmlText,
+    doc_order_key,
+    parse_xml,
+    string_value,
+)
 from netcheck.xpath import (
     MAX_FILTER_DEPTH,
     And,
@@ -586,6 +593,18 @@ def test_tree_built_by_hand_matches_parsed_twin(axis):
         if isinstance(p_item, XmlElement):
             assert b_item.end == p_item.end
             assert [it.pos for it in b_item.doc] == [it.pos for it in p_item.doc]
+
+
+def test_attribute_order_of_tree_built_by_hand_follows_its_ranks():
+    # The attribute items are built while every pos is still 0; the
+    # first filter run ranks the tree, and their order must follow.
+    parsed = parse_xml(TWIN)
+    built = _build_by_hand(parsed)
+    pairs = [(p, b) for p, b in zip(_items(parsed), _items(built)) if isinstance(p, XmlAttribute)]
+    assert len(pairs) == 4
+    assert eval_filter(parse_filter("@x"), built)
+    for p_attr, b_attr in pairs:
+        assert doc_order_key(b_attr) == doc_order_key(p_attr)
 
 
 def _nested(n):
