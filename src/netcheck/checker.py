@@ -236,7 +236,7 @@ def label_nodes(net: Network, formula: Formula) -> tuple[LabelMap, FilterRegistr
                 f"filter {render_filter(filter_expr)!r} at node {key!r}: {exc}"
             ) from exc
         sat[prop] = frozenset(matched)
-    return LabelMap(frozenset(sat), sat, frozenset(keys)), registry
+    return LabelMap(sat, frozenset(keys)), registry
 
 
 def replace_filters(formula: Formula, registry: FilterRegistry) -> Formula:

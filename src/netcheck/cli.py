@@ -17,7 +17,7 @@ import sys
 
 from . import __version__
 from .checker import check, label_nodes, parse_formula, replace_filters
-from .ctl import Atom, NotSatisfiedError, model_check, witness
+from .ctl import Atom, NotSatisfiedError, _Checker
 from .errors import FilterTypeError, FormatError, ParseError, UnknownKeyError
 from .metrics import (
     _geodesics,
@@ -120,12 +120,11 @@ def _run_check(args) -> int:
     try:
         labels, registry = label_nodes(net, formula)
         propositional = replace_filters(formula, registry)
-        satisfying = model_check(net, labels, propositional)
+        checker = _Checker(net, labels)  # the witness reads its sets too
+        satisfying = checker.sat(propositional)
         witness_report = None
         if args.witness_for is not None:
-            witness_report = _witness_report(
-                net, labels, propositional, args.witness_for
-            )
+            witness_report = _witness_report(checker, propositional, args.witness_for)
     except FilterTypeError as exc:
         return _fail(EXIT_TYPE, f"evaluation: {exc}")
 
@@ -145,9 +144,9 @@ def _run_check(args) -> int:
     return EXIT_OK
 
 
-def _witness_report(net, labels, formula, key: str) -> dict:
+def _witness_report(checker: _Checker, formula, key: str) -> dict:
     try:
-        w = witness(net, labels, formula, key)
+        w = checker.witness(formula, key)
     except UnknownKeyError:
         return {"for": key, "status": "unknown-node"}
     except NotSatisfiedError:

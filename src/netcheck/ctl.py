@@ -14,14 +14,17 @@ edges. An atom's set is read from the ``LabelMap``; EU is a backward
 breadth-first least fixpoint, EF is EU with a true left operand, and EG
 is backward counter pruning. ``oracle_check`` recomputes satisfaction
 by deliberately different brute-force means and is capped at 12 nodes;
-it exists so the two can be compared on random instances.
+it exists so the two can be compared on random instances. ``witness``
+computes only the operand sets of a top-level EX, EF or EU; one search
+from the start node then finds a shortest witness path or decides that
+the formula does not hold there.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, fields
-from typing import Iterable, Mapping
+from typing import Iterable, KeysView, Mapping
 
 from .errors import (
     NotSatisfiedError,
@@ -149,14 +152,17 @@ class LabelMap:
 
     ``sat`` maps each registered proposition to the set of node keys
     where it holds, and ``keys`` is the set of keys the map labels.
-    ``props`` is the registered universe, so an unlabelled but
-    registered proposition is simply false everywhere, while an
-    unregistered one is an error.
+    ``props``, the key set of ``sat``, is the registered universe, so an
+    unlabelled but registered proposition is simply false everywhere,
+    while an unregistered one is an error.
     """
 
-    props: frozenset[str]
     sat: dict[str, frozenset[str]]
     keys: frozenset[str]
+
+    @property
+    def props(self) -> KeysView[str]:
+        return self.sat.keys()
 
     @classmethod
     def build(cls, assignments: Mapping[str, Iterable[str]],
@@ -175,14 +181,14 @@ class LabelMap:
             for p in ps:
                 holders[p].append(key)
         sat = {p: frozenset(ks) for p, ks in holders.items()}
-        return cls(universe, sat, frozenset(by_node))
+        return cls(sat, frozenset(by_node))
 
     def holds(self, prop: str, key: str) -> bool:
         return key in self.sat.get(prop, ())
 
 
-def _check_labels(net: Network, labels: LabelMap) -> None:
-    unknown = labels.keys.difference(net.nodes)
+def _check_labels(keys: Iterable[str], labels: LabelMap) -> None:
+    unknown = labels.keys.difference(keys)
     if unknown:
         raise UnknownKeyError(
             f"label map mentions keys not in the network: {sorted(unknown)}"
@@ -208,7 +214,7 @@ def model_check(net: Network, labels: LabelMap, formula: Formula) -> frozenset[s
     operators run the same computations on the transposed relation.
     The whole check is O(|formula|*(n+m)).
     """
-    _check_labels(net, labels)
+    _check_labels(net.nodes, labels)
     return _Checker(net, labels).sat(formula)
 
 
@@ -233,9 +239,9 @@ class _Checker:
         if isinstance(f, Bool):
             return self.universe if f.value else frozenset()
         if isinstance(f, Atom):
-            if f.value not in self.labels.props:
+            if f.value not in self.labels.sat:
                 raise UnboundAtomError(f"unregistered proposition {f.value!r}")
-            return self.labels.sat.get(f.value, frozenset())
+            return self.labels.sat[f.value]
         if isinstance(f, Not):
             return self.universe - self.sat(f.operand)
         if isinstance(f, And):
@@ -308,6 +314,42 @@ class _Checker:
                         dead.append(v)
         return frozenset(alive)
 
+    def witness(self, f: Formula, start: str) -> Witness:
+        """The public ``witness``, reading operand sets from this checker."""
+        if start not in self.universe:
+            raise UnknownKeyError(f"unknown node key {start!r}")
+        op = f.op if isinstance(f, (Temporal, Until)) else None
+        if op not in _WITNESSABLE:
+            return Witness("none-available")
+        _check_labels(self.universe, self.labels)
+        base, inverse = _split_op(op)
+        adj = (self.backward if inverse else self.forward)[0]
+        if base == "EU":
+            allowed, targets = self.sat(f.left), self.sat(f.right)
+        else:
+            allowed, targets = self.universe, self.sat(f.operand)
+        if base == "EX":
+            for w in adj[start]:  # ascending key order
+                if w in targets:
+                    return Witness("path", (start, w), inverse)
+        else:
+            parent: dict[str, str | None] = {start: None}
+            queue = deque([start])
+            while queue:
+                u = queue.popleft()
+                if u in targets:
+                    path = [u]
+                    while (u := parent[u]) is not None:
+                        path.append(u)
+                    kind = "path" if len(path) > 1 else "node"
+                    return Witness(kind, tuple(reversed(path)), inverse)
+                if u in allowed:
+                    for w in adj[u]:  # ascending key order
+                        if w not in parent:
+                            parent[w] = u
+                            queue.append(w)
+        raise NotSatisfiedError(f"node {start!r} does not satisfy the formula")
+
 
 # ---------------------------------------------------------------------------
 # Witness extraction
@@ -336,61 +378,15 @@ def witness(net: Network, labels: LabelMap, formula: Formula, start: str) -> Wit
     """Shortest witness path for a top-level EX, EF, or EU (or inverse)
     at ``start``; ties are broken by ascending key at each expansion.
 
-    Returns kind "none-available" when the top operator has no finite
-    witness (EG, universal and boolean forms). Raises NotSatisfiedError
-    when the node does not satisfy the formula, UnknownKeyError for an
-    unknown node.
+    Only the operand sets are computed, never the top-level set: a scan
+    of the successors of ``start`` (EX) or a breadth-first search from it
+    that stops at the first target (EF, EU) finds the path; when it runs
+    out, the node does not satisfy the formula and NotSatisfiedError is
+    raised. Returns kind "none-available" when the top operator has no
+    finite witness (EG, universal and boolean forms). Raises
+    UnknownKeyError for an unknown node.
     """
-    if start not in net.nodes:
-        raise UnknownKeyError(f"unknown node key {start!r}")
-    op = formula.op if isinstance(formula, (Temporal, Until)) else None
-    if op not in _WITNESSABLE:
-        return Witness("none-available")
-
-    _check_labels(net, labels)
-    checker = _Checker(net, labels)
-    if start not in checker.sat(formula):
-        raise NotSatisfiedError(f"node {start!r} does not satisfy the formula")
-
-    base, inverse = _split_op(op)
-    view = net.adjacency()
-    adj = view.predecessors if inverse else view.successors
-
-    if base == "EX":
-        target = checker.sat(formula.operand)
-        for w in adj[start]:  # ascending key order
-            if w in target:
-                return Witness("path", (start, w), inverse)
-        raise AssertionError("satisfied EX without a witnessing successor")
-
-    if base == "EF":
-        targets = checker.sat(formula.operand)
-        allowed = frozenset(net.nodes)
-    else:
-        targets = checker.sat(formula.right)
-        allowed = checker.sat(formula.left)
-
-    if start in targets:
-        return Witness("node", (start,), inverse)
-    parent: dict[str, str | None] = {start: None}
-    queue = deque([start])
-    while queue:
-        u = queue.popleft()
-        for w in adj[u]:
-            if w in parent:
-                continue
-            parent[w] = u
-            if w in targets:
-                path = [w]
-                node: str | None = u
-                while node is not None:
-                    path.append(node)
-                    node = parent[node]
-                path.reverse()
-                return Witness("path", tuple(path), inverse)
-            if w in allowed:
-                queue.append(w)
-    raise AssertionError("satisfied formula without a witness path")
+    return _Checker(net, labels).witness(formula, start)
 
 
 # ---------------------------------------------------------------------------
@@ -413,7 +409,7 @@ def oracle_check(net: Network, labels: LabelMap, formula: Formula) -> frozenset[
         raise SizeExceededError(
             f"oracle_check is capped at {_ORACLE_MAX_NODES} nodes, got {net.n}"
         )
-    _check_labels(net, labels)
+    _check_labels(net.nodes, labels)
     return _Oracle(net, labels).sat(formula)
 
 
@@ -431,9 +427,9 @@ class _Oracle:
         if isinstance(f, Bool):
             return self.universe if f.value else frozenset()
         if isinstance(f, Atom):
-            if f.value not in self.labels.props:
+            if f.value not in self.labels.sat:
                 raise UnboundAtomError(f"unregistered proposition {f.value!r}")
-            return frozenset(k for k in self.keys if self.labels.holds(f.value, k))
+            return frozenset(k for k in self.keys if k in self.labels.sat[f.value])
         if isinstance(f, Not):
             return self.universe - self.sat(f.operand)
         if isinstance(f, And):

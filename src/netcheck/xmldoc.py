@@ -26,13 +26,11 @@ elements and text items by rank, which all its elements share. The
 subtree of an element is then the slice ``doc[pos : end + 1]``, in
 document order. An attribute item is ordered after its owner, in
 source order; its ``order_key`` is worked out from the owner when
-asked. A tree built by hand has no ranks until ``_rank`` walks it,
-which the filter evaluator does before it first runs on it.
+asked. A tree built by hand has no ranks: the filter evaluator ranks
+it with ``_rank`` at the start of each call and drops its ``doc`` when
+the call returns, so a tree built by hand may change between calls.
 
-Trees are treated as immutable once parsing returns. A tree built by
-hand must not change once a filter has run on it: its ranks are taken
-at that first run, and ``descendant`` steps would miss a child added
-later. Nothing enforces this.
+Trees are treated as immutable once parsing returns.
 """
 
 from __future__ import annotations
@@ -162,8 +160,9 @@ def string_value(item: XmlItem) -> str:
     return "".join(parts)
 
 
-def _rank(item: XmlItem) -> None:
-    """Rank the tree that holds ``item`` unless it is ranked already.
+def _rank(item: XmlItem) -> list[XmlElement | XmlText] | None:
+    """Rank the tree that holds ``item`` unless it is ranked already, and
+    return the ``doc`` it made, or None.
 
     The parser ranks each document as it reads it. A tree built by hand
     has no ranks; this preorder walk from its top gives it the same ones
@@ -174,7 +173,7 @@ def _rank(item: XmlItem) -> None:
     if isinstance(node, XmlText):
         node = node.parent
     if node is None or node.doc is not None:
-        return
+        return None
     while node.parent is not None:
         node = node.parent
     doc: list[XmlElement | XmlText | None] = []
@@ -194,6 +193,7 @@ def _rank(item: XmlItem) -> None:
             stack += reversed(node.children)
     for element in open_:
         element.end = len(doc) - 1
+    return doc
 
 
 def _error(text: str, i: int, message: str) -> ParseError:

@@ -530,13 +530,17 @@ def _compile_filter(expr: FilterExpr):
 
 def _top_level(run, memos: list[dict]):
     def call(context):
-        if context.__class__ is not XmlElement or context.doc is None:
-            _rank(context)  # a tree built by hand has no ranks until now
+        ranked = context.__class__ is XmlElement and context.doc is not None
+        doc = None if ranked else _rank(context)  # a tree built by hand, for this call
         try:
             return run(context)
         finally:
             for memo in memos:
                 memo.clear()
+            if doc is not None:  # so that the next call sees the tree as it is then
+                for item in doc:
+                    if item.__class__ is XmlElement:
+                        item.doc = None
 
     return call
 

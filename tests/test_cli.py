@@ -156,6 +156,28 @@ def test_witness_transposed_flagged(capsys):
     assert "(transposed edges)" in out
 
 
+def test_witness_reads_the_sets_check_computed(monkeypatch, capsys):
+    # The witness reads its operand sets from the checker that produced
+    # the printed set, so the whole call builds one checker.
+    import netcheck.ctl as ctl
+
+    built = []
+    real = ctl._Checker.__init__
+    monkeypatch.setattr(ctl._Checker, "__init__",
+                        lambda self, *args: built.append(args) or real(self, *args))
+    for formula, key in [
+        ('EU([count(paper) > 100], [(first = "Paul") and (last = "Erdos")])', "e3"),
+        ('EX [title = "Google"]', "w2"),
+        ("AG true", "zz"),
+    ]:
+        built.clear()
+        network = COLLAB if key == "e3" else WEB
+        code, out, _ = run_main(capsys, "check", "--network", network, "--formula", formula,
+                                "--witness-for", key)
+        assert code == 0 and f"witness {key}: " in out
+        assert len(built) == 1
+
+
 # -- query ----------------------------------------------------------------------
 
 

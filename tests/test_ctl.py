@@ -454,6 +454,21 @@ def test_witness_unavailable_for_universal_and_boolean_forms():
         assert w.kind == "none-available"
 
 
+def _distance(step, start, allowed, targets):
+    """Fewest edges from start to a target along nodes that satisfy
+    ``allowed`` (the target itself excepted), by layers; None if none."""
+    layer, seen, d = [start], {start}, 0
+    while layer:
+        if any(targets(k) for k in layer):
+            return d
+        layer = list(dict.fromkeys(
+            w for u in layer if allowed(u) for w in step(u) if w not in seen
+        ))
+        seen.update(layer)
+        d += 1
+    return None
+
+
 @given(st.integers(0, 10 ** 9))
 @settings(max_examples=60, deadline=None)
 def test_witness_paths_are_genuine(seed):
@@ -485,3 +500,51 @@ def test_witness_paths_are_genuine(seed):
         else:
             assert labels.holds("q", w.path[-1])
             assert all(labels.holds("p", k) for k in w.path[:-1])
+        # No shorter path demonstrates the formula.
+        if not op.endswith("X"):
+            left = (lambda k: labels.holds("p", k)) if op.endswith("U") else (lambda k: True)
+            shortest = _distance(step, start, left, lambda k: labels.holds("q", k))
+            assert len(w.path) - 1 == shortest
+            assert (w.kind == "node") == (shortest == 0)
+
+    # An EU start in neither operand's set does not satisfy it.
+    net = make_network([("a", "b")])
+    labels = lm({"b": ["p", "q"]})
+    for op in ("EU", "IEU"):
+        with pytest.raises(NotSatisfiedError):
+            witness(net, labels, Until(op, Atom("p"), Atom("q")), "a")
+    # With both operands unregistered, the left one is reported, as
+    # model_check reports it.
+    f = Until("EU", Atom("zl"), Atom("zr"))
+    with pytest.raises(UnboundAtomError, match="zl") as checked:
+        model_check(net, labels, f)
+    with pytest.raises(UnboundAtomError, match="zl") as found:
+        witness(net, labels, f, "a")
+    assert str(found.value) == str(checked.value)
+
+
+def test_witness_computes_no_fixpoint(monkeypatch):
+    # A witness over atom operands needs only the atoms' sets: the search
+    # from the start node decides, so neither fixpoint runs.
+    import netcheck.ctl as ctl
+
+    calls = []
+    for name in ("_eu", "_eg"):
+        real = getattr(ctl._Checker, name)
+        monkeypatch.setattr(ctl._Checker, name, staticmethod(
+            lambda *args, _name=name, _real=real: calls.append(_name) or _real(*args)
+        ))
+    net = make_network(AU_EDGES)
+    labels = lm(AU_LABELS)
+    formulas = [Temporal(op, Atom("q")) for op in ("EX", "EF", "IEX", "IEF")]
+    formulas += [Until(op, Atom("p"), Atom("q")) for op in ("EU", "IEU")]
+    found = 0
+    for f in formulas:
+        for start in net.node_keys():
+            try:
+                found += witness(net, labels, f, start).kind != "none-available"
+            except NotSatisfiedError:
+                pass
+    assert found > 0 and calls == []
+    model_check(net, labels, formulas[1])
+    assert calls == ["_eu"]

@@ -585,14 +585,35 @@ def test_tree_built_by_hand_matches_parsed_twin(axis):
         assert eval_filter(parse_filter(f"{axis}::*"), b_item) == eval_filter(
             parse_filter(f"{axis}::*"), p_item
         )
-    # The walk gave the hand-built tree the ranks the parser gives.
+    # The walk gave the hand-built tree the ranks the parser gives, and
+    # the rank array was dropped when the last call returned.
     for p_item, b_item in pairs:
         if not isinstance(p_item, XmlAttribute):
             assert (b_item.pos, b_item.index) == (p_item.pos, p_item.index)
             assert (b_item.parent and b_item.parent.pos) == (p_item.parent and p_item.parent.pos)
         if isinstance(p_item, XmlElement):
             assert b_item.end == p_item.end
-            assert [it.pos for it in b_item.doc] == [it.pos for it in p_item.doc]
+            assert b_item.doc is None and p_item.doc is not None
+
+
+def test_tree_built_by_hand_may_change_between_calls():
+    # Each call ranks a tree built by hand afresh, so a child appended
+    # after a filter has run is seen by every axis, as in the parsed twin.
+    built = XmlElement("r", {}, 0)
+    child = parse_filter("child::x")
+    below = parse_filter("descendant::x")
+    assert not eval_filter(below, built)
+    x = XmlElement("x", {}, 0)
+    x.parent = built
+    built.children.append(x)
+    twin = parse_xml("<r><x/></r>")
+    for expr in (child, below, parse_filter("descendant-or-self::x/ancestor::r")):
+        assert eval_filter(expr, built) is eval_filter(expr, twin) is True
+    x.children.append(XmlText("t", 0))
+    twin = parse_xml("<r><x>t</x></r>")
+    expr = parse_filter('descendant::text() = "t"')
+    assert eval_filter(expr, built) is eval_filter(expr, twin) is True
+    assert built.doc is None and twin.doc is not None
 
 
 def test_attribute_order_of_tree_built_by_hand_follows_its_ranks():
