@@ -16,10 +16,13 @@ filter errors carry columns of the whole formula.
 Checking is staged. First every distinct filter of the formula is
 evaluated at every node payload, and the set of nodes whose payload
 matches it is recorded under a generated proposition id (the labelling
-stage). Then filters are substituted by their proposition ids,
-preserving the formula's shape. Finally the propositional checker runs
-on the labelled network, reading each atom's set from the labelling.
-The stages cost O(filters * nodes) plus O(formula * (nodes + edges)).
+stage). The network keeps each filter's set in a bounded store, so a
+filter is evaluated once per network and later checks read its set.
+Then filters are substituted by their proposition ids, preserving the
+formula's shape. Finally the propositional checker runs on the labelled
+network, reading each atom's set from the labelling.
+The stages cost O(filters * nodes) for the filters the network has not
+stored yet, plus O(formula * (nodes + edges)).
 """
 
 from __future__ import annotations
@@ -207,24 +210,27 @@ def collect_filters(formula: Formula) -> list[FilterExpr]:
 
 
 def label_nodes(net: Network, formula: Formula) -> tuple[LabelMap, FilterRegistry]:
-    """Labelling stage: evaluate each distinct filter of the formula at
-    every node payload.
+    """Labelling stage: the set of node keys whose payload matches each
+    distinct filter of the formula.
 
     Returns the label map, which holds the set of keys where each
     proposition holds, plus the registry pairing filters with their
-    generated proposition ids. Each filter is compiled once and then
-    run at every payload, in one pass over the keys that builds its
-    set. A FilterTypeError is re-raised annotated with the offending
-    node key and filter; with several failures the first in (filter,
-    key) order wins.
+    generated proposition ids. A filter is evaluated once per network:
+    it is compiled and run at every payload, in one pass over the keys
+    that builds its set, and the network keeps that set in a store
+    bounded by ``_STORED_KEYS_PER_NODE`` keys a node, from which later
+    calls read it. A FilterTypeError is re-raised annotated with the
+    offending node key and filter, and is never stored, so the same
+    filter raises the same error on every call; with several failures
+    the first in (filter, key) order wins.
     """
     registry = FilterRegistry()
     for f in collect_filters(formula):
         registry.register(f)
     keys = net.node_keys()
     payloads = net.nodes
-    sat: dict[str, frozenset[str]] = {}
-    for filter_expr, prop in zip(registry.filters(), registry.props()):
+
+    def evaluate(filter_expr: FilterExpr) -> frozenset[str]:
         holds = _compile_filter(filter_expr)
         matched = []
         try:
@@ -235,8 +241,12 @@ def label_nodes(net: Network, formula: Formula) -> tuple[LabelMap, FilterRegistr
             raise FilterTypeError(
                 f"filter {render_filter(filter_expr)!r} at node {key!r}: {exc}"
             ) from exc
-        sat[prop] = frozenset(matched)
-    return LabelMap(sat, frozenset(keys)), registry
+        # A filter that holds everywhere shares the network's own key set.
+        return net._key_set if len(matched) == len(keys) else frozenset(matched)
+
+    sat = {prop: net._label(filter_expr, evaluate)
+           for filter_expr, prop in zip(registry.filters(), registry.props())}
+    return LabelMap(sat, net._key_set), registry
 
 
 def replace_filters(formula: Formula, registry: FilterRegistry) -> Formula:

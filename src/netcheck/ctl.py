@@ -188,6 +188,8 @@ class LabelMap:
 
 
 def _check_labels(keys: Iterable[str], labels: LabelMap) -> None:
+    if labels.keys is keys:  # label_nodes labels with the network's own key set
+        return
     unknown = labels.keys.difference(keys)
     if unknown:
         raise UnknownKeyError(
@@ -214,13 +216,13 @@ def model_check(net: Network, labels: LabelMap, formula: Formula) -> frozenset[s
     operators run the same computations on the transposed relation.
     The whole check is O(|formula|*(n+m)).
     """
-    _check_labels(net.nodes, labels)
+    _check_labels(net._key_set, labels)
     return _Checker(net, labels).sat(formula)
 
 
 class _Checker:
     def __init__(self, net: Network, labels: LabelMap):
-        self.universe = frozenset(net.nodes)
+        self.universe = net._key_set
         view = net.adjacency()
         self.forward = (view.successors, view.predecessors)
         self.backward = (self.forward[1], self.forward[0])

@@ -15,6 +15,14 @@ from the records when it is asked for. Weights must be finite and
 positive; the logic ignores them entirely. The undirected simple view
 and its weak components, which the statistics share, are built on
 first use from the adjacency maps and kept.
+
+A network also keeps the frozenset of its node keys, which every
+labelling and check reads, and a store of filter labels: for each
+filter the labelling has evaluated on it, the set of keys whose payload
+matches. The store is bounded by the keys its sets hold together,
+``_STORED_KEYS_PER_NODE`` times the node count (an empty set counts as
+one), and drops the oldest set first. A payload must therefore not
+change once it is inside a network, or its stored labels go stale.
 """
 
 from __future__ import annotations
@@ -26,6 +34,12 @@ from typing import Mapping
 
 from .errors import FormatError, UnknownKeyError
 from .xmldoc import XmlElement, XmlText, escape_attr, parse_xml, serialize_xml, xml_equal
+
+# Bound of a network's label store: the keys its sets hold together, per
+# node. A frozenset costs 40 to 85 bytes a key, so a full store holds at
+# most about 1.4 KB a node; the 17 filters of the benchmark's payloads
+# workload hold 7.5 keys a node.
+_STORED_KEYS_PER_NODE = 16
 
 
 @dataclass(frozen=True)
@@ -44,7 +58,11 @@ class AdjacencyView:
 
 
 class Network:
-    """Immutable network: payloads by key plus an edge multiset."""
+    """Immutable network: payloads by key plus an edge multiset.
+
+    The payloads are not copied, and must not change once they are in a
+    network: the labels of filters evaluated on it are kept (see the
+    module docstring)."""
 
     def __init__(self, directed: bool, nodes: Mapping[str, XmlElement], edges):
         self.directed = directed
@@ -65,6 +83,9 @@ class Network:
         self._succ = {k: tuple(sorted(v)) for k, v in succ.items()}
         self._pred = {k: tuple(sorted(v)) for k, v in pred.items()} if directed else self._succ
         self._keys = tuple(sorted(self.nodes))
+        self._key_set = frozenset(self._keys)
+        self._labels: dict = {}  # filter -> matching keys, oldest first
+        self._labels_held = 0
 
     @property
     def n(self) -> int:
@@ -112,6 +133,22 @@ class Network:
 
     def adjacency(self) -> AdjacencyView:
         return AdjacencyView(self._succ, self._pred)
+
+    def _label(self, filter_expr, evaluate) -> frozenset[str]:
+        """The keys whose payload matches ``filter_expr``: the stored set,
+        or else ``evaluate(filter_expr)``, which is then stored. An
+        exception from ``evaluate`` propagates and stores nothing. Sets
+        are dropped oldest first while the store holds more than its
+        bound."""
+        keys = self._labels.get(filter_expr)
+        if keys is None:
+            keys = evaluate(filter_expr)
+            self._labels[filter_expr] = keys
+            self._labels_held += len(keys) + 1
+            while self._labels_held > _STORED_KEYS_PER_NODE * len(self._keys):
+                oldest = next(iter(self._labels))
+                self._labels_held -= len(self._labels.pop(oldest)) + 1
+        return keys
 
     @cached_property
     def simple_view(self) -> tuple[frozenset[int], ...]:

@@ -271,3 +271,142 @@ def test_check_is_deterministic_across_runs():
     f = parse_formula('EU([@num > 1], [alpha]) | AG [@color != "red"]')
     results = {check(net, f) for _ in range(5)}
     assert len(results) == 1
+
+
+# -- the label store ------------------------------------------------------------
+
+
+_BATCH = [
+    'EX [item/@num > 2] | [item/alpha]',
+    'EU([item/alpha], [item/@color = "red"])',
+    'AG [item/@num > 2] & !EF [item/alpha]',
+    'IEX [item/beta] | EX [item/@color = "red"]',
+    'EF [item/beta] & [item/alpha]',
+]
+
+
+def _counting_compiler(monkeypatch) -> dict:
+    """Wrap the compiler that labelling uses; count, per filter, how
+    often it is compiled and how many payloads its compiled form runs on."""
+    from netcheck import checker
+
+    counts = {"compiled": {}, "runs": {}}
+    compile_filter = checker._compile_filter
+
+    def counted(filter_expr):
+        counts["compiled"][filter_expr] = counts["compiled"].get(filter_expr, 0) + 1
+        holds = compile_filter(filter_expr)
+
+        def run(payload):
+            counts["runs"][filter_expr] = counts["runs"].get(filter_expr, 0) + 1
+            return holds(payload)
+
+        return run
+
+    monkeypatch.setattr(checker, "_compile_filter", counted)
+    return counts
+
+
+def _batch_network_text() -> str:
+    return (
+        '<network>'
+        + ''.join(f'<node key="v{i}"><item num="{i % 5}" color="{("red", "blue")[i % 2]}">'
+                  + ('<alpha>1</alpha>' if i % 3 else '<beta>2</beta>') + '</item></node>'
+                  for i in range(9))
+        + ''.join(f'<edge from="v{i}" to="v{(i * 4 + 1) % 9}"/>' for i in range(9))
+        + '</network>'
+    )
+
+
+def test_batch_labels_each_distinct_filter_once_per_network(monkeypatch):
+    from netcheck.network import parse_network
+
+    formulas = [parse_formula(text) for text in _BATCH]
+    distinct = {f for formula in formulas for f in collect_filters(formula)}
+    counts = _counting_compiler(monkeypatch)
+    nets = [parse_network(_batch_network_text()) for _ in range(2)]
+    for net in nets:
+        for _ in range(2):
+            for formula in formulas:
+                assert check(net, formula) == direct_check(net, formula)
+    assert counts["compiled"] == {f: len(nets) for f in distinct}
+    assert counts["runs"] == {f: sum(net.n for net in nets) for f in distinct}
+
+
+def test_filter_type_error_is_raised_alike_and_never_stored():
+    from netcheck.network import parse_network
+
+    net = parse_network(
+        '<network><node key="a"><x v="1"/></node><node key="b"><x v="q"/></node>'
+        '<node key="c"><x v="r"/></node></network>'
+    )
+    both = parse_formula('[x/@v = "1"] | EX [x/@v > 0] | [x/@v < 9]')
+    messages = []
+    for formula in (both, parse_formula('[x/@v < 9]'), both):
+        with pytest.raises(FilterTypeError) as exc:
+            check(net, formula)
+        messages.append(str(exc.value))
+    # The first failure in (filter, key) order wins, on every call.
+    assert messages[0] == messages[2]
+    assert messages[0].startswith("filter 'x/@v > 0' at node 'b': ")
+    assert messages[1].startswith("filter 'x/@v < 9' at node 'b': ")
+    assert set(net._labels) == {parse_filter('x/@v = "1"')}
+
+
+def test_networks_never_share_stored_labels(monkeypatch):
+    from netcheck.network import Network, parse_network
+
+    formula = parse_formula('EX [item/alpha] | [item/@num > 2]')
+    first = parse_network(_batch_network_text())
+    counts = _counting_compiler(monkeypatch)
+    check(first, formula)
+    others = [
+        parse_network(_batch_network_text()),
+        first.transpose(),
+        Network(True, first.nodes, first.edges),
+    ]
+    for other in others:
+        assert other._labels is not first._labels
+        before = dict(counts["runs"])
+        assert check(other, formula) == direct_check(other, formula)
+        assert all(counts["runs"][f] == before[f] + other.n for f in before)
+    # Each network labelled each filter once.
+    assert counts["compiled"] == {f: 1 + len(others) for f in collect_filters(formula)}
+
+
+def test_label_store_stays_within_its_bound():
+    from netcheck.network import _STORED_KEYS_PER_NODE, parse_network
+
+    net = parse_network(_batch_network_text())
+    bound = _STORED_KEYS_PER_NODE * net.n
+    formulas = [parse_formula(f'[item/@num != "{i}"] | EX [item/@num = "{i}"]') for i in range(40)]
+    for formula in formulas:
+        check(net, formula)
+        held = sum(len(keys) + 1 for keys in net._labels.values())
+        assert held == net._labels_held <= bound
+    # The earliest sets were dropped, the latest are kept, oldest first.
+    assert parse_filter('item/@num != "0"') not in net._labels
+    assert list(net._labels)[-2:] == collect_filters(formulas[-1])
+    for formula in formulas:  # answers after eviction are unchanged
+        assert check(net, formula) == direct_check(net, formula)
+        assert net._labels_held <= bound
+
+
+def test_labels_and_checker_share_the_network_key_set():
+    from netcheck.ctl import LabelMap, _Checker, witness
+    from netcheck.errors import UnknownKeyError
+    from netcheck.network import parse_network
+
+    net = parse_network(_batch_network_text())
+    labels, registry = label_nodes(net, parse_formula('[item] | [item/alpha]'))
+    assert labels.keys is net._key_set
+    assert _Checker(net, labels).universe is net._key_set
+    # A filter that holds at every node stores the network's own key set.
+    assert labels.sat[registry.prop_for(parse_filter("item"))] is net._key_set
+    assert net._labels[parse_filter("item")] is net._key_set
+    # A label map built by the caller is still checked against the network.
+    stray = LabelMap.build({"v1": {"p"}, "nowhere": {"p"}}, props={"p"})
+    with pytest.raises(UnknownKeyError):
+        model_check(net, stray, Atom("p"))
+    with pytest.raises(UnknownKeyError):
+        witness(net, stray, Temporal("EX", Atom("p")), "v1")
