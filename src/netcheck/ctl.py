@@ -188,9 +188,11 @@ class LabelMap:
 
 
 def _check_labels(keys: Iterable[str], labels: LabelMap) -> None:
+    """Refuse a label map that names a key outside ``keys``, among the
+    keys it labels or in the set of any proposition."""
     if labels.keys is keys:  # label_nodes labels with the network's own key set
         return
-    unknown = labels.keys.difference(keys)
+    unknown = labels.keys.union(*labels.sat.values()).difference(keys)
     if unknown:
         raise UnknownKeyError(
             f"label map mentions keys not in the network: {sorted(unknown)}"
@@ -320,10 +322,10 @@ class _Checker:
         """The public ``witness``, reading operand sets from this checker."""
         if start not in self.universe:
             raise UnknownKeyError(f"unknown node key {start!r}")
+        _check_labels(self.universe, self.labels)
         op = f.op if isinstance(f, (Temporal, Until)) else None
         if op not in _WITNESSABLE:
             return Witness("none-available")
-        _check_labels(self.universe, self.labels)
         base, inverse = _split_op(op)
         adj = (self.backward if inverse else self.forward)[0]
         if base == "EU":

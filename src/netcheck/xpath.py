@@ -9,12 +9,16 @@ boolean predicates; `` p/q ``, ``//``, ``@a``, ``.`` and ``..`` are the
 usual abbreviations. Path results are duplicate-free and in document
 order.
 
-Comparison semantics are existential over sequences: a comparison with a
-path operand holds when some item satisfies it. The relational operators
-``<``, ``<=``, ``>``, ``>=`` coerce both sides to decimal numbers and
-raise FilterTypeError when an operand's string value does not parse.
+Comparison semantics are existential over sequences: a path's values
+are its items' string values, any other operand has one value, and a
+comparison holds when some pair of values does. The relational
+operators ``<``, ``<=``, ``>``, ``>=`` coerce both sides to decimal
+numbers and raise FilterTypeError when a string value does not parse.
 ``=`` and ``!=`` compare numerically when either side is a number
-literal or a count, and by string value otherwise.
+literal or a count, as booleans when either side is a contains(), and
+by string value otherwise. Values are converted pair by pair, the left
+before the right, so the first pair that meets a bad value raises, and
+a literal is converted, through a cache, only when a pair reaches it.
 
 A filter is compiled once into nested closures, kept by filter in a
 bounded cache, and then run at each context item. Within one
@@ -496,7 +500,7 @@ def _parse_bracketed(text: str, start: int) -> tuple[FilterExpr, int]:
 # ---------------------------------------------------------------------------
 # Evaluation
 #
-# Compiling settles node tests, comparison kinds and literal conversions.
+# Compiling settles node tests and the type each comparison is made on.
 # Each predicate's memo is registered in ``memos``, and the top-level
 # function clears them all when it returns. Every step maps a context
 # list, duplicate-free and in document order, to a list of the same kind.
@@ -558,8 +562,8 @@ def _compile_bool(expr: FilterExpr, memos: list[dict]):
     if isinstance(expr, Comparison):
         return _compile_comparison(expr, memos)
     if isinstance(expr, Contains):
-        path, needle = _compile_path(expr.path, memos), expr.needle
-        return lambda item: any(needle in string_value(it) for it in path(item))
+        values, needle = _compile_values(expr.path, memos), expr.needle
+        return lambda item: any(needle in value for value in values(item))
     if isinstance(expr, (Exists, CountExpr, LocationPath)):
         path = _compile_path(expr if isinstance(expr, LocationPath) else expr.path, memos)
         return lambda item: bool(path(item))
@@ -773,14 +777,10 @@ _OPERATORS = {
     "<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge,
 }
 
-# How a value of each operand kind is converted when a comparison is
-# made on numbers or on booleans; string comparisons take strings as
-# they are. A path's items compare by their string values.
-_CONVERT = {
-    "num": {"str": _to_number, "bool": lambda v: Decimal(1 if v else 0)},
-    "bool": {"str": lambda v: v != ""},
-    "str": {},
-}
+# The type each comparison is made on, as the converter of a value to
+# it. A string read as a number goes through ``_to_number``; Decimal,
+# bool and str return a value of their own type as it is.
+_CONVERT = {"num": Decimal, "bool": bool, "str": str}
 
 
 def _operand_kind(operand: Operand) -> str:
@@ -792,77 +792,53 @@ def _operand_kind(operand: Operand) -> str:
 
 
 def _compile_comparison(cmp: Comparison, memos: list[dict]):
-    """Existential comparison. Both operands are evaluated, left first;
-    then pairs are compared in order, converting the left value before
-    the right, until one holds."""
-    lkind, rkind = _operand_kind(cmp.left), _operand_kind(cmp.right)
-    if cmp.op not in ("=", "!=") or "num" in (lkind, rkind):
+    """Existential comparison over the operands' values. Numbers are
+    compared if the operator is relational or either operand is a
+    number, else booleans if either is a contains(), else strings. The
+    left operand is evaluated first, then the right one, whose values
+    are kept; pairs are then compared in order, converting the left
+    value before the right, until one holds. A literal is converted
+    only when a pair reaches it."""
+    kinds = _operand_kind(cmp.left), _operand_kind(cmp.right)
+    if cmp.op not in ("=", "!=") or "num" in kinds:
         on = "num"
-    elif "bool" in (lkind, rkind):
+    elif "bool" in kinds:
         on = "bool"
     else:
         on = "str"
-    lnodes, left, lconv = _compile_side(cmp.left, _CONVERT[on].get(lkind), memos)
-    rnodes, right, rconv = _compile_side(cmp.right, _CONVERT[on].get(rkind), memos)
-    compare = _converting(_OPERATORS[cmp.op], lconv, rconv)
+    lconv, rconv = (_to_number if on == "num" and k == "str" else _CONVERT[on] for k in kinds)
+    left, right = _compile_values(cmp.left, memos), _compile_values(cmp.right, memos)
+    compare = _OPERATORS[cmp.op]
 
-    if lnodes and rnodes:
-        def run(item):
-            lvals, rvals = left(item), right(item)
-            if not rvals:
-                return False
-            rvals = [string_value(b) for b in rvals]
-            for a in lvals:
-                a = string_value(a)
-                for b in rvals:
-                    if compare(a, b):
-                        return True
+    def run(item):
+        lvals = left(item)
+        rvals = tuple(right(item))
+        if not rvals:
             return False
-    elif lnodes:
-        def run(item):
-            lvals, b = left(item), right(item)
-            return any(compare(string_value(a), b) for a in lvals)
-    elif rnodes:
-        def run(item):
-            a, rvals = left(item), right(item)
-            return any(compare(a, string_value(b)) for b in rvals)
-    else:
-        def run(item):
-            return compare(left(item), right(item))
+        for a in lvals:
+            a = lconv(a)  # once: the first pair that reads it converts it first
+            for b in rvals:
+                if compare(a, rconv(b)):
+                    return True
+        return False
+
     return run
 
 
-def _converting(compare, lconv, rconv):
-    if lconv is None and rconv is None:
-        return compare
-    lconv = lconv or _identity
-    rconv = rconv or _identity
-    return lambda a, b: compare(lconv(a), rconv(b))
-
-
-def _identity(value):
-    return value
-
-
-def _compile_side(operand: Operand, convert, memos: list[dict]):
-    """(is a path?, value function, converter) for one comparison
-    operand. A literal's value is converted here, once; a literal that
-    does not convert keeps its converter, so that it raises only when a
-    comparison reaches it, as it would unconverted."""
+def _compile_values(operand: Operand, memos: list[dict]):
+    """Function from the context item to the operand's values: a path's
+    string values, read lazily, or the one value of any other operand."""
     if isinstance(operand, LocationPath):
-        return True, _compile_path(operand, memos), convert
+        path = _compile_path(operand, memos)
+        return lambda item: map(string_value, path(item))
     if isinstance(operand, CountExpr):
         path = _compile_path(operand.path, memos)
-        return False, lambda item: Decimal(len(path(item))), convert
+        return lambda item: (Decimal(len(path(item))),)
     if isinstance(operand, Contains):
-        return False, _compile_bool(operand, memos), convert
-    value = operand.value
-    if convert is not None:
-        try:
-            value, convert = convert(value), None
-        except FilterTypeError:
-            value = operand.value
-    return False, lambda item: value, convert
+        test = _compile_bool(operand, memos)
+        return lambda item: (test(item),)
+    value = (operand.value,)
+    return lambda item: value
 
 
 # ---------------------------------------------------------------------------

@@ -273,6 +273,36 @@ def test_empty_set_comparisons_are_false_not_errors():
     assert not holds('chapter = "x"')
 
 
+@pytest.mark.parametrize(
+    "text, filter_text, pinned",
+    [
+        # both sides non-numeric: the left value is converted first
+        ("<r><a>x</a><b>y</b></r>", "a < b", ("error", "cannot interpret 'x' as a number")),
+        # 3 < 2 fails, then the next pair reads y
+        ("<r><a>3</a><b>2</b><b>y</b></r>", "a < b", ("error", "cannot interpret 'y' as a number")),
+        # 1 < 2 holds before y is read
+        ("<r><a>1</a><b>2</b><b>y</b></r>", "a < b", ("value", True)),
+        # a literal is converted only when a pair reaches it
+        ("<r/>", '"z" < a', ("value", False)),
+        ("<r><a>1</a></r>", '"z" < a', ("error", "cannot interpret 'z' as a number")),
+        ("<r><a/><a/></r>", 'count(a) = "2"', ("value", True)),
+        ("<r><a/><a/></r>", 'count(a) = "two"', ("error", "cannot interpret 'two' as a number")),
+        # booleans: contains() against a string's non-emptiness
+        ("<r><a>box</a></r>", 'contains(a, "x") = "yes"', ("value", True)),
+        ("<r><a>b</a></r>", 'contains(a, "x") = "yes"', ("value", False)),
+        # numbers: a boolean reads as 0 or 1
+        ("<r><b>q</b></r>", 'count(a) < contains(b, "q")', ("value", True)),
+        ("<r><a/><b>q</b></r>", 'count(a) < contains(b, "q")', ("value", False)),
+    ],
+)
+def test_comparison_order_pinned(text, filter_text, pinned):
+    # The outcome, and for an error which value it names, is the
+    # reference's, and stays as pinned.
+    expr, root = parse_filter(filter_text), parse_xml(text)
+    assert _outcome(reference.eval_filter, expr, root) == pinned
+    assert _outcome(eval_filter, expr, root) == pinned
+
+
 def test_contains():
     assert holds('contains(note, "shelf")')
     assert holds('contains(note/em, "also")')
