@@ -121,14 +121,13 @@ def _run_check(args) -> int:
         labels, registry = label_nodes(net, formula)
         propositional = replace_filters(formula, registry)
         checker = _Checker(net, labels)  # the witness reads its sets too
-        satisfying = checker.sat(propositional)
+        keys = list(checker.keys_in(checker.sat(propositional)))  # ascending
         witness_report = None
         if args.witness_for is not None:
             witness_report = _witness_report(checker, propositional, args.witness_for)
     except FilterTypeError as exc:
         return _fail(EXIT_TYPE, f"evaluation: {exc}")
 
-    keys = sorted(satisfying)
     if args.format == "json":
         # plain key array; an object only when a witness is attached
         if witness_report is None:

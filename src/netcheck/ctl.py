@@ -10,21 +10,34 @@ AF to the current node, and collapses EU to its right argument.
 Two evaluators are provided. ``model_check`` is the production
 algorithm: bottom-up over the formula with memoization on structural
 equality, one O(n+m) set computation per operator for n nodes and m
-edges. An atom's set is read from the ``LabelMap``; EU is a backward
-breadth-first least fixpoint, EF is EU with a true left operand, and EG
-is backward counter pruning. ``oracle_check`` recomputes satisfaction
-by deliberately different brute-force means and is capped at 12 nodes;
-it exists so the two can be compared on random instances. ``witness``
-computes only the operand sets of a top-level EX, EF or EU; one search
-from the start node then finds a shortest witness path or decides that
-the formula does not hold there.
+edges. It works on node ids, the position of each key in key order, so
+ascending ids are ascending keys; the network builds its id map and id
+adjacency once, on first use. Between operators a satisfaction set is
+an int bitset (bit i is node id i): an atom's key set from the
+``LabelMap`` is encoded once, the connectives are bitwise operations and
+the universal operators complement their existential duals. Inside a
+fixpoint the operand bitsets are expanded once into a bytearray with one
+byte per node, the search runs over the id adjacency, and its result is
+packed back once; a fixpoint never tests one bit of an int, because
+``s >> v & 1`` costs O(n) and would make the pass quadratic. EX is a
+predecessor scan, EU a backward breadth-first least fixpoint, EF is EU
+with a true left operand, and EG is backward counter pruning. The whole
+check stays O(|formula|*(n+m)), and only the final set is decoded back
+to keys. ``oracle_check`` recomputes satisfaction by deliberately
+different brute-force means over keys and is capped at 12 nodes; it
+exists so the two can be compared on random instances. ``witness``
+computes only the operand sets of a top-level EX, EF or EU, reading an
+atom's key set from the label map as it is; one search over the key
+adjacency from the start node then finds a shortest witness path or
+decides that the formula does not hold there.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, fields
-from typing import Iterable, KeysView, Mapping
+from itertools import compress
+from typing import Iterable, Iterator, KeysView, Mapping
 
 from .errors import (
     NotSatisfiedError,
@@ -32,7 +45,7 @@ from .errors import (
     UnboundAtomError,
     UnknownKeyError,
 )
-from .network import Network
+from .network import Network, _IdView
 
 UNARY_OPS = ("EX", "AX", "EF", "AF", "EG", "AG",
               "IEX", "IAX", "IEF", "IAF", "IEG", "IAG")
@@ -207,31 +220,75 @@ def model_check(net: Network, labels: LabelMap, formula: Formula) -> frozenset[s
     """Satisfaction set of a formula over a labelled network.
 
     Bottom-up over the formula, memoized on structural equality, with
-    per-operator set computations in O(n+m) for n nodes and m edges: an
-    atom reads the set the label map holds for it, EX is a predecessor
-    scan, EU a backward breadth-first fixpoint and EF the same fixpoint
-    with a left operand of every node (E[true U s]), EG backward counter
-    pruning (each operand node counts its successors in the operand; a
-    node whose count falls to zero drops out and decrements its
-    predecessors, while a sink of the original graph never drops).
-    Universal operators go through their existential duals. Inverse
-    operators run the same computations on the transposed relation.
-    The whole check is O(|formula|*(n+m)).
+    per-operator set computations in O(n+m) for n nodes and m edges,
+    over node ids (positions in key order, so ascending ids are
+    ascending keys). Between operators a set is an int bitset: an atom's
+    key set is encoded once, the connectives are bitwise operations and
+    universal operators complement their existential duals. EX is a
+    predecessor scan, EU a backward breadth-first fixpoint and EF the
+    same fixpoint with a left operand of every node (E[true U s]), EG
+    backward counter pruning (each count starts at the out-degree and
+    the nodes outside the operand drop out first; a node whose count
+    falls to zero drops out and decrements its predecessors, while a
+    sink of the original graph never drops). Inverse operators run the
+    same computations on the transposed relation. Each of these passes
+    expands its operand bitsets into one byte per node once and packs
+    its result once, both O(n) in C, and never tests single bits of an
+    int, which costs O(n) a test. The whole check is
+    O(|formula|*(n+m)); only the final set is decoded back to keys.
     """
     _check_labels(net._key_set, labels)
-    return _Checker(net, labels).sat(formula)
+    checker = _Checker(net, labels)
+    return frozenset(checker.keys_in(checker.sat(formula)))
+
+
+# A set is an int with bit i for node id i, or inside a fixpoint a
+# bytearray with byte i 1 or 0. The conversions go through base-2 digit
+# strings, lowest id last: a few O(n) passes in C.
+_TO_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
+_TO_FLAGS = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def _to_bits(flags: bytearray) -> int:
+    """The bitset of a byte-per-id array."""
+    return int(flags[::-1].translate(_TO_DIGITS) or b"0", 2)
+
+
+def _to_flags(bits: int, n: int) -> bytearray:
+    """The byte-per-id array of a bitset over ids below n."""
+    # A top bit at n keeps the digit string n + 1 long whatever the
+    # highest id in the set; without it, format(0, "b") is one digit "0".
+    return bytearray(format(bits | 1 << n, "b").encode()[:0:-1].translate(_TO_FLAGS))
 
 
 class _Checker:
-    def __init__(self, net: Network, labels: LabelMap):
-        self.universe = net._key_set
-        view = net.adjacency()
-        self.forward = (view.successors, view.predecessors)
-        self.backward = (self.forward[1], self.forward[0])
-        self.labels = labels
-        self.memo: dict[Formula, frozenset[str]] = {}
+    """Satisfaction sets of one network and label map, as int bitsets
+    over the network's id view, memoized per subformula."""
 
-    def sat(self, f: Formula) -> frozenset[str]:
+    def __init__(self, net: Network, labels: LabelMap):
+        self.net = net
+        self.keys = net.node_keys()
+        self.everything = (1 << len(self.keys)) - 1
+        self.labels = labels
+        self.memo: dict[Formula, int] = {}
+
+    @property
+    def ids(self) -> _IdView:
+        """The network's id view, which a witness over atoms never builds."""
+        return self.net._ids
+
+    def _relation(self, op: str) -> tuple[str, tuple, tuple]:
+        """(base operator, successor ids, predecessor ids), transposed
+        for an inverse operator."""
+        base, inverse = _split_op(op)
+        ids = self.ids
+        return (base, ids.pred, ids.succ) if inverse else (base, ids.succ, ids.pred)
+
+    def keys_in(self, bits: int) -> Iterator[str]:
+        """The keys of a bitset, in ascending order."""
+        return compress(self.keys, _to_flags(bits, len(self.keys)))
+
+    def sat(self, f: Formula) -> int:
         hit = self.memo.get(f)
         if hit is not None:
             return hit
@@ -239,99 +296,124 @@ class _Checker:
         self.memo[f] = result
         return result
 
-    def _compute(self, f: Formula) -> frozenset[str]:
+    def _atom(self, f: Atom) -> frozenset[str]:
+        if f.value not in self.labels.sat:
+            raise UnboundAtomError(f"unregistered proposition {f.value!r}")
+        return self.labels.sat[f.value]
+
+    def _compute(self, f: Formula) -> int:
+        everything = self.everything
         if isinstance(f, Bool):
-            return self.universe if f.value else frozenset()
+            return everything if f.value else 0
         if isinstance(f, Atom):
-            if f.value not in self.labels.sat:
-                raise UnboundAtomError(f"unregistered proposition {f.value!r}")
-            return self.labels.sat[f.value]
+            flags = bytearray(len(self.keys))
+            for i in map(self.ids.index.__getitem__, self._atom(f)):
+                flags[i] = 1
+            return _to_bits(flags)
         if isinstance(f, Not):
-            return self.universe - self.sat(f.operand)
+            return everything ^ self.sat(f.operand)
         if isinstance(f, And):
             return self.sat(f.left) & self.sat(f.right)
         if isinstance(f, Or):
             return self.sat(f.left) | self.sat(f.right)
         if isinstance(f, Temporal):
-            base, inverse = _split_op(f.op)
-            succ, pred = self.backward if inverse else self.forward
+            base, succ, pred = self._relation(f.op)
             s = self.sat(f.operand)
             if base == "EX":
                 return self._pre(s, pred)
             if base == "AX":
-                return self.universe - self._pre(self.universe - s, pred)
+                return everything ^ self._pre(everything ^ s, pred)
             # EF s = E[true U s], and AG is its dual.
             if base == "EF":
-                return self._eu(self.universe, s, pred)
+                return self._eu(everything, s, pred)
             if base == "AG":
-                return self.universe - self._eu(self.universe, self.universe - s, pred)
+                return everything ^ self._eu(everything, everything ^ s, pred)
             if base == "EG":
                 return self._eg(s, succ, pred)
             # AF via the EG dual.
-            return self.universe - self._eg(self.universe - s, succ, pred)
-        base, inverse = _split_op(f.op)
-        succ, pred = self.backward if inverse else self.forward
+            return everything ^ self._eg(everything ^ s, succ, pred)
+        base, succ, pred = self._relation(f.op)
         a = self.sat(f.left)
         b = self.sat(f.right)
         if base == "EU":
             return self._eu(a, b, pred)
         # AU(a, b) fails where some path breaks a before reaching b, or
         # some maximal path avoids b forever.
-        not_b = self.universe - b
-        bad = self._eu(not_b, (self.universe - a) & not_b, pred)
+        not_b = everything ^ b
+        bad = self._eu(not_b, (everything ^ a) & not_b, pred)
         bad |= self._eg(not_b, succ, pred)
-        return self.universe - bad
+        return everything ^ bad
 
     @staticmethod
-    def _pre(s: frozenset[str], pred) -> frozenset[str]:
-        return frozenset(v for w in s for v in pred[w])
-
-    @staticmethod
-    def _eu(a: frozenset[str], b: frozenset[str], pred) -> frozenset[str]:
-        seen = set(b)
-        queue = deque(b)
-        while queue:
-            w = queue.popleft()
+    def _pre(s: int, pred) -> int:
+        n = len(pred)
+        out = bytearray(n)
+        for w in compress(range(n), _to_flags(s, n)):
             for v in pred[w]:
-                if v not in seen and v in a:
-                    seen.add(v)
-                    queue.append(v)
-        return frozenset(seen)
+                out[v] = 1
+        return _to_bits(out)
 
     @staticmethod
-    def _eg(s: frozenset[str], succ, pred) -> frozenset[str]:
+    def _eu(a: int, b: int, pred) -> int:
+        # Backward breadth-first search from b through a. A node of a
+        # outside b is open until the search reaches it; the result is b
+        # plus the nodes no longer open.
+        n = len(pred)
+        rest = a & ~b
+        open_ = _to_flags(rest, n)
+        queue = list(compress(range(n), _to_flags(b, n)))
+        for w in queue:  # breadth-first: the list grows as it is read
+            for v in pred[w]:
+                if open_[v]:
+                    open_[v] = 0
+                    queue.append(v)
+        return b | (rest ^ _to_bits(open_))
+
+    @staticmethod
+    def _eg(s: int, succ, pred) -> int:
         # Greatest fixpoint by backward counter pruning (Baier & Katoen,
         # Principles of Model Checking, 2008, section 6.4). A node of s
         # stays while it has a successor still in the set; a sink of the
-        # original graph ends a maximal path and always stays. Each edge
-        # is read once to count and at most once to decrement: O(n+m).
-        count = {v: len(s.intersection(succ[v])) for v in s}
-        dead = [v for v, c in count.items() if c == 0 and succ[v]]
-        alive = set(s).difference(dead)
-        while dead:
-            w = dead.pop()
+        # original graph ends a maximal path and always stays. Each count
+        # starts at the out-degree, and the nodes outside s are the first
+        # to drop out: every edge is read at most once to decrement, so
+        # the pass is O(n+m).
+        n = len(succ)
+        alive = _to_flags(s, n)
+        count = list(map(len, succ))
+        dead = list(compress(range(n), _to_flags(s ^ ((1 << n) - 1), n)))
+        for w in dead:  # the list grows as it is read
             for v in pred[w]:
-                if v in alive:
-                    count[v] -= 1
-                    if count[v] == 0:
-                        alive.discard(v)
+                if alive[v]:
+                    c = count[v] = count[v] - 1
+                    if not c:
+                        alive[v] = 0
                         dead.append(v)
-        return frozenset(alive)
+        return _to_bits(alive)
+
+    def _key_set_of(self, f: Formula) -> frozenset[str]:
+        """The keys where ``f`` holds: an atom's set as the label map
+        holds it, any other formula's set decoded from its bitset."""
+        if isinstance(f, Atom):
+            return self._atom(f)
+        return frozenset(self.keys_in(self.sat(f)))
 
     def witness(self, f: Formula, start: str) -> Witness:
         """The public ``witness``, reading operand sets from this checker."""
-        if start not in self.universe:
+        key_set = self.net._key_set
+        if start not in key_set:
             raise UnknownKeyError(f"unknown node key {start!r}")
-        _check_labels(self.universe, self.labels)
+        _check_labels(key_set, self.labels)
         op = f.op if isinstance(f, (Temporal, Until)) else None
         if op not in _WITNESSABLE:
             return Witness("none-available")
         base, inverse = _split_op(op)
-        adj = (self.backward if inverse else self.forward)[0]
+        view = self.net.adjacency()
+        adj = view.predecessors if inverse else view.successors
         if base == "EU":
-            allowed, targets = self.sat(f.left), self.sat(f.right)
+            allowed, targets = self._key_set_of(f.left), self._key_set_of(f.right)
         else:
-            allowed, targets = self.universe, self.sat(f.operand)
+            allowed, targets = key_set, self._key_set_of(f.operand)
         if base == "EX":
             for w in adj[start]:  # ascending key order
                 if w in targets:

@@ -12,9 +12,12 @@ Parallel edges are kept as separate records; adjacency lists are
 deduplicated and sorted, and an undirected network keeps one map that
 serves as both successors and predecessors. Multiplicity is counted
 from the records when it is asked for. Weights must be finite and
-positive; the logic ignores them entirely. The undirected simple view
-and its weak components, which the statistics share, are built on
-first use from the adjacency maps and kept.
+positive; the logic ignores them entirely.
+
+Three views are built on first use and kept. The id view numbers the
+nodes by their position in key order and holds the adjacency maps as id
+tuples; the checker reads it. The undirected simple view, built from
+the id view, and its weak components are shared by the statistics.
 
 A network also keeps the frozenset of its node keys, which every
 labelling and check reads, and a store of filter labels: for each
@@ -30,7 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from decimal import Decimal, InvalidOperation
 from functools import cached_property
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from .errors import FormatError, UnknownKeyError
 from .xmldoc import XmlElement, XmlText, escape_attr, parse_xml, serialize_xml, xml_equal
@@ -55,6 +58,17 @@ class AdjacencyView:
 
     successors: Mapping[str, tuple[str, ...]]
     predecessors: Mapping[str, tuple[str, ...]]
+
+
+class _IdView(NamedTuple):
+    """The nodes of a network numbered by their position in key order:
+    the key -> id map and the successor and predecessor ids of each node
+    (ascending tuples, indexed by id). An undirected network has one
+    tuple for both."""
+
+    index: dict[str, int]
+    succ: tuple[tuple[int, ...], ...]
+    pred: tuple[tuple[int, ...], ...]
 
 
 class Network:
@@ -151,15 +165,25 @@ class Network:
         return keys
 
     @cached_property
+    def _ids(self) -> _IdView:
+        """The id view of this network, built on first use and kept."""
+        keys = self._keys
+        index = dict(zip(keys, range(len(keys))))
+        to_ids = index.__getitem__
+        succ = tuple([tuple(map(to_ids, self._succ[k])) for k in keys])
+        pred = tuple([tuple(map(to_ids, self._pred[k])) for k in keys]) if self.directed else succ
+        return _IdView(index, succ, pred)
+
+    @cached_property
     def simple_view(self) -> tuple[frozenset[int], ...]:
         """Undirected simple view by node id, the position of a key in
         :meth:`node_keys`: the distinct neighbour ids of each node, with
         directions dropped, parallel edges collapsed and self-loops
-        ignored. Built on first use from the adjacency maps and kept; a
+        ignored. Built on first use from the id view and kept; a
         network never changes."""
-        index = {key: i for i, key in enumerate(self._keys)}
-        succ, pred = self._succ, self._pred
-        return tuple(frozenset(index[w] for w in succ[k] + pred[k] if w != k) for k in self._keys)
+        ids = self._ids
+        ends = map(tuple.__add__, ids.succ, ids.pred) if self.directed else ids.succ
+        return tuple(frozenset(e) - {i} for i, e in enumerate(ends))
 
     @cached_property
     def component_ids(self) -> tuple[tuple[int, ...], ...]:

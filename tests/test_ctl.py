@@ -30,7 +30,14 @@ from netcheck.errors import (
 )
 
 from tests.direct_eval import direct_check
-from tests.gens import make_network, random_formula, random_labels, random_network
+from tests.gens import (
+    ALL_UNARY,
+    ALL_UNTIL,
+    make_network,
+    random_formula,
+    random_labels,
+    random_network,
+)
 
 
 def lm(assignments, props=("p", "q", "r")):
@@ -387,6 +394,43 @@ def test_model_check_matches_fixpoint_evaluator(seed):
     assert model_check(net, labels, f) == direct_check(net, f, assignments)
 
 
+def _network_with_sinks_and_loops(rng, n, directed):
+    """About two edges out of each node but the sinks (a fifth of the
+    nodes, isolated when undirected), a self-loop on about a tenth."""
+    keys = [f"v{i:03d}" for i in range(n)]
+    sinks = set(rng.sample(keys, n // 5))
+    edges = []
+    for a in keys:
+        if a in sinks:
+            continue
+        edges += [(a, b) for b in rng.sample(keys, min(n, 2)) if directed or b not in sinks]
+        if rng.random() < 0.1:
+            edges.append((a, a))
+    return make_network(edges, directed=directed, keys=keys)
+
+
+@pytest.mark.parametrize("directed", [True, False])
+@pytest.mark.parametrize("n", [0, 1, 7, 8, 9, 63, 64, 65, 130])
+def test_model_check_matches_fixpoint_evaluator_at_word_edges(n, directed):
+    # Sizes on both sides of byte and machine-word edges, with the lowest
+    # and the highest id each alone in a set.
+    rng = random.Random(f"{n}/{directed}")
+    net = _network_with_sinks_and_loops(rng, n, directed)
+    keys = net.node_keys()
+    assignments = {k: {"p"} if rng.random() < 0.5 else set() for k in keys}
+    if keys:
+        assignments[keys[0]].add("r")
+        assignments[keys[-1]].add("q")
+    labels = lm(assignments)
+    operands = [Atom("p"), Not(Atom("q")), Or(Atom("r"), Temporal("EX", Atom("q"))), TRUE]
+    formulas = [Temporal(op, x) for op in ALL_UNARY for x in operands]
+    formulas += [Until(op, x, y) for op in ALL_UNTIL
+                 for x, y in zip(operands, operands[1:] + [FALSE])]
+    formulas += [random_formula(rng, depth=4) for _ in range(8)]
+    for f in formulas:
+        assert model_check(net, labels, f) == direct_check(net, f, assignments), f
+
+
 def test_oracle_refuses_large_networks():
     net = make_network([], keys=[f"n{i:02d}" for i in range(13)])
     with pytest.raises(SizeExceededError):
@@ -567,3 +611,30 @@ def test_witness_computes_no_fixpoint(monkeypatch):
     assert found > 0 and calls == []
     model_check(net, labels, formulas[1])
     assert calls == ["_eu"]
+
+
+def test_witness_over_atoms_converts_no_whole_network_set(monkeypatch):
+    # A witness over atom operands reads the atoms' key sets as the label
+    # map holds them: no set is encoded to bits or decoded back to keys,
+    # and the network's id view is not built.
+    import netcheck.ctl as ctl
+
+    calls = []
+    for name in ("_to_bits", "_to_flags"):
+        real = getattr(ctl, name)
+        monkeypatch.setattr(ctl, name,
+                            lambda *args, _name=name, _real=real: calls.append(_name) or _real(*args))
+    net = make_network(AU_EDGES)
+    labels = lm(AU_LABELS)
+    formulas = [Temporal(op, Atom("q")) for op in ("EX", "EF", "IEX", "IEF")]
+    formulas += [Until(op, Atom("p"), Atom("q")) for op in ("EU", "IEU")]
+    found = 0
+    for f in formulas:
+        for start in net.node_keys():
+            try:
+                found += witness(net, labels, f, start).kind != "none-available"
+            except NotSatisfiedError:
+                pass
+    assert found > 0 and calls == [] and "_ids" not in vars(net)
+    model_check(net, labels, formulas[1])
+    assert "_to_bits" in calls and "_to_flags" in calls
