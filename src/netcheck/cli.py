@@ -6,7 +6,8 @@ whose payload matches a bare filter, ``metrics`` prints the statistics
 report. Output goes to stdout only on success and is byte-identical
 across runs; diagnostics go to stderr. Exit codes: 0 success (an empty
 result set is success), 1 formula or filter syntax error, 2 network
-file or format error, 3 evaluation type error.
+file or format error or command-line argument error, 3 evaluation type
+error.
 """
 
 from __future__ import annotations
@@ -35,8 +36,17 @@ EXIT_FORMAT = 2
 EXIT_TYPE = 3
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Reports an argument error on one line, as every other error is,
+    instead of after a usage block. Subcommand parsers are of the same
+    class."""
+
+    def error(self, message: str):
+        self.exit(EXIT_FORMAT, f"netcheck: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="netcheck",
         description="Check path properties of XML-attributed networks.",
     )

@@ -35,10 +35,11 @@ decides that the formula does not hold there.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from itertools import compress
 from typing import Iterable, Iterator, KeysView, Mapping
 
+from ._hashing import hashed_once
 from .errors import (
     NotSatisfiedError,
     SizeExceededError,
@@ -52,38 +53,13 @@ UNARY_OPS = ("EX", "AX", "EF", "AF", "EG", "AG",
 UNTIL_OPS = ("EU", "AU", "IEU", "IAU")
 
 
-def _hashed_once(cls):
-    """Class decorator for a frozen formula node. The node's hash is
-    computed from its fields on first use and kept on the node; its
-    children keep theirs too, so a lookup costs O(1) however deep the
-    node is. Equality stays structural. The kept hash is left out of the
-    pickled state, because string hashes differ between processes. It
-    is set as an attribute, not written into ``__dict__``, which would
-    slow down every later attribute read on the node."""
-
-    def __hash__(self) -> int:
-        cached = self._hash
-        if cached is None:
-            cached = hash(tuple(getattr(self, f.name) for f in fields(self)))
-            object.__setattr__(self, "_hash", cached)
-        return cached
-
-    def __getstate__(self) -> dict:
-        return {k: v for k, v in self.__dict__.items() if k != "_hash"}
-
-    cls._hash = None
-    cls.__hash__ = __hash__
-    cls.__getstate__ = __getstate__
-    return cls
-
-
-@_hashed_once
+@hashed_once
 @dataclass(frozen=True)
 class Bool:
     value: bool
 
 
-@_hashed_once
+@hashed_once
 @dataclass(frozen=True)
 class Atom:
     """Atomic proposition: a registered proposition id, or (before the
@@ -92,27 +68,27 @@ class Atom:
     value: object
 
 
-@_hashed_once
+@hashed_once
 @dataclass(frozen=True)
 class Not:
     operand: "Formula"
 
 
-@_hashed_once
+@hashed_once
 @dataclass(frozen=True)
 class And:
     left: "Formula"
     right: "Formula"
 
 
-@_hashed_once
+@hashed_once
 @dataclass(frozen=True)
 class Or:
     left: "Formula"
     right: "Formula"
 
 
-@_hashed_once
+@hashed_once
 @dataclass(frozen=True)
 class Temporal:
     op: str
@@ -123,7 +99,7 @@ class Temporal:
             raise ValueError(f"unknown temporal operator {self.op!r}")
 
 
-@_hashed_once
+@hashed_once
 @dataclass(frozen=True)
 class Until:
     op: str
@@ -441,7 +417,7 @@ class _Checker:
 # Witness extraction
 
 
-@_hashed_once
+@hashed_once
 @dataclass(frozen=True)
 class Witness:
     """A path demonstrating a top-level existential operator.

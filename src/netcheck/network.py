@@ -7,6 +7,17 @@ multiset of weighted edges. The XML format is::
       <node key="K"> ... payload ... </node>
       <edge from="K1" to="K2" weight="W"/>   weight optional, default 1
 
+The file is read without building a tree of it. The content of
+``<network>`` is scanned with the XML parser's own pieces: each
+``<node>`` is parsed into a payload, and the payloads share one rank
+array that holds their items only. An ``<edge>`` in the spelling that
+``serialize_network`` writes is read by one regular expression straight
+into an ``Edge``; any other spelling is parsed as an element, checked
+and dropped. The errors are those of parsing the whole file first and
+checking it after: a ParseError anywhere wins over a FormatError, the
+first FormatError in the file wins, and the checks of ``Network`` on
+the endpoints come last.
+
 An undirected edge is a single record incident to both endpoints.
 Parallel edges are kept as separate records; adjacency lists are
 deduplicated and sorted, and an undirected network keeps one map that
@@ -30,13 +41,30 @@ change once it is inside a network, or its stored labels go stale.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from decimal import Decimal, InvalidOperation
 from functools import cached_property
 from typing import Mapping, NamedTuple
 
 from .errors import FormatError, UnknownKeyError
-from .xmldoc import XmlElement, XmlText, escape_attr, parse_xml, serialize_xml, xml_equal
+from .xmldoc import (
+    _END_TAG,
+    _XML_WS,
+    XmlElement,
+    XmlText,
+    _char_data,
+    _content,
+    _decode,
+    _epilog,
+    _prolog,
+    _reject_end_tag,
+    _start_tag,
+    escape_attr,
+    parse_xml,
+    serialize_xml,
+    xml_equal,
+)
 
 # Bound of a network's label store: the keys its sets hold together, per
 # node. A frozenset costs 40 to 85 bytes a key, so a full store holds at
@@ -219,64 +247,133 @@ class Network:
 
 def parse_network(data: bytes | str) -> Network:
     """Parse the XML wire format. Raises ParseError for malformed XML
-    and FormatError for well-formed XML that is not a valid network."""
-    root = parse_xml(data)
+    and FormatError for well-formed XML that is not a valid network.
+
+    A ParseError anywhere in the text wins over a FormatError, and of
+    two FormatErrors the earlier in the text wins; so the first format
+    fault is kept while the scan goes on to the end, and raised there.
+    The checks that ``Network`` makes of endpoints come last."""
+    text = _decode(data)
+    start = _prolog(text)
+    root, i, is_open = _start_tag(text, start, 0)
     if root.name != "network":
+        parse_xml(text)
         raise FormatError(f"root element must be <network>, got <{root.name}>")
-    for attr in root.attrs:
-        if attr != "directed":
-            raise FormatError(f"unknown attribute {attr!r} on <network>")
-    directed_attr = root.attrs.get("directed", "true")
-    if directed_attr not in ("true", "false"):
-        raise FormatError(f'directed must be "true" or "false", got {directed_attr!r}')
-    directed = directed_attr == "true"
+    fault = None
+    try:
+        directed = _directed(root.attrs)
+    except FormatError as exc:
+        fault = exc
 
     nodes: dict[str, XmlElement] = {}
     edges: list[Edge] = []
     weights: dict[str, Decimal] = {}  # weight text -> its checked value
-    # The payloads share the document's rank array. The root and the
-    # edges are dropped from it, so that the payloads do not keep them alive.
-    doc = root.doc
-    doc[root.pos] = None
-    for child in root.children:
-        if isinstance(child, XmlText):
-            raise FormatError("text content is not allowed inside <network>")
-        if child.name == "node":
-            if "key" not in child.attrs:
-                raise FormatError("<node> requires a key attribute")
-            key = child.attrs["key"]
-            if key == "":
-                raise FormatError("node key must be nonempty")
-            if key in nodes:
-                raise FormatError(f"duplicate node key {key!r}")
-            # The payload is the node element itself, detached so that
-            # upward axes cannot escape into the enclosing document.
-            child.parent = None
-            child.index = 0
-            nodes[key] = child
-        elif child.name == "edge":
-            for attr in child.attrs:
-                if attr not in ("from", "to", "weight"):
-                    raise FormatError(f"unknown attribute {attr!r} on <edge>")
-            if "from" not in child.attrs or "to" not in child.attrs:
-                raise FormatError("<edge> requires from and to attributes")
-            if child.children:
-                raise FormatError("<edge> must be empty")
-            weight_attr = child.attrs.get("weight", "1")
-            weight = weights.get(weight_attr)
-            if weight is None:
+    doc: list[XmlElement | XmlText] = []  # the payloads' items, by rank
+    run: list[str] = []  # text between two children of <network>
+    while is_open:
+        i = _char_data(text, i, run, root, start)
+        if run:
+            if fault is None and "".join(run).strip(_XML_WS):
+                fault = FormatError("text content is not allowed inside <network>")
+            run.clear()
+        if text.startswith("/", i + 1):
+            m = _END_TAG.match(text, i)
+            if m is None or m[1] != "network":
+                _reject_end_tag(text, i, root)
+            i = m.end()
+            break
+        m = _EDGE.match(text, i)
+        if m is not None:  # an edge as serialize_network writes it
+            i = m.end()
+            if fault is None:
+                src, dst, weight = m.groups("1")  # "1" if the weight is left out
                 try:
-                    weight = Decimal(weight_attr)
-                except InvalidOperation:
-                    raise FormatError(f"edge weight must be numeric, got {weight_attr!r}") from None
-                if not weight.is_finite() or weight <= 0:
-                    raise FormatError(f"edge weight must be positive, got {weight_attr!r}")
-                weights[weight_attr] = weight
-            edges.append(Edge(child.attrs["from"], child.attrs["to"], weight))
-            doc[child.pos] = None
+                    edges.append(Edge(src, dst, _weight(weight, weights)))
+                except FormatError as exc:
+                    fault = exc
+            continue
+        child, j, child_open = _start_tag(text, i, len(doc))
+        # The payload is the node element itself, detached (no parent)
+        # so that upward axes cannot escape into the enclosing document.
+        # Any other element is read into a rank array of its own, so
+        # that the payloads' array holds payload items only.
+        if child.name == "node":
+            child.doc = doc
+            doc.append(child)
         else:
-            raise FormatError(f"unknown element <{child.name}> inside <network>")
+            child.pos = child.end = 0
+            child.doc = [child]
+        if child_open:
+            j = _content(text, i, j, child, child.doc)
+        i = j
+        if fault is None:
+            try:
+                _add_child(child, nodes, edges, weights)
+            except FormatError as exc:
+                fault = exc
+    _epilog(text, i)
+    if fault is not None:
+        raise fault
     return Network(directed, nodes, edges)
+
+
+# An empty <edge> in the spelling serialize_network writes: from, to and
+# an optional weight, in that order, double-quoted, with no entity
+# reference in any value.
+_EDGE = re.compile(r'<edge from="([^"&<]*)" to="([^"&<]*)"(?: weight="([^"&<]*)")?/>')
+
+
+def _directed(attrs: dict[str, str]) -> bool:
+    """The direction that the attributes of <network> declare."""
+    for attr in attrs:
+        if attr != "directed":
+            raise FormatError(f"unknown attribute {attr!r} on <network>")
+    directed_attr = attrs.get("directed", "true")
+    if directed_attr not in ("true", "false"):
+        raise FormatError(f'directed must be "true" or "false", got {directed_attr!r}')
+    return directed_attr == "true"
+
+
+def _add_child(child: XmlElement, nodes: dict[str, XmlElement], edges: list[Edge],
+               weights: dict[str, Decimal]) -> None:
+    """Check an element of <network> that the edge pattern refused, and
+    add it to ``nodes`` or ``edges``."""
+    if child.name == "node":
+        if "key" not in child.attrs:
+            raise FormatError("<node> requires a key attribute")
+        key = child.attrs["key"]
+        if key == "":
+            raise FormatError("node key must be nonempty")
+        if key in nodes:
+            raise FormatError(f"duplicate node key {key!r}")
+        nodes[key] = child
+    elif child.name == "edge":
+        for attr in child.attrs:
+            if attr not in ("from", "to", "weight"):
+                raise FormatError(f"unknown attribute {attr!r} on <edge>")
+        if "from" not in child.attrs or "to" not in child.attrs:
+            raise FormatError("<edge> requires from and to attributes")
+        if child.children:
+            raise FormatError("<edge> must be empty")
+        weight = _weight(child.attrs.get("weight", "1"), weights)
+        edges.append(Edge(child.attrs["from"], child.attrs["to"], weight))
+    else:
+        raise FormatError(f"unknown element <{child.name}> inside <network>")
+
+
+def _weight(text: str, weights: dict[str, Decimal]) -> Decimal:
+    """The value of the weight ``text``, checked once per text and kept
+    in ``weights``, so that equal texts share one Decimal."""
+    weight = weights.get(text)
+    if weight is None:
+        try:
+            weight = Decimal(text)
+        except InvalidOperation:
+            raise FormatError(f"edge weight must be numeric, got {text!r}") from None
+        if not weight.is_finite() or weight <= 0:
+            raise FormatError(f"edge weight must be positive, got {text!r}")
+        weights[text] = weight
+    return weight
 
 
 def load_network(path) -> Network:

@@ -18,6 +18,14 @@ match refuses is walked token by token, to raise the error for its
 first fault. An element builds its attribute items on first use.
 Serializing and comparing trees are iterative as well.
 
+The parse is made of pieces that ``parse_network`` shares: the decode
+and prolog before the root element, ``_start_tag``, ``_content``, which
+parses one open element's content through its closing tag,
+``_char_data`` for the text, references and comments between two tags,
+and the epilog after the root. ``parse_xml`` is the prolog, the root's
+start tag, its content and the epilog; ``parse_network`` walks the
+content of ``<network>`` itself with the same pieces.
+
 The parser links and ranks each item as it makes it: each element and
 text item gets its ``parent``, its ``index`` among the parent's
 children and its document-order rank ``pos``, each element the largest
@@ -54,6 +62,8 @@ _ATTR = re.compile(_ATTR_RE)
 _START_TAG = re.compile(
     rf"<(?P<name>{_NAME_RE})(?P<attrs>(?:{_ATTR_RE})*)[ \t\r\n]*(?P<close>/?)>"
 )
+# A whole closing tag: name.
+_END_TAG = re.compile(rf"</({_NAME_RE})[ \t\r\n]*>")
 # Whitespace and comments around the root element. An unterminated
 # comment is left unmatched, for the caller to report.
 _MISC = re.compile(r"(?:[ \t\r\n]+|<!--.*?-->)*", re.S)
@@ -209,57 +219,73 @@ def parse_xml(data: bytes | str) -> XmlElement:
     mismatched or unterminated tags, unquoted or duplicate attributes,
     unknown entities, markup outside the subset, multiple roots.
     """
+    text = _decode(data)
+    i = _prolog(text)
+    root, j, is_open = _start_tag(text, i, 0)
+    root.doc = [root]  # elements and text items, in document order
+    if is_open:
+        j = _content(text, i, j, root, root.doc)
+    _epilog(text, j)
+    return root
+
+
+def _decode(data: bytes | str) -> str:
+    """The text of a document given as UTF-8 bytes or as a string, with
+    a leading byte order mark removed."""
     if isinstance(data, bytes):
         try:
-            text = data.decode("utf-8")
+            data = data.decode("utf-8")
         except UnicodeDecodeError as exc:
             raise ParseError(f"input is not valid UTF-8: {exc.reason}") from exc
-    else:
-        text = data
-    if text.startswith("﻿"):
-        text = text[1:]
-    n = len(text)
+    return data[1:] if data.startswith("\ufeff") else data
 
+
+def _prolog(text: str) -> int:
+    """Offset of the root element's start tag: after the XML declaration
+    and any whitespace and comments."""
     i = 0
     if text.startswith("<?xml"):
         i = text.find("?>") + 2
         if i == 1:
             raise _error(text, 0, "unterminated XML declaration")
     i = _skip_misc(text, i)
-    if i == n:
+    if i == len(text):
         raise _error(text, i, "document has no root element")
     if text[i] != "<":
         raise _error(text, i, "content outside the root element")
-    root, j, is_open = _start_tag(text, i, 0)
-    doc = root.doc = [root]  # elements and text items, in document order
-    stack = [(root, i)] if is_open else []  # open elements, start offsets
+    return i
+
+
+def _epilog(text: str, i: int) -> None:
+    """Check that nothing but whitespace and comments follows the root
+    element, which ends before offset ``i``."""
+    i = _skip_misc(text, i)
+    if i < len(text):
+        if text[i] == "<":
+            raise _error(text, i, "multiple root elements")
+        raise _error(text, i, "content outside the root element")
+
+
+def _content(text: str, start: int, i: int, element: XmlElement,
+             doc: list[XmlElement | XmlText]) -> int:
+    """Parse the content of the open ``element``, whose start tag begins
+    at offset ``start`` and ends before offset ``i``, through its closing
+    tag, and return the offset after that tag. Every item made is linked
+    under its parent and appended to ``doc``, which its rank indexes."""
+    stack = [(element, start)]  # open elements, start offsets
     run: list[str] = []  # text of the innermost open element since its last tag
-    i = j
     while stack:
+        parent, start = stack[-1]
         m = _TEXT.match(text, i)
         if m:
             run.append(m[0])
             i = m.end()
-        if i == n:
-            elem, start = stack[-1]
-            raise _error(text, start, f"unterminated element <{elem.name}>")
-        if text[i] == "&":
-            c, i = _entity(text, i)
-            run.append(c)
-            continue
-        mark = text[i + 1:i + 2]  # the character after '<'
-        if mark == "!":
-            if not text.startswith("--", i + 2):
-                raise _error(text, i, "'<!' markup is not supported")
-            # Comments do not break up runs of text.
-            end = text.find("-->", i + 4)
-            if end < 0:
-                raise _error(text, i, "unterminated comment")
-            i = end + 3
-            continue
-        if mark == "?":
-            raise _error(text, i, "processing instructions are not supported")
-        parent = stack[-1][0]
+        mark = text[i + 1:i + 2]  # the character after '<', if text[i] is '<'
+        # A reference, a comment or other '<!' or '<?' markup, or the end
+        # of the text (mark is then ""): the long way, to the next tag.
+        if mark in "!?" or text[i] != "<":
+            i = _char_data(text, i, run, parent, start)
+            mark = text[i + 1:i + 2]
         siblings = parent.children
         if run:
             s = "".join(run)
@@ -270,18 +296,12 @@ def parse_xml(data: bytes | str) -> XmlElement:
                 siblings.append(item)
                 doc.append(item)
         if mark == "/":
-            m = _NAME.match(text, i + 2)
-            if m is None:
-                raise _error(text, i + 2, "expected element name")
-            j = _WS.match(text, m.end()).end()
-            if not text.startswith(">", j):
-                raise _error(text, j, "expected '>' in closing tag")
-            if m[0] != parent.name:
-                raise _error(text, i, f"mismatched closing tag: expected </{parent.name}>, "
-                                      f"found </{m[0]}>")
+            m = _END_TAG.match(text, i)
+            if m is None or m[1] != parent.name:
+                _reject_end_tag(text, i, parent)
+            i = m.end()
             stack.pop()
             parent.end = len(doc) - 1
-            i = j + 1
         else:
             child, j, is_open = _start_tag(text, i, len(doc))
             child.doc, child.parent, child.index = doc, parent, len(siblings)
@@ -290,12 +310,52 @@ def parse_xml(data: bytes | str) -> XmlElement:
             if is_open:
                 stack.append((child, i))
             i = j
-    i = _skip_misc(text, i)
-    if i < n:
-        if text[i] == "<":
-            raise _error(text, i, "multiple root elements")
-        raise _error(text, i, "content outside the root element")
-    return root
+    return i
+
+
+def _char_data(text: str, i: int, run: list[str], element: XmlElement, start: int) -> int:
+    """Read the character data, entity references and comments from
+    offset ``i`` on, inside the open ``element`` whose start tag begins
+    at offset ``start``. Appends their characters to ``run`` (comments
+    do not break up runs of text) and returns the offset of the '<' of
+    the next start or closing tag."""
+    n = len(text)
+    while True:
+        m = _TEXT.match(text, i)
+        if m:
+            run.append(m[0])
+            i = m.end()
+        if i == n:
+            raise _error(text, start, f"unterminated element <{element.name}>")
+        if text[i] == "&":
+            c, i = _entity(text, i)
+            run.append(c)
+            continue
+        mark = text[i + 1:i + 2]  # the character after '<'
+        if mark == "!":
+            if not text.startswith("--", i + 2):
+                raise _error(text, i, "'<!' markup is not supported")
+            end = text.find("-->", i + 4)
+            if end < 0:
+                raise _error(text, i, "unterminated comment")
+            i = end + 3
+            continue
+        if mark == "?":
+            raise _error(text, i, "processing instructions are not supported")
+        return i
+
+
+def _reject_end_tag(text: str, i: int, element: XmlElement) -> NoReturn:
+    """Raise the ParseError for the closing tag at offset ``i``, which
+    ``_END_TAG`` refused or which does not close ``element``."""
+    m = _NAME.match(text, i + 2)
+    if m is None:
+        raise _error(text, i + 2, "expected element name")
+    j = _WS.match(text, m.end()).end()
+    if not text.startswith(">", j):
+        raise _error(text, j, "expected '>' in closing tag")
+    raise _error(text, i, f"mismatched closing tag: expected </{element.name}>, "
+                          f"found </{m[0]}>")
 
 
 def _skip_misc(text: str, i: int) -> int:

@@ -50,6 +50,7 @@ from enum import Enum
 from functools import lru_cache
 from typing import NamedTuple
 
+from ._hashing import hashed_once
 from .errors import FilterTypeError, ParseError
 from .xmldoc import XmlAttribute, XmlElement, XmlItem, XmlText, _rank, string_value
 
@@ -69,21 +70,25 @@ class Axis(Enum):
 _AXIS_BY_NAME = {a.value: a for a in Axis}
 
 
+@hashed_once
 @dataclass(frozen=True)
 class NameTest:
     name: str
 
 
+@hashed_once
 @dataclass(frozen=True)
 class AnyElementTest:
     """The ``*`` test: any element (any attribute, on the attribute axis)."""
 
 
+@hashed_once
 @dataclass(frozen=True)
 class TextTest:
     """The ``text()`` test."""
 
 
+@hashed_once
 @dataclass(frozen=True)
 class AnyItemTest:
     """Matches any item; used by the ``.``, ``..`` and ``//`` expansions."""
@@ -92,6 +97,7 @@ class AnyItemTest:
 NodeTest = NameTest | AnyElementTest | TextTest | AnyItemTest
 
 
+@hashed_once
 @dataclass(frozen=True)
 class Step:
     axis: Axis
@@ -99,26 +105,31 @@ class Step:
     predicates: tuple = ()
 
 
+@hashed_once
 @dataclass(frozen=True)
 class LocationPath:
     steps: tuple[Step, ...]
 
 
+@hashed_once
 @dataclass(frozen=True)
 class StringLiteral:
     value: str
 
 
+@hashed_once
 @dataclass(frozen=True)
 class NumberLiteral:
     value: Decimal
 
 
+@hashed_once
 @dataclass(frozen=True)
 class CountExpr:
     path: LocationPath
 
 
+@hashed_once
 @dataclass(frozen=True)
 class Contains:
     path: LocationPath
@@ -128,23 +139,27 @@ class Contains:
 Operand = LocationPath | StringLiteral | NumberLiteral | CountExpr | Contains
 
 
+@hashed_once
 @dataclass(frozen=True)
 class And:
     left: "FilterExpr"
     right: "FilterExpr"
 
 
+@hashed_once
 @dataclass(frozen=True)
 class Or:
     left: "FilterExpr"
     right: "FilterExpr"
 
 
+@hashed_once
 @dataclass(frozen=True)
 class Not:
     operand: "FilterExpr"
 
 
+@hashed_once
 @dataclass(frozen=True)
 class Comparison:
     left: Operand
@@ -152,6 +167,7 @@ class Comparison:
     right: Operand
 
 
+@hashed_once
 @dataclass(frozen=True)
 class Exists:
     path: LocationPath

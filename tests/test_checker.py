@@ -16,10 +16,11 @@ from netcheck.checker import (
 )
 from netcheck.ctl import And, Atom, Bool, Not, Or, Temporal, Until, model_check
 from netcheck.errors import FilterTypeError, MissingFilterError, ParseError
+from netcheck import xpath as xp
 from netcheck.xpath import parse_filter
 
 from tests.direct_eval import direct_check
-from tests.gens import random_attributed_network, random_xpl_text
+from tests.gens import make_network, random_attributed_network, random_xpl_text
 
 EXAMPLE_FORMULAS = [
     'EX [title = "Google"]',
@@ -227,6 +228,36 @@ def test_label_nodes_evaluates_each_filter_everywhere():
         for flt in collect_filters(f):
             prop = reg.prop_for(flt)
             assert labels.holds(prop, key) == eval_filter(flt, net.payload(key))
+
+
+class CountedName(str):
+    """Element name that counts how often it is hashed."""
+
+    hashes = 0
+
+    def __hash__(self):
+        self.hashes += 1
+        return str.__hash__(self)
+
+
+def test_long_filter_hashes_each_node_a_bounded_number_of_times():
+    # [t0 or (t1 or ... t149)] nests 150 deep. collect_filters, the
+    # registry, the network's label store and the replacement stage
+    # each look the filter up; if every lookup rehashed the whole tree,
+    # each name would be hashed at every lookup, nine times a check.
+    # Hashed once per node, each name is hashed when its node first is,
+    # and the second check on the same filter hashes nothing again.
+    names = [CountedName(f"t{i}") for i in range(150)]
+    tests = [xp.Exists(xp.LocationPath((xp.Step(xp.Axis.CHILD, xp.NameTest(n)),)))
+             for n in names]
+    filter_expr = tests[-1]
+    for test in reversed(tests[:-1]):
+        filter_expr = xp.Or(test, filter_expr)
+    net = make_network([("a", "b")], payload_xml={"a": '<node key="a"><t149/></node>'})
+    formula = Or(Atom(filter_expr), Temporal("EX", Atom(filter_expr)))
+    assert check(net, formula) == {"a"}
+    assert check(net, formula) == {"a"}
+    assert max(n.hashes for n in names) <= 2
 
 
 def test_filter_type_error_names_filter_and_node():

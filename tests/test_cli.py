@@ -406,6 +406,25 @@ def test_malformed_network_is_exit_2(capsys, tmp_path):
         assert err.count("\n") == 1 and err.endswith("\n")
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["check", "--network", WEB], "one of the arguments --formula --formula-file is required"),
+        (["frobnicate"], "argument command: invalid choice: 'frobnicate'"),
+        (["check", "--network", WEB, "--formula", "true", "--format", "xml"],
+         "argument --format: invalid choice: 'xml'"),
+    ],
+)
+def test_argument_error_is_one_line_exit_2(capsys, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert captured.out == ""
+    assert captured.err.startswith(f"netcheck: {message}")
+    assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
+
+
 def test_type_error_is_exit_3(capsys, tmp_path):
     net = tmp_path / "t.xml"
     net.write_text(
