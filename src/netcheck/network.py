@@ -7,13 +7,12 @@ multiset of weighted edges. The XML format is::
       <node key="K"> ... payload ... </node>
       <edge from="K1" to="K2" weight="W"/>   weight optional, default 1
 
-The file is read without building a tree of it. The content of
-``<network>`` is scanned with the XML parser's own pieces: each
-``<node>`` is parsed into a payload, and the payloads share one rank
-array that holds their items only. An ``<edge>`` in the spelling that
-``serialize_network`` writes is read by one regular expression straight
-into an ``Edge``; any other spelling is parsed as an element, checked
-and dropped. The errors are those of parsing the whole file first and
+The file is read without building a tree of it: the XML parser yields
+the children of ``<network>`` one by one. Each ``<node>`` is parsed
+into a payload, and the payloads share one rank array that holds their
+items only. An ``<edge>`` in the spelling that ``serialize_network``
+writes is read by one regular expression straight into an ``Edge``; any
+other spelling is parsed as an element, checked and dropped. The errors are those of parsing the whole file first and
 checking it after: a ParseError anywhere wins over a FormatError, the
 first FormatError in the file wins, and the checks of ``Network`` on
 the endpoints come last.
@@ -49,17 +48,8 @@ from typing import Mapping, NamedTuple
 
 from .errors import FormatError, UnknownKeyError
 from .xmldoc import (
-    _END_TAG,
-    _XML_WS,
     XmlElement,
-    XmlText,
-    _char_data,
-    _content,
-    _decode,
-    _epilog,
-    _prolog,
-    _reject_end_tag,
-    _start_tag,
+    _root_children,
     escape_attr,
     parse_xml,
     serialize_xml,
@@ -253,11 +243,10 @@ def parse_network(data: bytes | str) -> Network:
     two FormatErrors the earlier in the text wins; so the first format
     fault is kept while the scan goes on to the end, and raised there.
     The checks that ``Network`` makes of endpoints come last."""
-    text = _decode(data)
-    start = _prolog(text)
-    root, i, is_open = _start_tag(text, start, 0)
+    children = _root_children(data, _EDGE.match, "node")
+    root = next(children)
     if root.name != "network":
-        parse_xml(text)
+        parse_xml(data)
         raise FormatError(f"root element must be <network>, got <{root.name}>")
     fault = None
     try:
@@ -268,50 +257,19 @@ def parse_network(data: bytes | str) -> Network:
     nodes: dict[str, XmlElement] = {}
     edges: list[Edge] = []
     weights: dict[str, Decimal] = {}  # weight text -> its checked value
-    doc: list[XmlElement | XmlText] = []  # the payloads' items, by rank
-    run: list[str] = []  # text between two children of <network>
-    while is_open:
-        i = _char_data(text, i, run, root, start)
-        if run:
-            if fault is None and "".join(run).strip(_XML_WS):
-                fault = FormatError("text content is not allowed inside <network>")
-            run.clear()
-        if text.startswith("/", i + 1):
-            m = _END_TAG.match(text, i)
-            if m is None or m[1] != "network":
-                _reject_end_tag(text, i, root)
-            i = m.end()
-            break
-        m = _EDGE.match(text, i)
-        if m is not None:  # an edge as serialize_network writes it
-            i = m.end()
-            if fault is None:
-                src, dst, weight = m.groups("1")  # "1" if the weight is left out
-                try:
-                    edges.append(Edge(src, dst, _weight(weight, weights)))
-                except FormatError as exc:
-                    fault = exc
+    for child in children:
+        if fault is not None:
             continue
-        child, j, child_open = _start_tag(text, i, len(doc))
-        # The payload is the node element itself, detached (no parent)
-        # so that upward axes cannot escape into the enclosing document.
-        # Any other element is read into a rank array of its own, so
-        # that the payloads' array holds payload items only.
-        if child.name == "node":
-            child.doc = doc
-            doc.append(child)
-        else:
-            child.pos = child.end = 0
-            child.doc = [child]
-        if child_open:
-            j = _content(text, i, j, child, child.doc)
-        i = j
-        if fault is None:
-            try:
+        try:
+            if isinstance(child, re.Match):  # an edge as serialize_network writes it
+                src, dst, weight = child.groups("1")  # "1" if the weight is left out
+                edges.append(Edge(src, dst, _weight(weight, weights)))
+            elif isinstance(child, str):
+                raise FormatError("text content is not allowed inside <network>")
+            else:
                 _add_child(child, nodes, edges, weights)
-            except FormatError as exc:
-                fault = exc
-    _epilog(text, i)
+        except FormatError as exc:
+            fault = exc
     if fault is not None:
         raise fault
     return Network(directed, nodes, edges)
@@ -346,6 +304,8 @@ def _add_child(child: XmlElement, nodes: dict[str, XmlElement], edges: list[Edge
             raise FormatError("node key must be nonempty")
         if key in nodes:
             raise FormatError(f"duplicate node key {key!r}")
+        # The payload is the node element itself, which the parser left
+        # detached, so that upward axes cannot escape into the file.
         nodes[key] = child
     elif child.name == "edge":
         for attr in child.attrs:

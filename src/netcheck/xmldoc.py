@@ -18,13 +18,15 @@ match refuses is walked token by token, to raise the error for its
 first fault. An element builds its attribute items on first use.
 Serializing and comparing trees are iterative as well.
 
-The parse is made of pieces that ``parse_network`` shares: the decode
-and prolog before the root element, ``_start_tag``, ``_content``, which
-parses one open element's content through its closing tag,
-``_char_data`` for the text, references and comments between two tags,
-and the epilog after the root. ``parse_xml`` is the prolog, the root's
-start tag, its content and the epilog; ``parse_network`` walks the
-content of ``<network>`` itself with the same pieces.
+The parse is made of pieces: the decode and prolog before the root
+element, ``_start_tag``, ``_content``, which parses one open element's
+content through its closing tag, ``_char_data`` for the text,
+references and comments between two tags, ``_end_tag`` and the epilog
+after the root. ``parse_xml`` is the prolog, the root's start tag, its
+content and the epilog. ``_root_children`` reads the same document
+with the same pieces and errors, but yields the root's direct children
+one by one and lets the caller take a child with a pattern of its own
+instead of parsing it; ``parse_network`` reads ``<network>`` with it.
 
 The parser links and ranks each item as it makes it: each element and
 text item gets its ``parent``, its ``index`` among the parent's
@@ -44,7 +46,7 @@ Trees are treated as immutable once parsing returns.
 from __future__ import annotations
 
 import re
-from typing import NoReturn
+from typing import Callable, Iterator, NoReturn
 
 from .errors import ParseError
 
@@ -62,8 +64,9 @@ _ATTR = re.compile(_ATTR_RE)
 _START_TAG = re.compile(
     rf"<(?P<name>{_NAME_RE})(?P<attrs>(?:{_ATTR_RE})*)[ \t\r\n]*(?P<close>/?)>"
 )
-# A whole closing tag: name.
-_END_TAG = re.compile(rf"</({_NAME_RE})[ \t\r\n]*>")
+# A closing tag after its '</': the name and the '>', each if present.
+# It always matches, so that a fault is read off the groups.
+_END_TAG = re.compile(rf"({_NAME_RE})?[ \t\r\n]*(>?)")
 # Whitespace and comments around the root element. An unterminated
 # comment is left unmatched, for the caller to report.
 _MISC = re.compile(r"(?:[ \t\r\n]+|<!--.*?-->)*", re.S)
@@ -296,10 +299,7 @@ def _content(text: str, start: int, i: int, element: XmlElement,
                 siblings.append(item)
                 doc.append(item)
         if mark == "/":
-            m = _END_TAG.match(text, i)
-            if m is None or m[1] != parent.name:
-                _reject_end_tag(text, i, parent)
-            i = m.end()
+            i = _end_tag(text, i, parent)
             stack.pop()
             parent.end = len(doc) - 1
         else:
@@ -311,6 +311,63 @@ def _content(text: str, start: int, i: int, element: XmlElement,
                 stack.append((child, i))
             i = j
     return i
+
+
+def _root_children(data: bytes | str, raw: Callable[[str, int], re.Match | None],
+                   shared: str) -> Iterator[XmlElement | re.Match | str]:
+    """Parse a document as ``parse_xml`` does, with the same errors, and
+    yield its root element, then each direct child of the root as soon as
+    it is read, in document order:
+
+    - the match of ``raw(text, i)``, where the child's '<' is at offset
+      ``i``, if it matches; the child is then not parsed any further;
+    - otherwise the child element, with its content parsed;
+    - a run of text between two children, as a string, unless it is
+      whitespace only.
+
+    The root is yielded before its content is read, and is not ranked.
+    The elements named ``shared`` share one rank array that holds their
+    items only; any other element has an array of its own. No child has
+    a ``parent``. The epilog is checked before the generator ends, so
+    every ParseError in the text has been raised once it is exhausted."""
+    text = _decode(data)
+    start = _prolog(text)
+    root, i, is_open = _start_tag(text, start, 0)
+    yield root
+    doc: list[XmlElement | XmlText] = []
+    run: list[str] = []
+    while is_open:
+        m = _TEXT.match(text, i)
+        if m:
+            run.append(m[0])
+            i = m.end()
+        if text[i + 1:i + 2] in "!?" or text[i] != "<":  # as in _content
+            i = _char_data(text, i, run, root, start)
+        if run:
+            s = "".join(run)
+            run.clear()
+            if s.strip(_XML_WS):
+                yield s
+        if text.startswith("/", i + 1):
+            i = _end_tag(text, i, root)
+            break
+        m = raw(text, i)
+        if m is not None:
+            i = m.end()
+            yield m
+            continue
+        child, j, child_open = _start_tag(text, i, len(doc))
+        if child.name == shared:
+            child.doc = doc
+            doc.append(child)
+        else:
+            child.pos = child.end = 0
+            child.doc = [child]
+        if child_open:
+            j = _content(text, i, j, child, child.doc)
+        i = j
+        yield child
+    _epilog(text, i)
 
 
 def _char_data(text: str, i: int, run: list[str], element: XmlElement, start: int) -> int:
@@ -345,17 +402,19 @@ def _char_data(text: str, i: int, run: list[str], element: XmlElement, start: in
         return i
 
 
-def _reject_end_tag(text: str, i: int, element: XmlElement) -> NoReturn:
-    """Raise the ParseError for the closing tag at offset ``i``, which
-    ``_END_TAG`` refused or which does not close ``element``."""
-    m = _NAME.match(text, i + 2)
-    if m is None:
+def _end_tag(text: str, i: int, element: XmlElement) -> int:
+    """Parse the closing tag at offset ``i``, which must close the open
+    ``element``, and return the offset after it."""
+    m = _END_TAG.match(text, i + 2)
+    name = m[1]
+    if name is None:
         raise _error(text, i + 2, "expected element name")
-    j = _WS.match(text, m.end()).end()
-    if not text.startswith(">", j):
-        raise _error(text, j, "expected '>' in closing tag")
-    raise _error(text, i, f"mismatched closing tag: expected </{element.name}>, "
-                          f"found </{m[0]}>")
+    if not m[2]:
+        raise _error(text, m.end(), "expected '>' in closing tag")
+    if name != element.name:
+        raise _error(text, i, f"mismatched closing tag: expected </{element.name}>, "
+                              f"found </{name}>")
+    return m.end()
 
 
 def _skip_misc(text: str, i: int) -> int:
