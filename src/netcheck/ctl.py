@@ -12,7 +12,7 @@ algorithm: bottom-up over the formula with memoization on structural
 equality, one O(n+m) set computation per operator for n nodes and m
 edges. It works on node ids, the position of each key in key order, so
 ascending ids are ascending keys; the network builds its id map and id
-adjacency once, on first use. Between operators a satisfaction set is
+adjacency at construction. Between operators a satisfaction set is
 an int bitset (bit i is node id i): an atom's key set from the
 ``LabelMap`` is encoded once, the connectives are bitwise operations and
 the universal operators complement their existential duals. Inside a
@@ -21,20 +21,26 @@ byte per node, the search runs over the id adjacency, and its result is
 packed back once; a fixpoint never tests one bit of an int, because
 ``s >> v & 1`` costs O(n) and would make the pass quadratic. EX is a
 predecessor scan, EU a backward breadth-first least fixpoint, EF is EU
-with a true left operand, and EG is backward counter pruning. The whole
-check stays O(|formula|*(n+m)), and only the final set is decoded back
-to keys. ``oracle_check`` recomputes satisfaction by deliberately
-different brute-force means over keys and is capped at 12 nodes; it
-exists so the two can be compared on random instances. ``witness``
+with a true left operand, and EG is backward counter pruning: each
+node's count starts at its out-degree, the nodes outside the operand
+drop out first, and a node whose count falls to zero drops out and
+decrements its predecessors' counts, while a sink never drops out.
+Inverse operators run the same passes on the transposed relation, and
+the universal forms go through them by duality, so AF and AU are linear
+as well, also on hubs. The whole check stays O(|formula|*(n+m)), and
+only the final set is decoded back to keys. ``oracle_check`` recomputes
+satisfaction by deliberately different brute-force means over keys and
+is capped at 12 nodes; it exists so the two can be compared on random
+instances. ``witness``
 computes only the operand sets of a top-level EX, EF or EU, reading an
-atom's key set from the label map as it is; one search over the key
-adjacency from the start node then finds a shortest witness path or
-decides that the formula does not hold there.
+atom's key set from the label map as it is; one search over the id
+adjacency from the start node, testing the key of each node it reaches,
+then finds a shortest witness path or decides that the formula does not
+hold there.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from itertools import compress
 from typing import Iterable, Iterator, KeysView, Mapping
@@ -46,7 +52,7 @@ from .errors import (
     UnboundAtomError,
     UnknownKeyError,
 )
-from .network import Network, _IdView
+from .network import Network
 
 UNARY_OPS = ("EX", "AX", "EF", "AF", "EG", "AG",
               "IEX", "IAX", "IEF", "IAF", "IEG", "IAG")
@@ -196,22 +202,9 @@ def model_check(net: Network, labels: LabelMap, formula: Formula) -> frozenset[s
     """Satisfaction set of a formula over a labelled network.
 
     Bottom-up over the formula, memoized on structural equality, with
-    per-operator set computations in O(n+m) for n nodes and m edges,
-    over node ids (positions in key order, so ascending ids are
-    ascending keys). Between operators a set is an int bitset: an atom's
-    key set is encoded once, the connectives are bitwise operations and
-    universal operators complement their existential duals. EX is a
-    predecessor scan, EU a backward breadth-first fixpoint and EF the
-    same fixpoint with a left operand of every node (E[true U s]), EG
-    backward counter pruning (each count starts at the out-degree and
-    the nodes outside the operand drop out first; a node whose count
-    falls to zero drops out and decrements its predecessors, while a
-    sink of the original graph never drops). Inverse operators run the
-    same computations on the transposed relation. Each of these passes
-    expands its operand bitsets into one byte per node once and packs
-    its result once, both O(n) in C, and never tests single bits of an
-    int, which costs O(n) a test. The whole check is
-    O(|formula|*(n+m)); only the final set is decoded back to keys.
+    one O(n+m) set computation per operator over node ids, so the whole
+    check is O(|formula|*(n+m)) for n nodes and m edges. The module
+    docstring describes the ids, the bitsets and each fixpoint.
     """
     _check_labels(net._key_set, labels)
     checker = _Checker(net, labels)
@@ -239,7 +232,7 @@ def _to_flags(bits: int, n: int) -> bytearray:
 
 class _Checker:
     """Satisfaction sets of one network and label map, as int bitsets
-    over the network's id view, memoized per subformula."""
+    over the network's node ids, memoized per subformula."""
 
     def __init__(self, net: Network, labels: LabelMap):
         self.net = net
@@ -248,17 +241,12 @@ class _Checker:
         self.labels = labels
         self.memo: dict[Formula, int] = {}
 
-    @property
-    def ids(self) -> _IdView:
-        """The network's id view, which a witness over atoms never builds."""
-        return self.net._ids
-
     def _relation(self, op: str) -> tuple[str, tuple, tuple]:
         """(base operator, successor ids, predecessor ids), transposed
         for an inverse operator."""
         base, inverse = _split_op(op)
-        ids = self.ids
-        return (base, ids.pred, ids.succ) if inverse else (base, ids.succ, ids.pred)
+        net = self.net
+        return (base, net._pred, net._succ) if inverse else (base, net._succ, net._pred)
 
     def keys_in(self, bits: int) -> Iterator[str]:
         """The keys of a bitset, in ascending order."""
@@ -283,7 +271,7 @@ class _Checker:
             return everything if f.value else 0
         if isinstance(f, Atom):
             flags = bytearray(len(self.keys))
-            for i in map(self.ids.index.__getitem__, self._atom(f)):
+            for i in map(self.net._index.__getitem__, self._atom(f)):
                 flags[i] = 1
             return _to_bits(flags)
         if isinstance(f, Not):
@@ -384,28 +372,30 @@ class _Checker:
         if op not in _WITNESSABLE:
             return Witness("none-available")
         base, inverse = _split_op(op)
-        view = self.net.adjacency()
-        adj = view.predecessors if inverse else view.successors
+        keys = self.keys
+        adj = self.net._pred if inverse else self.net._succ
         if base == "EU":
             allowed, targets = self._key_set_of(f.left), self._key_set_of(f.right)
         else:
             allowed, targets = key_set, self._key_set_of(f.operand)
+        # The search runs over ids, which ascend with keys, so its ties
+        # and paths are those of a search over keys.
+        start_id = self.net._index[start]
         if base == "EX":
-            for w in adj[start]:  # ascending key order
-                if w in targets:
-                    return Witness("path", (start, w), inverse)
+            for w in adj[start_id]:  # ascending key order
+                if keys[w] in targets:
+                    return Witness("path", (start, keys[w]), inverse)
         else:
-            parent: dict[str, str | None] = {start: None}
-            queue = deque([start])
-            while queue:
-                u = queue.popleft()
-                if u in targets:
-                    path = [u]
+            parent: dict[int, int | None] = {start_id: None}
+            queue = [start_id]
+            for u in queue:  # breadth-first: the list grows as it is read
+                if keys[u] in targets:
+                    path = [keys[u]]
                     while (u := parent[u]) is not None:
-                        path.append(u)
+                        path.append(keys[u])
                     kind = "path" if len(path) > 1 else "node"
                     return Witness(kind, tuple(reversed(path)), inverse)
-                if u in allowed:
+                if keys[u] in allowed:
                     for w in adj[u]:  # ascending key order
                         if w not in parent:
                             parent[w] = u

@@ -10,24 +10,29 @@ multiset of weighted edges. The XML format is::
 The file is read without building a tree of it: the XML parser yields
 the children of ``<network>`` one by one. Each ``<node>`` is parsed
 into a payload, and the payloads share one rank array that holds their
-items only. An ``<edge>`` in the spelling that ``serialize_network``
-writes is read by one regular expression straight into an ``Edge``; any
-other spelling is parsed as an element, checked and dropped. The errors are those of parsing the whole file first and
+items only. A run of ``<edge>`` tags in the spelling that
+``serialize_network`` writes, with only whitespace between them, is
+read by one regular expression call and turned straight into ``Edge``
+records; an edge in any other spelling is parsed as an element, checked
+and dropped. The errors are those of parsing the whole file first and
 checking it after: a ParseError anywhere wins over a FormatError, the
 first FormatError in the file wins, and the checks of ``Network`` on
 the endpoints come last.
 
 An undirected edge is a single record incident to both endpoints.
-Parallel edges are kept as separate records; adjacency lists are
-deduplicated and sorted, and an undirected network keeps one map that
-serves as both successors and predecessors. Multiplicity is counted
+Parallel edges are kept as separate records. Multiplicity is counted
 from the records when it is asked for. Weights must be finite and
 positive; the logic ignores them entirely.
 
-Three views are built on first use and kept. The id view numbers the
-nodes by their position in key order and holds the adjacency maps as id
-tuples; the checker reads it. The undirected simple view, built from
-the id view, and its weak components are shared by the statistics.
+A network numbers its nodes by their position in key order, so
+ascending ids are ascending keys, and keeps one adjacency, in ids: the
+distinct successor and predecessor ids of each node as ascending tuples,
+built at construction in the one pass that checks the edges. An
+undirected network has one tuple per node for both. The checker and the
+witness read it; the key form of ``successors``, ``predecessors`` and
+``adjacency()`` is decoded from it. Three views are built on first use
+and kept: the key-form ``adjacency()``, and the undirected simple view
+and its weak components, which the statistics share.
 
 A network also keeps the frozenset of its node keys, which every
 labelling and check reads, and a store of filter labels: for each
@@ -44,7 +49,7 @@ import re
 from dataclasses import dataclass
 from decimal import Decimal, InvalidOperation
 from functools import cached_property
-from typing import Mapping, NamedTuple
+from typing import Mapping
 
 from .errors import FormatError, UnknownKeyError
 from .xmldoc import (
@@ -78,17 +83,6 @@ class AdjacencyView:
     predecessors: Mapping[str, tuple[str, ...]]
 
 
-class _IdView(NamedTuple):
-    """The nodes of a network numbered by their position in key order:
-    the key -> id map and the successor and predecessor ids of each node
-    (ascending tuples, indexed by id). An undirected network has one
-    tuple for both."""
-
-    index: dict[str, int]
-    succ: tuple[tuple[int, ...], ...]
-    pred: tuple[tuple[int, ...], ...]
-
-
 class Network:
     """Immutable network: payloads by key plus an edge multiset.
 
@@ -100,22 +94,26 @@ class Network:
         self.directed = directed
         self.nodes: dict[str, XmlElement] = dict(nodes)
         self.edges: tuple[Edge, ...] = tuple(edges)
-        succ: dict[str, set[str]] = {k: set() for k in self.nodes}
-        # An undirected edge joins both ends both ways, so one map serves.
-        pred = {k: set() for k in self.nodes} if directed else succ
+        self._keys = keys = tuple(sorted(self.nodes))
+        self._key_set = frozenset(keys)
+        self._index = index = dict(zip(keys, range(len(keys))))  # key -> id
+        succ: list[set[int]] = [set() for _ in keys]
+        # An undirected edge joins both ends both ways, so one list serves.
+        pred = [set() for _ in keys] if directed else succ
         for e in self.edges:
-            if e.src not in self.nodes:
+            # An endpoint without an id is not a declared node.
+            src = index.get(e.src)
+            if src is None:
                 raise FormatError(f"edge endpoint {e.src!r} is not a declared node")
-            if e.dst not in self.nodes:
+            dst = index.get(e.dst)
+            if dst is None:
                 raise FormatError(f"edge endpoint {e.dst!r} is not a declared node")
             if not e.weight.is_finite() or e.weight <= 0:
                 raise FormatError(f"edge weight must be positive, got {e.weight}")
-            succ[e.src].add(e.dst)
-            pred[e.dst].add(e.src)
-        self._succ = {k: tuple(sorted(v)) for k, v in succ.items()}
-        self._pred = {k: tuple(sorted(v)) for k, v in pred.items()} if directed else self._succ
-        self._keys = tuple(sorted(self.nodes))
-        self._key_set = frozenset(self._keys)
+            succ[src].add(dst)
+            pred[dst].add(src)
+        self._succ = tuple([tuple(sorted(v)) for v in succ])
+        self._pred = tuple([tuple(sorted(v)) for v in pred]) if directed else self._succ
         self._labels: dict = {}  # filter -> matching keys, oldest first
         self._labels_held = 0
 
@@ -138,19 +136,20 @@ class Network:
             raise UnknownKeyError(f"unknown node key {key!r}") from None
 
     def successors(self, key: str) -> tuple[str, ...]:
-        """Distinct successor keys in ascending order. For undirected
-        networks every neighbour counts as both successor and
-        predecessor."""
-        try:
-            return self._succ[key]
-        except KeyError:
-            raise UnknownKeyError(f"unknown node key {key!r}") from None
+        """Distinct successor keys in ascending order, decoded from the
+        ids in O(deg). For undirected networks every neighbour counts as
+        both successor and predecessor."""
+        return self._neighbours(self._succ, key)
 
     def predecessors(self, key: str) -> tuple[str, ...]:
-        try:
-            return self._pred[key]
-        except KeyError:
-            raise UnknownKeyError(f"unknown node key {key!r}") from None
+        """Distinct predecessor keys in ascending order, in O(deg)."""
+        return self._neighbours(self._pred, key)
+
+    def _neighbours(self, adj: tuple[tuple[int, ...], ...], key: str) -> tuple[str, ...]:
+        i = self._index.get(key)
+        if i is None:
+            raise UnknownKeyError(f"unknown node key {key!r}")
+        return tuple(map(self._keys.__getitem__, adj[i]))
 
     def edge_multiplicity(self, src: str, dst: str) -> int:
         """Number of parallel edge records from src to dst (either
@@ -164,7 +163,17 @@ class Network:
         return sum((e.src, e.dst) in ends for e in self.edges)
 
     def adjacency(self) -> AdjacencyView:
-        return AdjacencyView(self._succ, self._pred)
+        """The successor and predecessor keys of every node."""
+        return self._key_adjacency
+
+    @cached_property
+    def _key_adjacency(self) -> AdjacencyView:
+        """The key form of the adjacency, decoded on first use and kept."""
+        keys = self._keys
+        succ = {k: tuple(map(keys.__getitem__, ids)) for k, ids in zip(keys, self._succ)}
+        pred = ({k: tuple(map(keys.__getitem__, ids)) for k, ids in zip(keys, self._pred)}
+                if self.directed else succ)
+        return AdjacencyView(succ, pred)
 
     def _label(self, filter_expr, evaluate) -> frozenset[str]:
         """The keys whose payload matches ``filter_expr``: the stored set,
@@ -183,24 +192,12 @@ class Network:
         return keys
 
     @cached_property
-    def _ids(self) -> _IdView:
-        """The id view of this network, built on first use and kept."""
-        keys = self._keys
-        index = dict(zip(keys, range(len(keys))))
-        to_ids = index.__getitem__
-        succ = tuple([tuple(map(to_ids, self._succ[k])) for k in keys])
-        pred = tuple([tuple(map(to_ids, self._pred[k])) for k in keys]) if self.directed else succ
-        return _IdView(index, succ, pred)
-
-    @cached_property
     def simple_view(self) -> tuple[frozenset[int], ...]:
         """Undirected simple view by node id, the position of a key in
         :meth:`node_keys`: the distinct neighbour ids of each node, with
         directions dropped, parallel edges collapsed and self-loops
-        ignored. Built on first use from the id view and kept; a
-        network never changes."""
-        ids = self._ids
-        ends = map(tuple.__add__, ids.succ, ids.pred) if self.directed else ids.succ
+        ignored. Built on first use and kept; a network never changes."""
+        ends = map(tuple.__add__, self._succ, self._pred) if self.directed else self._succ
         return tuple(frozenset(e) - {i} for i, e in enumerate(ends))
 
     @cached_property
@@ -243,7 +240,7 @@ def parse_network(data: bytes | str) -> Network:
     two FormatErrors the earlier in the text wins; so the first format
     fault is kept while the scan goes on to the end, and raised there.
     The checks that ``Network`` makes of endpoints come last."""
-    children = _root_children(data, _EDGE.match, "node")
+    children = _root_children(data, _EDGE_RUN.match, "node")
     root = next(children)
     if root.name != "network":
         parse_xml(data)
@@ -261,9 +258,9 @@ def parse_network(data: bytes | str) -> Network:
         if fault is not None:
             continue
         try:
-            if isinstance(child, re.Match):  # an edge as serialize_network writes it
-                src, dst, weight = child.groups("1")  # "1" if the weight is left out
-                edges.append(Edge(src, dst, _weight(weight, weights)))
+            if isinstance(child, re.Match):  # a run of edges as serialize_network writes them
+                for src, dst, weight in _EDGE.findall(child.string, child.start(), child.end()):
+                    edges.append(Edge(src, dst, _weight(weight or "1", weights)))  # "": omitted
             elif isinstance(child, str):
                 raise FormatError("text content is not allowed inside <network>")
             else:
@@ -277,8 +274,15 @@ def parse_network(data: bytes | str) -> Network:
 
 # An empty <edge> in the spelling serialize_network writes: from, to and
 # an optional weight, in that order, double-quoted, with no entity
-# reference in any value.
-_EDGE = re.compile(r'<edge from="([^"&<]*)" to="([^"&<]*)"(?: weight="([^"&<]*)")?/>')
+# reference in any value. A weight is nonempty, so that an omitted one
+# is the only empty group; weight="" takes the generic route.
+_EDGE = re.compile(r'<edge from="([^"&<]*)" to="([^"&<]*)"(?: weight="([^"&<]+)")?/>')
+# A run of up to 256 such edges with only whitespace between them,
+# without groups. The regex engine keeps a backtracking record per
+# repeat, about 270 bytes, so the bound keeps a long run from costing
+# memory in proportion to its length.
+_EDGE_RUN = re.compile(r"{0}(?:[ \t\r\n]*{0}){{0,255}}".format(
+    _EDGE.pattern.replace("([", "(?:[")))
 
 
 def _directed(attrs: dict[str, str]) -> bool:

@@ -320,7 +320,8 @@ def _root_children(data: bytes | str, raw: Callable[[str, int], re.Match | None]
     it is read, in document order:
 
     - the match of ``raw(text, i)``, where the child's '<' is at offset
-      ``i``, if it matches; the child is then not parsed any further;
+      ``i``, if it matches; the children it spans are then not parsed
+      any further;
     - otherwise the child element, with its content parsed;
     - a run of text between two children, as a string, unless it is
       whitespace only.

@@ -431,7 +431,10 @@ def test_labels_and_checker_share_the_network_key_set():
     net = parse_network(_batch_network_text())
     labels, registry = label_nodes(net, parse_formula('[item] | [item/alpha]'))
     assert labels.keys is net._key_set
-    assert _Checker(net, labels).ids is _Checker(net, labels).ids  # one id view per network
+    # Every checker reads the one id adjacency the network built.
+    for checker in (_Checker(net, labels), _Checker(net, labels)):
+        assert checker._relation("EX")[1] is net._succ
+        assert checker._relation("IEX")[1] is net._pred
     # A filter that holds at every node stores the network's own key set.
     assert labels.sat[registry.prop_for(parse_filter("item"))] is net._key_set
     assert net._labels[parse_filter("item")] is net._key_set

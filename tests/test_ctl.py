@@ -616,7 +616,7 @@ def test_witness_computes_no_fixpoint(monkeypatch):
 def test_witness_over_atoms_converts_no_whole_network_set(monkeypatch):
     # A witness over atom operands reads the atoms' key sets as the label
     # map holds them: no set is encoded to bits or decoded back to keys,
-    # and the network's id view is not built.
+    # and the key form of the adjacency is not decoded.
     import netcheck.ctl as ctl
 
     calls = []
@@ -624,6 +624,11 @@ def test_witness_over_atoms_converts_no_whole_network_set(monkeypatch):
         real = getattr(ctl, name)
         monkeypatch.setattr(ctl, name,
                             lambda *args, _name=name, _real=real: calls.append(_name) or _real(*args))
+    from netcheck.network import Network
+
+    real_neighbours = Network._neighbours  # successors() and predecessors() decode here
+    monkeypatch.setattr(Network, "_neighbours",
+                        lambda *args: calls.append("_neighbours") or real_neighbours(*args))
     net = make_network(AU_EDGES)
     labels = lm(AU_LABELS)
     formulas = [Temporal(op, Atom("q")) for op in ("EX", "EF", "IEX", "IEF")]
@@ -635,6 +640,6 @@ def test_witness_over_atoms_converts_no_whole_network_set(monkeypatch):
                 found += witness(net, labels, f, start).kind != "none-available"
             except NotSatisfiedError:
                 pass
-    assert found > 0 and calls == [] and "_ids" not in vars(net)
+    assert found > 0 and calls == [] and "_key_adjacency" not in vars(net)
     model_check(net, labels, formulas[1])
     assert "_to_bits" in calls and "_to_flags" in calls

@@ -184,6 +184,26 @@ def test_constructor_validates_endpoints_and_weights():
         Network(True, {"a": payload}, [Edge("a", "a", decimal.Decimal(0))])
 
 
+@pytest.mark.parametrize("edges, message", [
+    # The first bad edge wins, whichever check it fails.
+    ([Edge("a", "a", Decimal(0)), Edge("zz", "a"), Edge("a", "yy")],
+     "edge weight must be positive, got 0"),
+    ([Edge("a", "a"), Edge("a", "yy"), Edge("zz", "a", Decimal(-1))],
+     "edge endpoint 'yy' is not a declared node"),
+    ([Edge("zz", "a"), Edge("a", "a", Decimal(0))],
+     "edge endpoint 'zz' is not a declared node"),
+    # Within one edge: source, then destination, then weight.
+    ([Edge("zz", "yy", Decimal(0))], "edge endpoint 'zz' is not a declared node"),
+    ([Edge("a", "yy", Decimal(0))], "edge endpoint 'yy' is not a declared node"),
+    ([Edge("a", "a", Decimal(-1))], "edge weight must be positive, got -1"),
+])
+@pytest.mark.parametrize("directed", [True, False])
+def test_constructor_reports_the_first_bad_edge(edges, message, directed):
+    with pytest.raises(FormatError) as info:
+        Network(directed, {"a": parse_xml('<node key="a"/>')}, edges)
+    assert str(info.value) == message
+
+
 @pytest.mark.parametrize("weight", ["Infinity", "-Infinity", "NaN", "sNaN"])
 def test_constructor_rejects_non_finite_weights(weight):
     payload = parse_xml('<node key="a"/>')

@@ -1,6 +1,7 @@
-"""The two routes by which parse_network reads an <edge>: one pattern
-for the spelling serialize_network writes, and the general tag parser
-for every other spelling. Both must give the same network, and a
+"""The two routes by which parse_network reads an <edge>: one pattern,
+which reads a run of edges at a time, for the spelling
+serialize_network writes, and the general tag parser for every other
+spelling. Both must give the same network, and a
 malformed file must raise the same error, at the same line and column,
 as when the whole file was parsed into one XML tree before any of it
 was checked."""
@@ -11,8 +12,10 @@ from decimal import Decimal
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from netcheck.network import Edge, Network, network_equal, parse_network, serialize_network
-from netcheck.xmldoc import XmlElement, escape_attr, parse_xml, serialize_xml
+from netcheck.errors import FormatError, ParseError
+from netcheck.network import (Edge, Network, _add_child, _directed, network_equal, parse_network,
+                              serialize_network)
+from netcheck.xmldoc import XmlElement, XmlText, escape_attr, parse_xml, serialize_xml
 
 from tests.test_metrics import messy_networks
 
@@ -291,3 +294,73 @@ def test_malformed_file_raises_as_before(data, expected):
     except Exception as exc:
         outcome = (type(exc).__name__, str(exc))
     assert outcome == expected
+
+
+def _whole_tree_outcome(data):
+    """What parsing the whole file into one tree with parse_xml and
+    checking its children after gives: the network, or the exception's
+    type and message."""
+    try:
+        root = parse_xml(data)
+        if root.name != "network":
+            raise FormatError(f"root element must be <network>, got <{root.name}>")
+        directed = _directed(root.attrs)
+        nodes, edges = {}, []
+        for child in root.children:
+            if isinstance(child, XmlText):
+                raise FormatError("text content is not allowed inside <network>")
+            _add_child(child, nodes, edges, {})
+        return Network(directed, nodes, edges)
+    except (ParseError, FormatError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _run(n):
+    """n canonical edges between the nodes a and b, one a line, whose
+    weights are 2.5, left out and 3E+2 in turn."""
+    ends, weights = ("a", "b"), (' weight="2.5"', "", ' weight="3E+2"')
+    return "".join(f'<edge from="{ends[i % 2]}" to="{ends[(i + 1) % 2]}"{weights[i % 3]}/>\n'
+                   for i in range(n))
+
+
+NODES = '<node key="a"/>\n<node key="b"><p>x</p></node>\n'
+# Each file breaks a run of canonical edges in one way. The runs are
+# long enough that some break a run past the longest one the pattern
+# reads at once, 256 edges.
+RUN_BREAKS = {
+    "comment": _run(3) + "<!-- c -->" + _run(300),
+    "node": _run(3) + '<node key="c"/>\n' + _run(2),
+    "single-quoted edge": _run(2) + "<edge from='a' to='b'/>" + _run(260),
+    "empty weight": _run(2) + '<edge from="a" to="b" weight=""/>' + _run(2),
+    "bad weight": _run(2) + '<edge from="a" to="b" weight="x"/>\n' + _run(2),
+    "zero weight": _run(300) + '<edge from="a" to="b" weight="0"/>' + _run(2),
+    "bad weight last in a full run": _run(255) + '<edge from="a" to="b" weight="-1"/>',
+    "bad weight after a full run": _run(256) + '<edge from="a" to="b" weight="-1"/>',
+    "bad weight, then a syntax error": _run(1) + '<edge from="a" to="b" weight="x"/>'
+                                       + _run(1) + '<edge from="a" from="a"/>',
+    "undeclared endpoint": _run(2) + '<edge from="a" to="zz"/>\n' + _run(2),
+    "text": _run(2) + "stray" + _run(2),
+    "CRLF and tabs": _run(2).replace("\n", "\r\n\t") + _run(2),
+}
+EOF_CUT = NODES + _run(3)
+
+
+@pytest.mark.parametrize("data", [
+    *(f"<network>\n{NODES}{body}</network>" for body in RUN_BREAKS.values()),
+    # The file ends inside an edge, at several points of the tag.
+    *(f"<network>{EOF_CUT}{_run(1)[:cut]}" for cut in (1, 5, 17, 26, 31, 35)),
+    f"<network>{EOF_CUT}",
+], ids=[*RUN_BREAKS, *(f"ends inside an edge {cut}" for cut in (1, 5, 17, 26, 31, 35)),
+        "ends after a run"])
+def test_runs_of_edges_read_as_the_whole_tree(data):
+    expected = _whole_tree_outcome(data)
+    try:
+        outcome = parse_network(data)
+    except (ParseError, FormatError) as exc:
+        outcome = type(exc).__name__, str(exc)
+    if isinstance(expected, Network):
+        assert isinstance(outcome, Network) and network_equal(outcome, expected)
+        assert outcome.edges == expected.edges
+        assert [str(e.weight) for e in outcome.edges] == [str(e.weight) for e in expected.edges]
+    else:
+        assert outcome == expected
