@@ -112,8 +112,10 @@ class Network:
                 raise FormatError(f"edge weight must be positive, got {e.weight}")
             succ[src].add(dst)
             pred[dst].add(src)
-        self._succ = tuple([tuple(sorted(v)) for v in succ])
-        self._pred = tuple([tuple(sorted(v)) for v in pred]) if directed else self._succ
+        # Most sets hold at most one id, and those need no sort.
+        self._succ = tuple([tuple(sorted(v)) if len(v) > 1 else tuple(v) for v in succ])
+        self._pred = (tuple([tuple(sorted(v)) if len(v) > 1 else tuple(v) for v in pred])
+                      if directed else self._succ)
         self._labels: dict = {}  # filter -> matching keys, oldest first
         self._labels_held = 0
 

@@ -12,21 +12,27 @@ Parsing is one left-to-right pass of compiled regular expressions over
 the whole text. Open elements wait on an explicit stack, so nesting depth
 is limited by memory, not by the interpreter's recursion limit; the line
 and column of an error are worked out from its offset only when it is
-raised. Each start tag is matched whole by one regular expression, and
-its attributes are read from the matched span; only a tag that this
-match refuses is walked token by token, to raise the error for its
-first fault. An element builds its attribute items on first use.
+raised. Element content is read one token per match of ``_TOKEN``: a
+text run, a whole start tag, a closing tag of the open element or one
+of the five entities, and a start tag's attributes are read from its
+matched span. The long way runs only for what the token refuses:
+comments, other markup, unknown or unterminated entities and the end of
+the text go to ``_char_data``, a faulty or mismatched tag to
+``_end_tag`` or ``_start_tag``; a start tag that its match refuses is
+walked token by token, to raise the error for its first fault. An
+element builds its attribute items on first use.
 Serializing and comparing trees are iterative as well.
 
 The parse is made of pieces: the decode and prolog before the root
 element, ``_start_tag``, ``_content``, which parses one open element's
 content through its closing tag, ``_char_data`` for the text,
-references and comments between two tags, ``_end_tag`` and the epilog
-after the root. ``parse_xml`` is the prolog, the root's start tag, its
-content and the epilog. ``_root_children`` reads the same document
-with the same pieces and errors, but yields the root's direct children
-one by one and lets the caller take a child with a pattern of its own
-instead of parsing it; ``parse_network`` reads ``<network>`` with it.
+references and comments that the token refuses, ``_end_tag`` and the
+epilog after the root. ``parse_xml`` is the prolog, the root's start
+tag, its content and the epilog. ``_root_children`` reads the same
+document with the same pieces and errors, but yields the root's direct
+children one by one and lets the caller take a child with a pattern of
+its own instead of parsing it; ``parse_network`` reads ``<network>``
+with it.
 
 The parser links and ranks each item as it makes it: each element and
 text item gets its ``parent``, its ``index`` among the parent's
@@ -61,9 +67,8 @@ _WS = re.compile(r"[ \t\r\n]*")
 _ATTR_RE = rf"""[ \t\r\n]+({_NAME_RE})[ \t\r\n]*=[ \t\r\n]*("[^"<]*"|'[^'<]*')"""
 _ATTR = re.compile(_ATTR_RE)
 # A whole start tag: name, attributes, and '/' if it closes itself.
-_START_TAG = re.compile(
-    rf"<(?P<name>{_NAME_RE})(?P<attrs>(?:{_ATTR_RE})*)[ \t\r\n]*(?P<close>/?)>"
-)
+_START_TAG_RE = rf"<(?P<name>{_NAME_RE})(?P<attrs>(?:{_ATTR_RE})*)[ \t\r\n]*(?P<close>/?)>"
+_START_TAG = re.compile(_START_TAG_RE)
 # A closing tag after its '</': the name and the '>', each if present.
 # It always matches, so that a fault is read off the groups.
 _END_TAG = re.compile(rf"({_NAME_RE})?[ \t\r\n]*(>?)")
@@ -72,6 +77,13 @@ _END_TAG = re.compile(rf"({_NAME_RE})?[ \t\r\n]*(>?)")
 _MISC = re.compile(r"(?:[ \t\r\n]+|<!--.*?-->)*", re.S)
 _TEXT = re.compile(r"[^<&]+")
 _ATTR_VALUE = {'"': re.compile(r'[^"<&]*'), "'": re.compile(r"[^'<&]*")}
+# One item of element content: a text run, a whole start tag, a closing
+# tag or a predefined entity. Each branch is one outer group, so that
+# ``lastindex`` names it; the group numbers are the constants below.
+_TOKEN = re.compile(
+    rf"([^<&]+)|({_START_TAG_RE})|(</({_NAME_RE})[ \t\r\n]*>)|(&(amp|lt|gt|quot|apos);)"
+)
+_T_TEXT, _T_START, _T_END, _T_ENTITY = 1, 2, 8, 10
 # At most eight characters between '&' and ';'.
 _ENTITY = re.compile(r"&([^;]{0,8});")
 
@@ -274,22 +286,30 @@ def _content(text: str, start: int, i: int, element: XmlElement,
     """Parse the content of the open ``element``, whose start tag begins
     at offset ``start`` and ends before offset ``i``, through its closing
     tag, and return the offset after that tag. Every item made is linked
-    under its parent and appended to ``doc``, which its rank indexes."""
+    under its parent and appended to ``doc``, which its rank indexes.
+
+    Each item is one ``_TOKEN`` match; what the token refuses takes the
+    long way that the module docstring describes."""
     stack = [(element, start)]  # open elements, start offsets
+    parent, siblings = element, element.children
     run: list[str] = []  # text of the innermost open element since its last tag
-    while stack:
-        parent, start = stack[-1]
-        m = _TEXT.match(text, i)
-        if m:
-            run.append(m[0])
+    token = _TOKEN.match
+    while True:
+        m = token(text, i)
+        kind = m.lastindex if m is not None else 0
+        if kind == _T_TEXT:
+            run.append(m[1])
             i = m.end()
-        mark = text[i + 1:i + 2]  # the character after '<', if text[i] is '<'
-        # A reference, a comment or other '<!' or '<?' markup, or the end
-        # of the text (mark is then ""): the long way, to the next tag.
-        if mark in "!?" or text[i] != "<":
+            continue
+        if kind == _T_ENTITY:
+            run.append(_ENTITIES[m[11]])
+            i = m.end()
+            continue
+        # Not a '<' that may open a tag (a '<' with nothing after it is
+        # left to _start_tag, which raises, or the loop would not advance).
+        if not kind and (not text.startswith("<", i) or text.startswith(("<!", "<?"), i)):
             i = _char_data(text, i, run, parent, start)
-            mark = text[i + 1:i + 2]
-        siblings = parent.children
+            continue
         if run:
             s = "".join(run)
             run.clear()
@@ -298,19 +318,32 @@ def _content(text: str, start: int, i: int, element: XmlElement,
                 item.parent, item.index = parent, len(siblings)
                 siblings.append(item)
                 doc.append(item)
-        if mark == "/":
-            i = _end_tag(text, i, parent)
-            stack.pop()
-            parent.end = len(doc) - 1
-        else:
-            child, j, is_open = _start_tag(text, i, len(doc))
+        if kind == _T_START:  # groups 3, 4 and 7: name, attributes, '/'
+            attrs = _attributes(text, m.start(4), m.end(4)) if m[4] else {}
+            if attrs is None:
+                _reject_start_tag(text, i)
+            child = XmlElement(m[3], attrs, len(doc))
             child.doc, child.parent, child.index = doc, parent, len(siblings)
             doc.append(child)
             siblings.append(child)
-            if is_open:
+            if not m[7]:
                 stack.append((child, i))
-            i = j
-    return i
+                parent, siblings, start = child, child.children, i
+            i = m.end()
+        elif kind == _T_END and m[9] == parent.name:  # group 9: the name
+            parent.end = len(doc) - 1
+            stack.pop()
+            i = m.end()
+            if not stack:
+                return i
+            parent, start = stack[-1]
+            siblings = parent.children
+        else:  # a tag that the token refused: its reader raises
+            if text.startswith("</", i):
+                _end_tag(text, i, parent)
+            else:
+                _start_tag(text, i, 0)
+            raise AssertionError(f"tag at offset {i} is well-formed but was refused")
 
 
 def _root_children(data: bytes | str, raw: Callable[[str, int], re.Match | None],
@@ -433,18 +466,18 @@ def _start_tag(text: str, i: int, pos: int) -> tuple[XmlElement, int, bool]:
     whether the element is open (False for ``<a/>``)."""
     m = _START_TAG.match(text, i)
     if m is not None:
-        attrs = _attributes(text, m) if m["attrs"] else {}
+        attrs = _attributes(text, m.start("attrs"), m.end("attrs")) if m["attrs"] else {}
         if attrs is not None:
             return XmlElement(m["name"], attrs, pos), m.end(), not m["close"]
     _reject_start_tag(text, i)
 
 
-def _attributes(text: str, m: re.Match) -> dict[str, str] | None:
-    """The attributes of the start tag that ``_START_TAG`` matched as
-    ``m``, or None if a name repeats or a value holds an unterminated or
-    unknown entity reference."""
+def _attributes(text: str, start: int, end: int) -> dict[str, str] | None:
+    """The attributes in ``text[start:end]``, the attribute span of a
+    start tag that ``_START_TAG`` matched, or None if a name repeats or
+    a value holds an unterminated or unknown entity reference."""
     attrs = {}
-    pairs = _ATTR.findall(text, m.start("attrs"), m.end("attrs"))
+    pairs = _ATTR.findall(text, start, end)
     for name, value in pairs:
         value = value[1:-1]
         if "&" in value:

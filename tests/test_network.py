@@ -274,19 +274,22 @@ def test_parse_network_linear_on_chains_of_single_quoted_edges():
 
 
 def _assert_linear_on_chains(quote):
-    times = []
+    # The two sizes are timed in alternation, each going first in turn,
+    # so that a change in host speed reaches both.
+    files = []
     for n in (5_000, 20_000):
         data = _chain_file(n, quote)
         net = parse_network(data)
         assert (net.n, net.m) == (n, n - 1)
         assert net.successors(f"n{n - 2}") == (f"n{n - 1}",)
         assert net.payload("n3").children[0].attrs == {"v": "3", "w": "x"}
-        best = float("inf")
-        for _ in range(3):
+        files.append(data)
+    times = [float("inf"), float("inf")]
+    for rep in range(3):
+        for i in ((0, 1) if rep % 2 == 0 else (1, 0)):
             t0 = time.perf_counter()
-            parse_network(data)
-            best = min(best, time.perf_counter() - t0)
-        times.append(best)
+            parse_network(files[i])
+            times[i] = min(times[i], time.perf_counter() - t0)
     ratio = times[1] / times[0]
     assert 2.0 <= ratio <= 10.0, f"4x nodes took {ratio:.1f}x as long ({times})"
 

@@ -351,6 +351,17 @@ def _outcome(parse, source):
 @example('<a x="&b" y=";"/>')  # an entity that would run past the closing quote
 @example('<a x="1" y="2" x="3"/>')  # repeated attribute name
 @example('<?xml version="1.0"?>\r\n<!-- c -->\n<a>t<!-- c -->u&amp;<b/> </a><!-- d -->')
+@example('<r><a>&amp;t&lt;</a>&gt;<b/>&quot;</r>')  # entities beside tags
+@example('<r>&amp;<!-- c -->&lt;<b/></r>')  # one text item across a comment
+@example('<r><a></a ></r >')  # whitespace before '>' in a closing tag
+@example('<r><a>t</b></r>')  # a well-formed closing tag with the wrong name
+@example('<r><a>t<')  # the text ends right after '<'
+@example('<r><a>t&')  # ... after '&'
+@example('<r><a>t&amp;')  # ... after an entity
+@example('<r><a>t</')  # ... after '</'
+@example('<r><a x="1" x="2"/></r>')  # a repeated name inside the content
+@example('<r><a x="&amp;" x="2"/></r>')  # ... with an entity in the tag
+@example("<r><a x='1' y='&lt;\"'>t</a></r>")  # single-quoted values
 def test_parser_matches_reference(source):
     assert _outcome(parse_xml, source) == _outcome(reference.parse_xml, source)
 
