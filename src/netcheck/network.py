@@ -7,17 +7,15 @@ multiset of weighted edges. The XML format is::
       <node key="K"> ... payload ... </node>
       <edge from="K1" to="K2" weight="W"/>   weight optional, default 1
 
-The file is read without building a tree of it: the XML parser yields
-the children of ``<network>`` one by one. Each ``<node>`` is parsed
-into a payload, and the payloads share one rank array that holds their
-items only. A run of ``<edge>`` tags in the spelling that
-``serialize_network`` writes, with only whitespace between them, is
-read by one regular expression call and turned straight into ``Edge``
-records; an edge in any other spelling is parsed as an element, checked
-and dropped. The errors are those of parsing the whole file first and
-checking it after: a ParseError anywhere wins over a FormatError, the
-first FormatError in the file wins, and the checks of ``Network`` on
-the endpoints come last.
+The file is read without building a tree of it. Each ``<node>`` is a
+payload, ranked as the document it would be on its own; a network ranks
+a payload built by hand once, when it is built. A run of ``<edge>`` tags
+in the spelling that ``serialize_network`` writes is read by one regular
+expression call straight into ``Edge`` records; an edge in any other
+spelling is parsed as an element, checked and dropped. The errors are
+those of parsing the whole file first and checking it after: a
+ParseError anywhere wins over a FormatError, the first FormatError in
+the file wins, and the checks of ``Network`` on the endpoints come last.
 
 An undirected edge is a single record incident to both endpoints.
 Parallel edges are kept as separate records. Multiplicity is counted
@@ -54,6 +52,7 @@ from typing import Mapping
 from .errors import FormatError, UnknownKeyError
 from .xmldoc import (
     XmlElement,
+    _rank,
     _root_children,
     escape_attr,
     parse_xml,
@@ -87,7 +86,8 @@ class Network:
     """Immutable network: payloads by key plus an edge multiset.
 
     The payloads are not copied, and must not change once they are in a
-    network: the labels of filters evaluated on it are kept (see the
+    network: a payload built by hand is ranked when the network is
+    built, and the labels of filters evaluated on it are kept (see the
     module docstring)."""
 
     def __init__(self, directed: bool, nodes: Mapping[str, XmlElement], edges):
@@ -118,6 +118,9 @@ class Network:
                       if directed else self._succ)
         self._labels: dict = {}  # filter -> matching keys, oldest first
         self._labels_held = 0
+        for payload in self.nodes.values():
+            if payload.doc is None:  # built by hand: rank it once, here
+                _rank(payload)
 
     @property
     def n(self) -> int:
@@ -242,7 +245,7 @@ def parse_network(data: bytes | str) -> Network:
     two FormatErrors the earlier in the text wins; so the first format
     fault is kept while the scan goes on to the end, and raised there.
     The checks that ``Network`` makes of endpoints come last."""
-    children = _root_children(data, _EDGE_RUN.match, "node")
+    children = _root_children(data, _EDGE_RUN.match)
     root = next(children)
     if root.name != "network":
         parse_xml(data)

@@ -12,39 +12,28 @@ Parsing is one left-to-right pass of compiled regular expressions over
 the whole text. Open elements wait on an explicit stack, so nesting depth
 is limited by memory, not by the interpreter's recursion limit; the line
 and column of an error are worked out from its offset only when it is
-raised. Element content is read one token per match of ``_TOKEN``: a
-text run, a whole start tag, a closing tag of the open element or one
-of the five entities, and a start tag's attributes are read from its
-matched span. The long way runs only for what the token refuses:
-comments, other markup, unknown or unterminated entities and the end of
-the text go to ``_char_data``, a faulty or mismatched tag to
-``_end_tag`` or ``_start_tag``; a start tag that its match refuses is
-walked token by token, to raise the error for its first fault. An
-element builds its attribute items on first use.
+raised. Element content is read one token per match of ``_TOKEN``, and
+only what the token refuses takes the long way, which raises the error
+for a fault. An element builds its attribute items on first use.
 Serializing and comparing trees are iterative as well.
 
-The parse is made of pieces: the decode and prolog before the root
-element, ``_start_tag``, ``_content``, which parses one open element's
-content through its closing tag, ``_char_data`` for the text,
-references and comments that the token refuses, ``_end_tag`` and the
-epilog after the root. ``parse_xml`` is the prolog, the root's start
-tag, its content and the epilog. ``_root_children`` reads the same
-document with the same pieces and errors, but yields the root's direct
-children one by one and lets the caller take a child with a pattern of
-its own instead of parsing it; ``parse_network`` reads ``<network>``
-with it.
+``parse_xml`` reads its root element with ``_element``, and so does
+``_root_children`` with each child of the root that it reads:
+``parse_network`` takes a network file's payloads from it without
+building a tree of the file.
 
-The parser links and ranks each item as it makes it: each element and
-text item gets its ``parent``, its ``index`` among the parent's
-children and its document-order rank ``pos``, each element the largest
-rank ``end`` in its subtree and ``doc``, the list of the document's
-elements and text items by rank, which all its elements share. The
-subtree of an element is then the slice ``doc[pos : end + 1]``, in
-document order. An attribute item is ordered after its owner, in
-source order; its ``order_key`` is worked out from the owner when
-asked. A tree built by hand has no ranks: the filter evaluator ranks
-it with ``_rank`` at the start of each call and drops its ``doc`` when
-the call returns, so a tree built by hand may change between calls.
+Each element that ``_element`` reads is a document of its own, ranked
+from 0 as the parser makes its items: each element and text item gets
+its ``parent``, its ``index`` among the parent's children and its
+document-order rank ``pos``, each element the largest rank ``end`` in
+its subtree and ``doc``, the list of the document's elements and text
+items by rank, which all its elements share. The subtree of an element
+is then the slice ``doc[pos : end + 1]``, in document order. A tree
+built by hand has no ranks until ``_rank`` gives it the ones the parser
+would: a ``Network`` ranks each payload built by hand once, when it is
+built, and the filter evaluator ranks a standalone tree at the start of
+each call and drops its ``doc`` when the call returns, so such a tree
+may change between calls.
 
 Trees are treated as immutable once parsing returns.
 """
@@ -147,25 +136,11 @@ class XmlAttribute:
         self.name = name
         self.value = value
 
-    @property
-    def order_key(self) -> tuple:
-        """Document-order key: the owner's rank, then source order."""
-        owner = self.owner
-        return (owner.pos, 1, owner.attr_items.index(self))
-
     def __repr__(self) -> str:
         return f"XmlAttribute({self.name!r}={self.value!r})"
 
 
 XmlItem = XmlElement | XmlText | XmlAttribute
-
-
-def doc_order_key(item: XmlItem) -> tuple:
-    """Total order on items of one document: elements and text by rank,
-    attributes after their owner and before the owner's first child."""
-    if isinstance(item, XmlAttribute):
-        return item.order_key
-    return (item.pos, 0, 0)
 
 
 def string_value(item: XmlItem) -> str:
@@ -235,13 +210,20 @@ def parse_xml(data: bytes | str) -> XmlElement:
     unknown entities, markup outside the subset, multiple roots.
     """
     text = _decode(data)
-    i = _prolog(text)
-    root, j, is_open = _start_tag(text, i, 0)
-    root.doc = [root]  # elements and text items, in document order
-    if is_open:
-        j = _content(text, i, j, root, root.doc)
-    _epilog(text, j)
+    root, i = _element(text, _prolog(text))
+    _epilog(text, i)
     return root
+
+
+def _element(text: str, i: int) -> tuple[XmlElement, int]:
+    """Parse the element whose start tag begins at offset ``i`` as a
+    document of its own, ranked from 0, and return it with the offset
+    after it."""
+    element, j, is_open = _start_tag(text, i)
+    element.doc = [element]
+    if is_open:
+        j = _content(text, i, j, element)
+    return element, j
 
 
 def _decode(data: bytes | str) -> str:
@@ -281,15 +263,16 @@ def _epilog(text: str, i: int) -> None:
         raise _error(text, i, "content outside the root element")
 
 
-def _content(text: str, start: int, i: int, element: XmlElement,
-             doc: list[XmlElement | XmlText]) -> int:
+def _content(text: str, start: int, i: int, element: XmlElement) -> int:
     """Parse the content of the open ``element``, whose start tag begins
     at offset ``start`` and ends before offset ``i``, through its closing
     tag, and return the offset after that tag. Every item made is linked
-    under its parent and appended to ``doc``, which its rank indexes.
+    under its parent and appended to ``element.doc``, which its rank
+    indexes.
 
     Each item is one ``_TOKEN`` match; what the token refuses takes the
     long way that the module docstring describes."""
+    doc = element.doc
     stack = [(element, start)]  # open elements, start offsets
     parent, siblings = element, element.children
     run: list[str] = []  # text of the innermost open element since its last tag
@@ -342,12 +325,12 @@ def _content(text: str, start: int, i: int, element: XmlElement,
             if text.startswith("</", i):
                 _end_tag(text, i, parent)
             else:
-                _start_tag(text, i, 0)
+                _start_tag(text, i)
             raise AssertionError(f"tag at offset {i} is well-formed but was refused")
 
 
-def _root_children(data: bytes | str, raw: Callable[[str, int], re.Match | None],
-                   shared: str) -> Iterator[XmlElement | re.Match | str]:
+def _root_children(data: bytes | str, raw: Callable[[str, int], re.Match | None]
+                   ) -> Iterator[XmlElement | re.Match | str]:
     """Parse a document as ``parse_xml`` does, with the same errors, and
     yield its root element, then each direct child of the root as soon as
     it is read, in document order:
@@ -360,15 +343,13 @@ def _root_children(data: bytes | str, raw: Callable[[str, int], re.Match | None]
       whitespace only.
 
     The root is yielded before its content is read, and is not ranked.
-    The elements named ``shared`` share one rank array that holds their
-    items only; any other element has an array of its own. No child has
-    a ``parent``. The epilog is checked before the generator ends, so
+    Each child element is ranked as a document of its own, and has no
+    ``parent``. The epilog is checked before the generator ends, so
     every ParseError in the text has been raised once it is exhausted."""
     text = _decode(data)
     start = _prolog(text)
-    root, i, is_open = _start_tag(text, start, 0)
+    root, i, is_open = _start_tag(text, start)
     yield root
-    doc: list[XmlElement | XmlText] = []
     run: list[str] = []
     while is_open:
         m = _TEXT.match(text, i)
@@ -390,16 +371,7 @@ def _root_children(data: bytes | str, raw: Callable[[str, int], re.Match | None]
             i = m.end()
             yield m
             continue
-        child, j, child_open = _start_tag(text, i, len(doc))
-        if child.name == shared:
-            child.doc = doc
-            doc.append(child)
-        else:
-            child.pos = child.end = 0
-            child.doc = [child]
-        if child_open:
-            j = _content(text, i, j, child, child.doc)
-        i = j
+        child, i = _element(text, i)
         yield child
     _epilog(text, i)
 
@@ -460,15 +432,15 @@ def _skip_misc(text: str, i: int) -> int:
     return i
 
 
-def _start_tag(text: str, i: int, pos: int) -> tuple[XmlElement, int, bool]:
+def _start_tag(text: str, i: int) -> tuple[XmlElement, int, bool]:
     """Parse the start tag whose '<' is at offset ``i`` into an element of
-    rank ``pos``. Returns the element, the offset after the tag, and
-    whether the element is open (False for ``<a/>``)."""
+    rank 0. Returns the element, the offset after the tag, and whether
+    the element is open (False for ``<a/>``)."""
     m = _START_TAG.match(text, i)
     if m is not None:
         attrs = _attributes(text, m.start("attrs"), m.end("attrs")) if m["attrs"] else {}
         if attrs is not None:
-            return XmlElement(m["name"], attrs, pos), m.end(), not m["close"]
+            return XmlElement(m["name"], attrs, 0), m.end(), not m["close"]
     _reject_start_tag(text, i)
 
 

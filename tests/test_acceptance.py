@@ -181,7 +181,7 @@ def _chain(n: int) -> Network:
     return Network(True, nodes, edges)
 
 
-def _best_times(first, second, reps: int = 4) -> tuple[float, float]:
+def _best_times(first, second, reps: int = 8) -> tuple[float, float]:
     """Best times of ``check`` for two (network, formula) cases, timed
     in alternation rep by rep, each case going first in turn, so that a
     change in host speed reaches both. Every timed call runs on a copy

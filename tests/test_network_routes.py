@@ -100,7 +100,7 @@ def test_every_spelling_of_the_edges_gives_the_same_network(net, data):
 
 def test_edges_of_both_routes_are_released():
     # An edge that the pattern refuses is parsed as an element, which
-    # must not stay alive, nor in the payloads' rank array.
+    # must not stay alive, nor in the payload's rank array.
     net = parse_network(
         '<network><node key="route-probe"/>'
         "<edge from='route-probe' to='route-probe'/>"

@@ -10,7 +10,6 @@ from netcheck.xmldoc import (
     XmlAttribute,
     XmlElement,
     XmlText,
-    doc_order_key,
     escape_attr,
     escape_text,
     parse_xml,
@@ -20,6 +19,7 @@ from netcheck.xmldoc import (
 )
 from netcheck.xpath import eval_path, parse_filter
 from tests import xmldoc_reference as reference
+from tests.xpath_reference import doc_order_key
 
 
 def test_basic_structure():
@@ -179,7 +179,7 @@ def test_attr_items_built_once_and_shared_with_xpath():
         items = elem.attr_items
         assert elem.attr_items is items
         eager = [(elem, n, v, (elem.pos, 1, i)) for i, (n, v) in enumerate(elem.attrs.items())]
-        assert [(a.owner, a.name, a.value, a.order_key) for a in items] == eager
+        assert [(a.owner, a.name, a.value, doc_order_key(a)) for a in items] == eager
         assert all(isinstance(a, XmlAttribute) for a in items)
     assert [a.value for a in root.attr_items] == ["1", "<2"]
     assert c.attr_items == ()
@@ -330,7 +330,8 @@ def _outcome(parse, source):
         if isinstance(item, XmlText):
             items.append(("text", item.text, item.pos, item.index, parent))
         else:
-            attrs = [(a.name, a.value, a.owner is item, a.order_key) for a in item.attr_items]
+            attrs = [(a.name, a.value, a.owner is item, doc_order_key(a))
+                     for a in item.attr_items]
             items.append(
                 ("element", item.name, list(item.attrs.items()), attrs,
                  item.pos, item.index, parent)

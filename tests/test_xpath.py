@@ -7,14 +7,15 @@ from decimal import Decimal
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from netcheck.checker import check, parse_formula
 from netcheck.errors import FilterTypeError, ParseError
-from netcheck.network import parse_network
+from netcheck.network import Network, parse_network
 from netcheck.xmldoc import (
     XmlAttribute,
     XmlElement,
     XmlText,
-    doc_order_key,
     parse_xml,
+    serialize_xml,
     string_value,
 )
 from netcheck.xpath import (
@@ -510,7 +511,7 @@ def test_compiled_evaluator_matches_reference(texts, filter_text):
 
 def _network_of(texts):
     """A network whose payloads hold the documents, with an edge after
-    each, so that payload ranks start partway into one shared array."""
+    each, so that each payload starts partway into the file."""
     body = "".join(
         f'<node key="k{i}">{text}</node><edge from="k{i}" to="k0"/>'
         for i, text in enumerate(texts)
@@ -519,9 +520,9 @@ def _network_of(texts):
 
 
 def _assert_ranked(root):
-    # Every element and text item sits at its rank in the shared array,
-    # and an element's end is the largest rank in its subtree, worked
-    # out here by a walk of our own.
+    # Every element and text item sits at its rank in its document's
+    # array, and an element's end is the largest rank in its subtree,
+    # worked out here by a walk of our own.
     doc = root.doc
     stack = [root]
     while stack:
@@ -539,16 +540,37 @@ def _assert_ranked(root):
             stack.extend(node.children)
 
 
+def _ranks(root):
+    """The ranks of a tree, item by item in preorder (kind, pos, end,
+    index, parent pos), and the kind of each item of its array by rank."""
+    items, stack = [], [root]
+    while stack:
+        node = stack.pop()
+        parent = node.parent.pos if node.parent is not None else None
+        if isinstance(node, XmlElement):
+            items.append(("element", node.pos, node.end, node.index, parent))
+            stack.extend(reversed(node.children))
+        else:
+            items.append(("text", node.pos, None, node.index, parent))
+    return items, [type(item).__name__ for item in root.doc]
+
+
 @given(st.lists(document_texts(), min_size=1, max_size=3))
 @settings(max_examples=100, deadline=None)
 def test_ranks_index_the_shared_document(texts):
+    # Each payload of a network is ranked as the document it would be on
+    # its own: from 0, in an array that no other payload shares.
     for text in texts:
         _assert_ranked(parse_xml(text))
     net = _network_of(texts)
-    docs = {id(net.payload(key).doc) for key in net.node_keys()}
-    assert len(docs) == 1
+    docs = set()
     for key in net.node_keys():
-        _assert_ranked(net.payload(key))
+        payload = net.payload(key)
+        _assert_ranked(payload)
+        assert payload.pos == 0 and payload.doc[0] is payload
+        assert _ranks(payload) == _ranks(parse_xml(serialize_xml(payload)))
+        docs.add(id(payload.doc))
+    assert len(docs) == net.n
 
 
 @given(st.lists(document_texts(), min_size=2, max_size=3), filter_texts())
@@ -646,6 +668,27 @@ def test_tree_built_by_hand_may_change_between_calls():
     assert built.doc is None and twin.doc is not None
 
 
+def test_network_ranks_payloads_built_by_hand_once(monkeypatch):
+    # A network ranks each payload built by hand when it is built, so
+    # checks on it rank nothing, and its ranks and results are those of
+    # the parsed twin.
+    import netcheck.xpath as xpath
+
+    parsed = _network_of([TWIN, '<b x="1">t<c/></b>', "<c/>"])
+    built = Network(True, {k: _build_by_hand(p) for k, p in parsed.nodes.items()},
+                    parsed.edges)
+    for key in parsed.node_keys():
+        assert _ranks(built.payload(key)) == _ranks(parsed.payload(key))
+    ranked = []
+    real = xpath._rank
+    monkeypatch.setattr(xpath, "_rank", lambda item: ranked.append(item) or real(item))
+    for text, keys in (('EF [//c/ancestor::b] & [*/@x]', {"k0", "k1"}),
+                       ('EX [descendant::text() = "t"] | [a/c]', {"k0", "k1", "k2"})):
+        formula = parse_formula(text)
+        assert check(built, formula) == check(parsed, formula) == keys
+    assert ranked == []
+
+
 def test_attribute_order_of_tree_built_by_hand_follows_its_ranks():
     # The attribute items are built while every pos is still 0; the
     # first filter run ranks the tree, and their order must follow.
@@ -655,7 +698,7 @@ def test_attribute_order_of_tree_built_by_hand_follows_its_ranks():
     assert len(pairs) == 4
     assert eval_filter(parse_filter("@x"), built)
     for p_attr, b_attr in pairs:
-        assert doc_order_key(b_attr) == doc_order_key(p_attr)
+        assert reference.doc_order_key(b_attr) == reference.doc_order_key(p_attr)
 
 
 def _nested(n):

@@ -18,7 +18,6 @@ from netcheck.xmldoc import (
     XmlElement,
     XmlItem,
     XmlText,
-    doc_order_key,
     string_value,
 )
 from netcheck.xpath import (
@@ -40,6 +39,16 @@ from netcheck.xpath import (
     Or,
     StringLiteral,
 )
+
+
+def doc_order_key(item: XmlItem) -> tuple:
+    """Total order on items of one document: elements and text by rank,
+    attributes after their owner and before the owner's first child, in
+    source order."""
+    if isinstance(item, XmlAttribute):
+        owner = item.owner
+        return (owner.pos, 1, owner.attr_items.index(item))
+    return (item.pos, 0, 0)
 
 
 def eval_path(path: LocationPath, context: XmlItem) -> list[XmlItem]:
