@@ -29,9 +29,10 @@ Inverse operators run the same passes on the transposed relation, and
 the universal forms go through them by duality, so AF and AU are linear
 as well, also on hubs. The whole check stays O(|formula|*(n+m)), and
 only the final set is decoded back to keys. ``oracle_check`` recomputes
-satisfaction by deliberately different brute-force means over keys and
-is capped at 12 nodes; it exists so the two can be compared on random
-instances. ``witness``
+satisfaction by deliberately different brute-force means over keys,
+on successor and predecessor maps of its own built from the edge
+records, and is capped at 12 nodes; it exists so the two can be
+compared on random instances. ``witness``
 computes only the operand sets of a top-level EX, EF or EU, reading an
 atom's key set from the label map as it is; one search over the id
 adjacency from the start node, testing the key of each node it reaches,
@@ -454,8 +455,10 @@ def oracle_check(net: Network, labels: LabelMap, formula: Formula) -> frozenset[
     EX/AX scan neighbours directly, EF/AG go through a reflexive
     transitive-closure matrix, EU iterates its defining equation from
     the empty set, and EG searches for a maximal path (sink or lasso)
-    by depth-first search with explicit cycle detection. Exponential in
-    the worst case; refuses networks with more than 12 nodes.
+    by depth-first search with explicit cycle detection. It reads the
+    network's edge records, not the id adjacency that ``model_check``
+    reads. Exponential in the worst case; refuses networks with more
+    than 12 nodes.
     """
     if net.n > _ORACLE_MAX_NODES:
         raise SizeExceededError(
@@ -469,9 +472,14 @@ class _Oracle:
     def __init__(self, net: Network, labels: LabelMap):
         self.keys = net.node_keys()
         self.universe = frozenset(self.keys)
-        view = net.adjacency()
-        self.succ = dict(view.successors)
-        self.pred = dict(view.predecessors)
+        # Built from the edge records, not from the id adjacency that
+        # model_check reads, so that a fault in that adjacency shows.
+        self.succ = {k: set() for k in self.keys}
+        # An undirected edge joins both ends both ways, so one map serves.
+        self.pred = {k: set() for k in self.keys} if net.directed else self.succ
+        for e in net.edges:
+            self.succ[e.src].add(e.dst)
+            self.pred[e.dst].add(e.src)
         self.labels = labels
         self._closures: dict[bool, dict[str, frozenset[str]]] = {}
 

@@ -27,10 +27,10 @@ ascending ids are ascending keys, and keeps one adjacency, in ids: the
 distinct successor and predecessor ids of each node as ascending tuples,
 built at construction in the one pass that checks the edges. An
 undirected network has one tuple per node for both. The checker and the
-witness read it; the key form of ``successors``, ``predecessors`` and
-``adjacency()`` is decoded from it. Three views are built on first use
-and kept: the key-form ``adjacency()``, and the undirected simple view
-and its weak components, which the statistics share.
+witness read it; the key form of ``successors`` and ``predecessors`` is
+decoded from it, per key. Two views are built on first use and kept:
+the undirected simple view and its weak components, which the
+statistics share.
 
 A network also keeps the frozenset of its node keys, which every
 labelling and check reads, and a store of filter labels: for each
@@ -55,7 +55,6 @@ from .xmldoc import (
     _rank,
     _root_children,
     escape_attr,
-    parse_xml,
     serialize_xml,
     xml_equal,
 )
@@ -72,14 +71,6 @@ class Edge:
     src: str
     dst: str
     weight: Decimal = Decimal(1)
-
-
-@dataclass(frozen=True)
-class AdjacencyView:
-    """Read-only successor and predecessor maps (sorted key tuples)."""
-
-    successors: Mapping[str, tuple[str, ...]]
-    predecessors: Mapping[str, tuple[str, ...]]
 
 
 class Network:
@@ -167,19 +158,6 @@ class Network:
         ends = {(src, dst)} if self.directed else {(src, dst), (dst, src)}
         return sum((e.src, e.dst) in ends for e in self.edges)
 
-    def adjacency(self) -> AdjacencyView:
-        """The successor and predecessor keys of every node."""
-        return self._key_adjacency
-
-    @cached_property
-    def _key_adjacency(self) -> AdjacencyView:
-        """The key form of the adjacency, decoded on first use and kept."""
-        keys = self._keys
-        succ = {k: tuple(map(keys.__getitem__, ids)) for k, ids in zip(keys, self._succ)}
-        pred = ({k: tuple(map(keys.__getitem__, ids)) for k, ids in zip(keys, self._pred)}
-                if self.directed else succ)
-        return AdjacencyView(succ, pred)
-
     def _label(self, filter_expr, evaluate) -> frozenset[str]:
         """The keys whose payload matches ``filter_expr``: the stored set,
         or else ``evaluate(filter_expr)``, which is then stored. An
@@ -247,11 +225,10 @@ def parse_network(data: bytes | str) -> Network:
     The checks that ``Network`` makes of endpoints come last."""
     children = _root_children(data, _EDGE_RUN.match)
     root = next(children)
-    if root.name != "network":
-        parse_xml(data)
-        raise FormatError(f"root element must be <network>, got <{root.name}>")
     fault = None
     try:
+        if root.name != "network":
+            raise FormatError(f"root element must be <network>, got <{root.name}>")
         directed = _directed(root.attrs)
     except FormatError as exc:
         fault = exc

@@ -3,7 +3,9 @@
 Computes satisfaction sets by naive fixpoint iteration directly on the
 formula with filter atoms evaluated inline at each node, with no
 labelling pass, no proposition substitution, no shortest-path search and
-no component analysis. Deliberately shares no code path with either
+no component analysis. Its successor and predecessor maps are built
+from the network's edge records, not read from the adjacency the
+network builds. Deliberately shares no code path with either
 production route so agreement between all three is meaningful.
 """
 
@@ -16,8 +18,14 @@ from tests.xpath_reference import eval_filter
 
 def direct_check(net: Network, formula, labels=None) -> frozenset:
     keys = list(net.node_keys())
-    succ = {k: set(net.successors(k)) for k in keys}
-    pred = {k: set(net.predecessors(k)) for k in keys}
+    succ = {k: set() for k in keys}
+    pred = {k: set() for k in keys}
+    for e in net.edges:
+        succ[e.src].add(e.dst)
+        pred[e.dst].add(e.src)
+        if not net.directed:
+            succ[e.dst].add(e.src)
+            pred[e.src].add(e.dst)
     return frozenset(_sat(net, keys, succ, pred, formula, labels or {}))
 
 

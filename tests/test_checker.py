@@ -1,6 +1,11 @@
 """Combined-language pipeline: parse, label, substitute, check."""
 
+import os
+import pickle
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -421,6 +426,52 @@ def test_label_store_stays_within_its_bound():
     for formula in formulas:  # answers after eviction are unchanged
         assert check(net, formula) == direct_check(net, formula)
         assert net._labels_held <= bound
+
+
+def test_references_read_the_edge_records_not_the_id_adjacency():
+    # Both references build their maps from the edge records, so a fault
+    # in the id adjacency that the network builds, and the checker reads,
+    # shows as a disagreement. Here the edge b -> c is dropped from that
+    # adjacency alone.
+    from netcheck.ctl import oracle_check
+
+    net = make_network([("a", "b"), ("b", "c"), ("c", "d")],
+                       payload_xml={"d": '<node key="d" v="3"/>'})
+    formula = parse_formula("EF [@v = 3]")
+    labels, registry = label_nodes(net, formula)
+    propositional = replace_filters(formula, registry)
+    b, c = net._index["b"], net._index["c"]
+    net._succ = tuple(() if v == b else ids for v, ids in enumerate(net._succ))
+    net._pred = tuple(() if v == c else ids for v, ids in enumerate(net._pred))
+    assert model_check(net, labels, propositional) == {"c", "d"}
+    assert oracle_check(net, labels, propositional) == {"a", "b", "c", "d"}
+    assert direct_check(net, formula) == {"a", "b", "c", "d"}
+
+
+def test_pickled_formulas_and_filters_hash_afresh():
+    # String hashes differ between processes, so a hash kept on a node
+    # must not travel in its pickled state: under another hash seed the
+    # unpickled node hashes as a fresh parse does, and is found in a dict.
+    formula_text, filter_text = 'EF [(first = "Paul") and (last = "Erdos")]', 'a/@b = "c"'
+    formula, filter_expr = parse_formula(formula_text), parse_filter(filter_text)
+    hash(formula), hash(filter_expr)  # each keeps a hash, which pickling must leave out
+    script = (
+        "import pickle, sys\n"
+        "from netcheck.checker import parse_formula\n"
+        "from netcheck.xpath import parse_filter\n"
+        "nodes = pickle.loads(sys.stdin.buffer.read())\n"
+        "fresh = parse_formula(sys.argv[1]), parse_filter(sys.argv[2])\n"
+        "for node, new in zip(nodes, fresh):\n"
+        "    assert hash(node) == hash(new) and {new: 1}[node] == 1\n"
+    )
+    for seed in ("1", "2"):
+        proc = subprocess.run(
+            [sys.executable, "-c", script, formula_text, filter_text],
+            input=pickle.dumps((formula, filter_expr)), capture_output=True,
+            env={**os.environ, "PYTHONHASHSEED": seed,
+                 "PYTHONPATH": str(Path(__file__).parents[1] / "src")},
+        )
+        assert proc.returncode == 0, proc.stderr.decode()
 
 
 def test_labels_and_checker_share_the_network_key_set():

@@ -1,6 +1,7 @@
 """Command-line behaviour: output shapes, exit codes, determinism."""
 
 import json
+import os
 import subprocess
 import sys
 from collections import Counter
@@ -262,6 +263,17 @@ CHECK_AND_QUERY_PINNED = json.loads(
 def test_check_and_query_output_pinned(capsys, run):
     code, out, _ = run_main(capsys, *run["argv"])
     assert (code, out) == (run["exit"], run["stdout"])
+
+
+def test_walkthrough_output_pinned():
+    # The demo walks the public API; its output is deterministic.
+    root = Path(__file__).parents[1]
+    proc = subprocess.run(
+        [sys.executable, "demos/walkthrough.py"], cwd=root, capture_output=True,
+        text=True, env={**os.environ, "PYTHONPATH": "src"},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == Path(__file__).with_name("walkthrough_pinned.txt").read_text()
 
 
 def test_metrics_konigsberg_lines(capsys):

@@ -318,9 +318,12 @@ def test_transpose_of_undirected_is_identity():
 
 def test_adjacency_view_transposed():
     net = make_network([("a", "b")])
-    view = net.adjacency()
-    assert view.successors["a"] == ("b",)
-    assert view.predecessors["b"] == ("a",)
+    assert net.successors("a") == ("b",) and net.predecessors("a") == ()
+    assert net.predecessors("b") == ("a",) and net.successors("b") == ()
+    t = net.transpose()
+    for k in net.node_keys():
+        assert t.successors(k) == net.predecessors(k)
+        assert t.predecessors(k) == net.successors(k)
 
 
 def test_degree_sum_with_multiplicity():

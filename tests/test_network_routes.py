@@ -345,13 +345,23 @@ RUN_BREAKS = {
 EOF_CUT = NODES + _run(3)
 
 
+def _run_files(root):
+    """Each file of RUN_BREAKS, each file that ends inside an edge, at
+    several points of the tag, and one that ends after a run, under the
+    root element ``root``, by name."""
+    files = {name: f"<{root}>\n{NODES}{body}</{root}>" for name, body in RUN_BREAKS.items()}
+    for cut in (1, 5, 17, 26, 31, 35):
+        files[f"ends inside an edge {cut}"] = f"<{root}>{EOF_CUT}{_run(1)[:cut]}"
+    files["ends after a run"] = f"<{root}>{EOF_CUT}"
+    return files
+
+
+# Each file also under the wrong root <graph>, whose name is then the
+# first fault, unless the rest of the file does not parse.
 @pytest.mark.parametrize("data", [
-    *(f"<network>\n{NODES}{body}</network>" for body in RUN_BREAKS.values()),
-    # The file ends inside an edge, at several points of the tag.
-    *(f"<network>{EOF_CUT}{_run(1)[:cut]}" for cut in (1, 5, 17, 26, 31, 35)),
-    f"<network>{EOF_CUT}",
-], ids=[*RUN_BREAKS, *(f"ends inside an edge {cut}" for cut in (1, 5, 17, 26, 31, 35)),
-        "ends after a run"])
+    *(pytest.param(data, id=name) for name, data in _run_files("network").items()),
+    *(pytest.param(data, id=f"{name}, root <graph>") for name, data in _run_files("graph").items()),
+])
 def test_runs_of_edges_read_as_the_whole_tree(data):
     expected = _whole_tree_outcome(data)
     try:
