@@ -9,9 +9,12 @@ filters::
 Prefix operators (quantifiers and ``!``) bind tightest, then ``&``,
 then ``|``; EU/AU/IEU/IAU use function-call syntax.
 
-Parsing is one pass: at each '[' the formula lexer hands the text to
-the filter parser, which stops at the ']' that closes the filter, so
-filter errors carry columns of the whole formula.
+Parsing is one pass. The formula lexer reads one token per regex
+match, and at each '[' it hands the text to the filter lexer and
+parser, which stop at the ']' that closes the filter, so filter errors
+carry columns of the whole formula. Formulas and filters share one
+parser base, whose or/and chain loops build ``|``/``&`` here and
+``or``/``and`` in filters.
 
 Checking is staged. First every distinct filter of the formula is
 evaluated at every node payload, and the set of nodes whose payload
@@ -26,6 +29,8 @@ stored yet, plus O(formula * (nodes + edges)).
 """
 
 from __future__ import annotations
+
+import re
 
 from .ctl import (UNARY_OPS, UNTIL_OPS, And, Atom, Bool, Formula, LabelMap, Not, Or, Temporal,
                   Until, model_check)
@@ -80,36 +85,36 @@ class FilterRegistry:
 # Parsing
 
 
+# One token per match, after any whitespace, as in the filter lexer: a
+# '[' that opens a filter, a symbol, a keyword, the end, or a character
+# that starts no token.
+_FORMULA_TOKEN = re.compile(r"[ \t\r\n]*(?:(\[)|([&|!(),])|([A-Za-z]+)|(\Z)|(.))", re.DOTALL)
+
+
 def _tokenize_formula(text: str) -> list[_Tok]:
     toks: list[_Tok] = []
-    i, n = 0, len(text)
-    while i < n:
-        c = text[i]
-        if c in " \t\r\n":
-            i += 1
-            continue
-        col = i + 1
-        if c == "[":
-            expr, i = _parse_bracketed(text, i)
+    match = _FORMULA_TOKEN.match
+    i = 0
+    while True:
+        m = match(text, i)
+        kind = m.lastindex
+        i = m.end()
+        col = m.start(kind) + 1
+        if kind == 1:
+            expr, i = _parse_bracketed(text, i - 1)
             toks.append(_Tok("FILTER", expr, col))
-            continue
-        if c in "&|!(),":
-            toks.append(_Tok("SYM", c, col))
-            i += 1
-            continue
-        if c.isascii() and c.isalpha():
-            j = i
-            while j < n and text[j].isascii() and text[j].isalpha():
-                j += 1
-            word = text[i:j]
-            if word in _KEYWORDS:
-                toks.append(_Tok("WORD", word, col))
-                i = j
-                continue
-            raise ParseError(f"unknown keyword {word!r}", 1, col)
-        raise ParseError(f"unexpected character {c!r}", 1, col)
-    toks.append(_Tok("END", "", n + 1))
-    return toks
+        elif kind == 2:
+            toks.append(_Tok("SYM", m.group(2), col))
+        elif kind == 3:
+            word = m.group(3)
+            if word not in _KEYWORDS:
+                raise ParseError(f"unknown keyword {word!r}", 1, col)
+            toks.append(_Tok("WORD", word, col))
+        elif kind == 4:
+            toks.append(_Tok("END", "", col))
+            return toks
+        else:
+            raise ParseError(f"unexpected character {m.group(5)!r}", 1, col)
 
 
 # Deepest formula the parser accepts. Each prefix operator, parenthesis
@@ -124,22 +129,8 @@ MAX_FORMULA_DEPTH = 150
 class _FormulaParser(_Parser):
     what = "formula"
     max_depth = MAX_FORMULA_DEPTH
-
-    def parse_or(self) -> tuple[Formula, int]:
-        f, depth = self.parse_and()
-        while self.at_sym("|"):
-            col = self.next().col
-            g, d = self.parse_and()
-            f, depth = Or(f, g), self.within(max(depth, d) + 1, col)
-        return f, depth
-
-    def parse_and(self) -> tuple[Formula, int]:
-        f, depth = self.parse_unary()
-        while self.at_sym("&"):
-            col = self.next().col
-            g, d = self.parse_unary()
-            f, depth = And(f, g), self.within(max(depth, d) + 1, col)
-        return f, depth
+    or_tok, and_tok = ("SYM", "|"), ("SYM", "&")
+    make_or, make_and = Or, And
 
     def parse_unary(self) -> tuple[Formula, int]:
         kind, val, col = self.peek()

@@ -184,10 +184,17 @@ FilterExpr = (
 
 
 _COMPARE_OPS = ("!=", "<=", ">=", "=", "<", ">")
-_TWO_CHAR_SYMS = ("::", "//", "..", "!=", "<=", ">=")
-_ONE_CHAR_SYMS = "()[]/@=<>,.*"
-_NUMBER_TOKEN = re.compile(r"\d+(\.\d+)?")
-_NAME_TOKEN = re.compile(r"[A-Za-z_][A-Za-z0-9_.\-]*")
+
+# One token per match, after any whitespace; the group that matched
+# gives the token's kind. A number is Unicode decimal digits, as \d
+# reads them, with an optional fraction. A quote that is never closed,
+# or any other character that starts no token, falls to the last group.
+_FILTER_TOKEN = re.compile(
+    r"""[ \t\r\n]*(?:("[^"]*"|'[^']*')|(\d+(?:\.\d+)?)|([A-Za-z_][A-Za-z0-9_.\-]*)"""
+    r"""|(::|//|\.\.|[!<>]=|[()/@=<>,.*])|(\[)|(\])|(\Z)|(.))""",
+    re.DOTALL,
+)
+_FILTER_KINDS = (None, "STRING", "NUMBER", "NAME", "SYM")
 
 
 class _Tok(NamedTuple):
@@ -206,50 +213,33 @@ def _lex_filter(text: str, start: int, bracketed: bool) -> list[_Tok]:
     column; if the text ends first, its END token has value ''."""
     toks: list[_Tok] = []
     depth = 0
-    i, n = start, len(text)
-    while i < n:
-        c = text[i]
-        if c in " \t\r\n":
-            i += 1
-            continue
-        col = i + 1
-        if c in "'\"":
-            j = text.find(c, i + 1)
-            if j < 0:
-                raise ParseError("unterminated string literal", 1, col)
-            toks.append(_Tok("STRING", text[i + 1 : j], col))
-            i = j + 1
-            continue
-        # isdigit() also holds for digits such as '²' that \d does not match
-        m = _NUMBER_TOKEN.match(text, i) if c.isdigit() else None
-        if m is not None:
-            toks.append(_Tok("NUMBER", m.group(0), col))
-            i = m.end()
-            continue
-        if (c.isascii() and c.isalpha()) or c == "_":
-            m = _NAME_TOKEN.match(text, i)
-            toks.append(_Tok("NAME", m.group(0), col))
-            i = m.end()
-            continue
-        two = text[i : i + 2]
-        if two in _TWO_CHAR_SYMS:
-            toks.append(_Tok("SYM", two, col))
-            i += 2
-            continue
-        if c in _ONE_CHAR_SYMS:
-            if c == "[":
-                depth += 1
-            elif c == "]":
-                if bracketed and depth == 0:
-                    toks.append(_Tok("END", "]", col))
-                    return toks
-                depth -= 1
-            toks.append(_Tok("SYM", c, col))
-            i += 1
-            continue
-        raise ParseError(f"unexpected character {c!r}", 1, col)
-    toks.append(_Tok("END", "", n + 1))
-    return toks
+    match = _FILTER_TOKEN.match
+    i = start
+    while True:
+        m = match(text, i)
+        kind = m.lastindex
+        i = m.end()
+        col = m.start(kind) + 1
+        if kind == 1:
+            toks.append(_Tok("STRING", m.group(1)[1:-1], col))
+        elif kind <= 4:
+            toks.append(_Tok(_FILTER_KINDS[kind], m.group(kind), col))
+        elif kind == 5:
+            depth += 1
+            toks.append(_Tok("SYM", "[", col))
+        elif kind == 6:
+            if bracketed and depth == 0:
+                toks.append(_Tok("END", "]", col))
+                return toks
+            depth -= 1
+            toks.append(_Tok("SYM", "]", col))
+        elif kind == 7:
+            toks.append(_Tok("END", "", col))
+            return toks
+        else:
+            c = m.group(kind)
+            message = "unterminated string literal" if c in "'\"" else f"unexpected character {c!r}"
+            raise ParseError(message, 1, col)
 
 
 # ---------------------------------------------------------------------------
@@ -258,9 +248,11 @@ def _lex_filter(text: str, start: int, bracketed: bool) -> list[_Tok]:
 
 class _Parser:
     """Recursive descent over tokens ending in END, shared by filters
-    and formulas. A subclass names what it parses and how deep that may
-    nest, and provides ``parse_or``. Its parse methods that can nest
-    return (result, depth), where a result without nesting has depth 0."""
+    and formulas. A subclass names what it parses, how deep that may
+    nest, its chain tokens ``or_tok`` and ``and_tok`` as (kind, value)
+    and the nodes ``make_or`` and ``make_and`` they build, and provides
+    ``parse_unary``, an operand of an and chain. Its parse methods that
+    can nest return (result, depth), where one without nesting is 0."""
 
     what = ""
     max_depth = 0
@@ -303,6 +295,22 @@ class _Parser:
         # recursion is bounded before any subtree is complete
         self.open = self.within(self.open + levels, col)
 
+    def parse_or(self):
+        expr, depth = self.parse_and()
+        while self.toks[self.i][:2] == self.or_tok:
+            col = self.next().col
+            right, d = self.parse_and()
+            expr, depth = self.make_or(expr, right), self.within(max(depth, d) + 1, col)
+        return expr, depth
+
+    def parse_and(self):
+        expr, depth = self.parse_unary()
+        while self.toks[self.i][:2] == self.and_tok:
+            col = self.next().col
+            right, d = self.parse_unary()
+            expr, depth = self.make_and(expr, right), self.within(max(depth, d) + 1, col)
+        return expr, depth
+
     def parse(self):
         if self.peek().kind == "END":
             raise ParseError(f"empty {self.what}", 1, self.start)
@@ -328,6 +336,8 @@ _PREDICATE_LEVELS = 3
 class _FilterParser(_Parser):
     what = "filter"
     max_depth = MAX_FILTER_DEPTH
+    or_tok, and_tok = ("NAME", "or"), ("NAME", "and")
+    make_or, make_and = Or, And
 
     def nested(self, col: int, levels: int = 1) -> tuple[FilterExpr, int]:
         """The or-level expression inside the not(), parenthesis or
@@ -337,38 +347,12 @@ class _FilterParser(_Parser):
         self.open -= levels
         return expr, self.within(depth + levels, col)
 
-    def parse_or(self) -> tuple[FilterExpr, int]:
-        expr, depth = self.parse_and()
-        while self._at_keyword("or"):
-            col = self.next().col
-            right, d = self.parse_and()
-            expr, depth = Or(expr, right), self.within(max(depth, d) + 1, col)
-        return expr, depth
-
-    def parse_and(self) -> tuple[FilterExpr, int]:
-        expr, depth = self.parse_not()
-        while self._at_keyword("and"):
-            col = self.next().col
-            right, d = self.parse_not()
-            expr, depth = And(expr, right), self.within(max(depth, d) + 1, col)
-        return expr, depth
-
-    def _at_keyword(self, word: str) -> bool:
-        tok = self.peek()
-        return tok.kind == "NAME" and tok.value == word
-
     def _at_call(self, word: str) -> bool:
         tok = self.peek()
-        nxt = self.toks[self.i + 1] if self.i + 1 < len(self.toks) else None
-        return (
-            tok.kind == "NAME"
-            and tok.value == word
-            and nxt is not None
-            and nxt.kind == "SYM"
-            and nxt.value == "("
-        )
+        return (tok.kind == "NAME" and tok.value == word
+                and self.toks[self.i + 1][:2] == ("SYM", "("))
 
-    def parse_not(self) -> tuple[FilterExpr, int]:
+    def parse_unary(self) -> tuple[FilterExpr, int]:
         if self._at_call("not"):
             col = self.next().col
             self.expect_sym("(")
@@ -450,7 +434,7 @@ class _FilterParser(_Parser):
                 raise ParseError("expected attribute name after '@'", 1, name_tok.col)
             return Step(Axis.ATTRIBUTE, NameTest(name_tok.value)), 0
         axis = Axis.CHILD
-        if tok.kind == "NAME" and self._next_is_axis_sep():
+        if tok.kind == "NAME" and self.toks[self.i + 1][:2] == ("SYM", "::"):
             axis = _AXIS_BY_NAME.get(tok.value)
             if axis is None:
                 raise ParseError(f"unknown axis {tok.value!r}", 1, tok.col)
@@ -459,10 +443,6 @@ class _FilterParser(_Parser):
         test = self.parse_test()
         preds, depth = self.parse_predicates()
         return Step(axis, test, preds), depth
-
-    def _next_is_axis_sep(self) -> bool:
-        nxt = self.toks[self.i + 1] if self.i + 1 < len(self.toks) else None
-        return nxt is not None and nxt.kind == "SYM" and nxt.value == "::"
 
     def parse_test(self) -> NodeTest:
         tok = self.peek()
@@ -862,11 +842,12 @@ def _compile_values(operand: Operand, memos: list[dict]):
 
 
 def render_filter(expr: FilterExpr) -> str:
-    """Render a filter AST back to source form."""
+    """Render a filter AST back to source form; the form of a parsed
+    filter parses back to an equal filter."""
     if isinstance(expr, Or):
-        return f"{render_filter(expr.left)} or {render_filter(expr.right)}"
+        return f"{render_filter(expr.left)} or {_render_arg(expr.right, Or)}"
     if isinstance(expr, And):
-        return f"{_render_and_arg(expr.left)} and {_render_and_arg(expr.right)}"
+        return f"{_render_arg(expr.left, Or)} and {_render_arg(expr.right, (Or, And))}"
     if isinstance(expr, Not):
         return f"not({render_filter(expr.operand)})"
     if isinstance(expr, Comparison):
@@ -878,9 +859,11 @@ def render_filter(expr: FilterExpr) -> str:
     return _render_operand(expr)
 
 
-def _render_and_arg(expr: FilterExpr) -> str:
+def _render_arg(expr: FilterExpr, parenthesised) -> str:
+    """An operand of and/or, in parentheses if it is of a type in
+    ``parenthesised``: chains nest to the left, and and binds tighter."""
     text = render_filter(expr)
-    return f"({text})" if isinstance(expr, Or) else text
+    return f"({text})" if isinstance(expr, parenthesised) else text
 
 
 def _render_operand(operand) -> str:
@@ -889,7 +872,7 @@ def _render_operand(operand) -> str:
     if isinstance(operand, StringLiteral):
         return _render_string(operand.value)
     if isinstance(operand, NumberLiteral):
-        return str(operand.value)
+        return format(operand.value, "f")  # str() writes 1E-7 for 0.0000001
     if isinstance(operand, CountExpr):
         return f"count({_render_path(operand.path)})"
     if isinstance(operand, Contains):

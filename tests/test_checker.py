@@ -133,6 +133,16 @@ PARSE_ERRORS = [
     (parse_filter, "a] #", "unexpected character '#'", 4),
     (parse_filter, "", "empty filter", 1),
     (parse_filter, "\u00b2", "unexpected character '\u00b2'", 1),
+    # lexer edges: where a keyword, a symbol or a token ends
+    (parse_formula, "EX_a [b]", "unexpected character '_'", 3),
+    (parse_formula, "[a] != [b]", "unexpected character '='", 6),
+    (parse_formula, "[a] & EXX [b]", "unknown keyword 'EXX'", 7),
+    (parse_formula, "[a]\x0b", "unexpected character '\\x0b'", 4),
+    (parse_filter, "contains(a, b)", "expected a string literal", 13),
+    (parse_filter, "@1", "expected attribute name after '@'", 2),
+    (parse_filter, "a | b", "unexpected character '|'", 3),
+    (parse_filter, "a:b", "unexpected character ':'", 2),
+    (parse_filter, "a = 1.", "unexpected trailing input '.'", 6),
 ]
 
 
@@ -141,6 +151,10 @@ def test_parse_error_message_and_column(parse, text, message, column):
     with pytest.raises(ParseError) as exc:
         parse(text)
     assert (exc.value.message, exc.value.column) == (message, column)
+
+
+def test_unicode_decimal_digit_is_a_number():
+    assert parse_filter("a = \u0663") == parse_filter("a = 3")
 
 
 def test_nested_brackets_inside_filter():

@@ -2,6 +2,8 @@
 
 import json
 import os
+import random
+import re
 import subprocess
 import sys
 from collections import Counter
@@ -437,6 +439,19 @@ def test_argument_error_is_one_line_exit_2(capsys, argv, message):
     assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
 
 
+@pytest.mark.parametrize("fmt", ["lines", "json"])
+def test_metrics_fractional_weight_is_exit_2(capsys, tmp_path, fmt):
+    net = tmp_path / "w.xml"
+    net.write_text(
+        '<network directed="false"><node key="a"/><node key="b"/>'
+        '<edge from="a" to="b" weight="1.5"/></network>',
+        encoding="utf-8",
+    )
+    code, out, err = run_main(capsys, "metrics", "--network", str(net), "--format", fmt)
+    assert (code, out) == (2, "")
+    assert err == "netcheck: network: edge weight 1.5 is not an integer multiplicity\n"
+
+
 def test_type_error_is_exit_3(capsys, tmp_path):
     net = tmp_path / "t.xml"
     net.write_text(
@@ -474,6 +489,85 @@ def test_metrics_directed_eulerian_not_an_error(capsys):
     assert code == 0
     assert "eulerian_path" not in out
     assert "in_degree_histogram" in out
+
+
+# -- robustness --------------------------------------------------------------------
+
+
+def _mutate(rng, text, pieces, corpus):
+    """``text`` (bytes or str) after one to three edits: a deletion, a
+    splice from ``corpus``, or an insertion from ``pieces``."""
+    for _ in range(rng.randint(1, 3)):
+        i = rng.randrange(len(text) + 1)
+        j = min(len(text), i + rng.randint(1, 8))
+        roll = rng.random()
+        if roll < 0.3:
+            text = text[:i] + text[j:]
+        elif roll < 0.6:
+            other = rng.choice(corpus)
+            a = rng.randrange(len(other) + 1)
+            text = text[:i] + other[a : a + rng.randint(1, 40)] + text[j:]
+        else:
+            text = text[:i] + rng.choice(pieces) + text[i:]
+    return text
+
+
+# markup, NUL and bytes that are not UTF-8: a lone lead byte, a
+# continuation byte and an encoded surrogate
+BYTE_PIECES = [b"<", b">", b"/>", b"</", b"&", b"&#0;", b"<!--", b'"', b"'", b"=",
+               b"\x00", b"\xc3", b"\x80", b"\xed\xa0\x80"]
+# filter and formula syntax, NUL, a digit \d does not read, an Arabic-Indic
+# digit, and an argument byte that is not UTF-8, as Python passes it
+TEXT_PIECES = ["[", "]", "(", ")", '"', "'", "&", "|", "!", "::", "//", "@", ",",
+               " or ", " and ", "not(", "EX ", "\x00", "\u00b2", "\u0663", "\udcff"]
+
+
+def test_cli_survives_mutated_input(capsys, tmp_path):
+    # Seeded mutations of the fixtures, formulas and filters, run through
+    # every command in both formats: every run ends in a documented exit
+    # code, and a failure in one diagnostic line with stdout empty.
+    rng = random.Random(7)
+    fixtures = [p.read_bytes() for p in sorted(Path("fixtures").glob("*.xml"))]
+    texts = {"check": set(), "query": set()}
+    for run in CHECK_AND_QUERY_PINNED:
+        texts[run["argv"][0]].add(run["argv"][4])
+    # a relational comparison on a value that is not a number: exit 3
+    formulas = sorted(texts["check"]) + ["EF [* > 0]"]
+    filters = sorted(texts["query"]) + ["* > 0"]
+    network = tmp_path / "net.xml"
+    codes = Counter()
+    for case in range(400):
+        data = rng.choice(fixtures)
+        keys = re.findall(r'key="([^"]*)"', data.decode())
+        if rng.random() < 0.4:
+            data = _mutate(rng, data, BYTE_PIECES, fixtures)
+        network.write_bytes(data)
+        command = rng.choice(["check", "witness", "query", "metrics"])
+        if command == "query":
+            argv = ["query", "--filter", rng.choice(filters)]
+        elif command == "metrics":
+            argv = ["metrics"]
+        else:
+            argv = ["check", "--formula", rng.choice(formulas)]
+            if command == "witness":
+                argv += ["--witness-for", rng.choice(keys)]
+        if command != "metrics" and rng.random() < 0.4:
+            argv[2] = _mutate(rng, argv[2], TEXT_PIECES, formulas + filters)
+        argv += ["--network", str(network), "--format", rng.choice(["lines", "json"])]
+        try:
+            code, out, err = run_main(capsys, *argv)
+        except (Exception, SystemExit) as exc:
+            pytest.fail(f"case {case}, {argv}: {exc!r} escaped")
+        codes[code] += 1
+        assert code in (0, 1, 2, 3), (case, argv)
+        if code:
+            assert out == "", (case, argv)
+            assert err.startswith("netcheck: ") and err.count("\n") == 1, (case, argv, err)
+            assert err.endswith("\n"), (case, argv, err)
+        else:
+            assert err == "", (case, argv, err)
+    # every outcome occurred, so the mutations still reach each kind of failure
+    assert sorted(codes) == [0, 1, 2, 3], codes
 
 
 # -- determinism -------------------------------------------------------------------

@@ -443,6 +443,21 @@ def step_texts(draw, depth):
     return f"{axis}::{test}" + "".join(f"[{p}]" for p in preds)
 
 
+@given(filter_texts())
+@settings(max_examples=100, deadline=None)
+def test_render_parses_back_to_an_equal_filter(text):
+    # right-nested and/or chains keep their parentheses
+    expr = parse_filter(text)
+    assert parse_filter(render_filter(expr)) == expr
+
+
+@pytest.mark.parametrize("number", ["0.0000001", "0.00000010", "12.000"])
+def test_number_renders_in_plain_notation(number):
+    expr = parse_filter(f"a = {number}")
+    assert render_filter(expr) == f"a = {number}"
+    assert parse_filter(render_filter(expr)) == expr
+
+
 def _items(root):
     """Every item of a document: elements, their attributes, and text."""
     out, stack = [], [root]
