@@ -12,23 +12,30 @@ algorithm: bottom-up over the formula with memoization on structural
 equality, one O(n+m) set computation per operator for n nodes and m
 edges. It works on node ids, the position of each key in key order, so
 ascending ids are ascending keys; the network builds its id map and id
-adjacency at construction. Between operators a satisfaction set is
-an int bitset (bit i is node id i): an atom's key set from the
-``LabelMap`` is encoded once, the connectives are bitwise operations and
-the universal operators complement their existential duals. Inside a
-fixpoint the operand bitsets are expanded once into a bytearray with one
-byte per node, the search runs over the id adjacency, and its result is
-packed back once; a fixpoint never tests one bit of an int, because
-``s >> v & 1`` costs O(n) and would make the pass quadratic. EX is a
-predecessor scan, EU a backward breadth-first least fixpoint, EF is EU
-with a true left operand, and EG is backward counter pruning: each
-node's count starts at its out-degree, the nodes outside the operand
-drop out first, and a node whose count falls to zero drops out and
-decrements its predecessors' counts, while a sink never drops out.
-Inverse operators run the same passes on the transposed relation, and
-the universal forms go through them by duality, so AF and AU are linear
-as well, also on hubs. The whole check stays O(|formula|*(n+m)), and
-only the final set is decoded back to keys. ``oracle_check`` recomputes
+adjacency at construction. Between operators a satisfaction set is an
+int bitset (bit i is node id i): an atom's key set from the
+``LabelMap`` is encoded once, the connectives are bitwise operations
+and AX, AG and EG complement their duals. Inside a fixpoint the operand
+bitsets are expanded once into a bytearray with one byte per node, the
+pass runs over the id adjacency, and its result is packed back once; a
+fixpoint never tests one bit of an int, because ``s >> v & 1`` costs
+O(n) and would make the pass quadratic. EX is a predecessor scan.
+Every other operator is one backward counting pass (Clarke, Emerson &
+Sistla, TOPLAS 1986). For E[a U b] or A[a U b] the nodes of a outside
+b are open, each with a count of the successors it waits for: one for
+EU, its out-degree for AU. A node whose count falls to zero settles
+and decrements the counts of its open predecessors, and the result is
+b plus the settled nodes. An open sink has no successor to settle, so
+it never settles: its maximal path ends outside b. EF and AF are EU and
+AU with a true left operand; AG is the dual of EF and EG the dual of
+AF. A pass seeds from the smaller side: from b, reading the edges into
+it, or, when fewer nodes are open than b holds, from the open nodes
+that b settles at once, reading the out-edges of the open nodes
+instead. With no open node, or b empty, it returns b at once. Inverse
+operators run the same pass on the transposed relation. Either way a
+pass reads each edge at most twice, so every operator is O(n+m), also
+on hubs, the whole check is O(|formula|*(n+m)), and only the final set
+is decoded back to keys. ``oracle_check`` recomputes
 satisfaction by deliberately different brute-force means over keys,
 on successor and predecessor maps of its own built from the edge
 records, and is capped at 12 nodes; it exists so the two can be
@@ -44,6 +51,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import compress
+from operator import mul
 from typing import Iterable, Iterator, KeysView, Mapping
 
 from ._hashing import hashed_once
@@ -288,73 +296,68 @@ class _Checker:
                 return self._pre(s, pred)
             if base == "AX":
                 return everything ^ self._pre(everything ^ s, pred)
-            # EF s = E[true U s], and AG is its dual.
-            if base == "EF":
-                return self._eu(everything, s, pred)
-            if base == "AG":
-                return everything ^ self._eu(everything, everything ^ s, pred)
-            if base == "EG":
-                return self._eg(s, succ, pred)
-            # AF via the EG dual.
-            return everything ^ self._eg(everything ^ s, succ, pred)
+            # EF s = E[true U s] and AF s = A[true U s]; AG is the dual
+            # of EF and EG the dual of AF.
+            if base in ("EF", "AF"):
+                return self._until(everything, s, succ, pred, base == "AF")
+            return everything ^ self._until(everything, everything ^ s, succ, pred, base == "EG")
         base, succ, pred = self._relation(f.op)
-        a = self.sat(f.left)
-        b = self.sat(f.right)
-        if base == "EU":
-            return self._eu(a, b, pred)
-        # AU(a, b) fails where some path breaks a before reaching b, or
-        # some maximal path avoids b forever.
-        not_b = everything ^ b
-        bad = self._eu(not_b, (everything ^ a) & not_b, pred)
-        bad |= self._eg(not_b, succ, pred)
-        return everything ^ bad
+        return self._until(self.sat(f.left), self.sat(f.right), succ, pred, base == "AU")
 
-    @staticmethod
-    def _pre(s: int, pred) -> int:
-        n = len(pred)
+    def _pre(self, s: int, pred) -> int:
+        ids = self.net._ids
+        n = len(ids)
         out = bytearray(n)
-        for w in compress(range(n), _to_flags(s, n)):
+        for w in compress(ids, _to_flags(s, n)):
             for v in pred[w]:
                 out[v] = 1
         return _to_bits(out)
 
-    @staticmethod
-    def _eu(a: int, b: int, pred) -> int:
-        # Backward breadth-first search from b through a. A node of a
-        # outside b is open until the search reaches it; the result is b
-        # plus the nodes no longer open.
-        n = len(pred)
+    def _until(self, a: int, b: int, succ, pred, universal: bool) -> int:
+        """E[a U b], or A[a U b] when universal, by the counting pass
+        that the module docstring describes (see also Baier & Katoen,
+        Principles of Model Checking, 2008, section 6.4). The result is
+        b plus the open nodes that settle."""
+        ids = self.net._ids
+        n = len(ids)
         rest = a & ~b
+        if not rest or not b:
+            return b
         open_ = _to_flags(rest, n)
-        queue = list(compress(range(n), _to_flags(b, n)))
+        if rest.bit_count() < b.bit_count():
+            # Seed from the open side: the open nodes with a successor in
+            # b (EU) or with successors only in b (AU) settle at once,
+            # and an AU node counts only its successors outside b. The
+            # out-edges of the open nodes are read, not the in-edges of b.
+            in_b = _to_flags(b, n).__getitem__
+            if universal:
+                count = [0] * n
+                queue = []
+                for v in compress(ids, open_):
+                    nxt = succ[v]
+                    c = count[v] = len(nxt) - sum(map(in_b, nxt))
+                    if nxt and not c:
+                        queue.append(v)
+            else:
+                count = list(open_)
+                queue = [v for v in compress(ids, open_) if any(map(in_b, succ[v]))]
+            for v in queue:
+                count[v] = open_[v] = 0
+        else:
+            # Seed from b: an open node waits for one successor (EU) or
+            # for all of them (AU).
+            count = list(map(mul, map(len, succ), open_)) if universal else list(open_)
+            queue = list(compress(ids, _to_flags(b, n)))
         for w in queue:  # breadth-first: the list grows as it is read
             for v in pred[w]:
-                if open_[v]:
-                    open_[v] = 0
-                    queue.append(v)
+                c = count[v]
+                if c:
+                    if c == 1:
+                        count[v] = open_[v] = 0
+                        queue.append(v)
+                    else:
+                        count[v] = c - 1
         return b | (rest ^ _to_bits(open_))
-
-    @staticmethod
-    def _eg(s: int, succ, pred) -> int:
-        # Greatest fixpoint by backward counter pruning (Baier & Katoen,
-        # Principles of Model Checking, 2008, section 6.4). A node of s
-        # stays while it has a successor still in the set; a sink of the
-        # original graph ends a maximal path and always stays. Each count
-        # starts at the out-degree, and the nodes outside s are the first
-        # to drop out: every edge is read at most once to decrement, so
-        # the pass is O(n+m).
-        n = len(succ)
-        alive = _to_flags(s, n)
-        count = list(map(len, succ))
-        dead = list(compress(range(n), _to_flags(s ^ ((1 << n) - 1), n)))
-        for w in dead:  # the list grows as it is read
-            for v in pred[w]:
-                if alive[v]:
-                    c = count[v] = count[v] - 1
-                    if not c:
-                        alive[v] = 0
-                        dead.append(v)
-        return _to_bits(alive)
 
     def _key_set_of(self, f: Formula) -> frozenset[str]:
         """The keys where ``f`` holds: an atom's set as the label map

@@ -87,7 +87,10 @@ class Network:
         self.edges: tuple[Edge, ...] = tuple(edges)
         self._keys = keys = tuple(sorted(self.nodes))
         self._key_set = frozenset(keys)
-        self._index = index = dict(zip(keys, range(len(keys))))  # key -> id
+        # The ids as one tuple, so that a fixpoint lists the ids of a set
+        # with compress over it and makes no int objects of its own.
+        self._ids = ids = tuple(range(len(keys)))
+        self._index = index = dict(zip(keys, ids))  # key -> id
         succ: list[set[int]] = [set() for _ in keys]
         # An undirected edge joins both ends both ways, so one list serves.
         pred = [set() for _ in keys] if directed else succ

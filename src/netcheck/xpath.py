@@ -111,10 +111,20 @@ class LocationPath:
     steps: tuple[Step, ...]
 
 
+def _check_quotes(s: str) -> None:
+    # The grammar has no escapes, so a string holds one kind of quote at
+    # most; a value with both could not be written back as a filter.
+    if '"' in s and "'" in s:
+        raise ValueError(f"a filter string cannot hold both quote kinds: {s!r}")
+
+
 @hashed_once
 @dataclass(frozen=True)
 class StringLiteral:
     value: str
+
+    def __post_init__(self):
+        _check_quotes(self.value)
 
 
 @hashed_once
@@ -134,6 +144,9 @@ class CountExpr:
 class Contains:
     path: LocationPath
     needle: str
+
+    def __post_init__(self):
+        _check_quotes(self.needle)
 
 
 Operand = LocationPath | StringLiteral | NumberLiteral | CountExpr | Contains
@@ -842,7 +855,7 @@ def _compile_values(operand: Operand, memos: list[dict]):
 
 
 def render_filter(expr: FilterExpr) -> str:
-    """Render a filter AST back to source form; the form of a parsed
+    """Render a filter AST back to source form; the form of every
     filter parses back to an equal filter."""
     if isinstance(expr, Or):
         return f"{render_filter(expr.left)} or {_render_arg(expr.right, Or)}"

@@ -259,7 +259,7 @@ _HUB_CASES = [
 
 
 def test_eg_af_au_linear_on_two_way_hub():
-    # Each operator is O(n+m) by counter pruning. A quadratic pass over
+    # Each operator is one O(n+m) counting pass. A quadratic pass over
     # the hub's successor list would grow about 16x for 4x the leaves;
     # a linear one measures 4-6x, cache effects included.
     # The two sizes are timed in alternation, each going first in turn,
@@ -280,6 +280,53 @@ def test_eg_af_au_linear_on_two_way_hub():
             times[i] = min(times[i], time.perf_counter() - t0)
     ratio = times[1] / times[0]
     assert 2.0 <= ratio <= 10.0, f"4x leaves took {ratio:.1f}x as long ({times})"
+
+
+class _ReadCounter(tuple):
+    """An id adjacency that counts the neighbour ids read through it."""
+
+    def __getitem__(self, i):
+        ids = tuple.__getitem__(self, i)
+        self.read += len(ids)
+        return ids
+
+
+def test_passes_read_linear_edge_counts_on_two_way_hub():
+    # The count-based twin of the timing bracket above: each operator's
+    # pass reads at most 2(n+m) adjacency entries, each edge at most
+    # twice, and 4x the leaves reads 4x the entries. A pass that
+    # rescanned the hub's successor list per decrement would read
+    # about 16x. Counting does not depend on the host's speed.
+    formulas = [f for f, _, _ in _HUB_CASES] + [
+        Temporal("EF", Atom("q")), Temporal("AG", Atom("p")),
+        Until("EU", Atom("p"), Atom("q")),
+        Temporal("IAF", Atom("q")), Until("IAU", Atom("q"), Atom("p")),
+    ]
+    totals = []
+    for n in (5_000, 20_000):
+        net, labels, leaves = _hub(n)
+        bound = 2 * (net.n + net.m)
+        net._succ = succ = _ReadCounter(net._succ)
+        net._pred = pred = _ReadCounter(net._pred)
+        total = 0
+        for f in formulas:
+            succ.read = pred.read = 0
+            model_check(net, labels, f)
+            read = succ.read + pred.read
+            assert 0 < read <= bound, (f, read, bound)
+            total += read
+        totals.append(total)
+    ratio = totals[1] / totals[0]
+    assert 3.5 <= ratio <= 4.5, f"4x leaves read {ratio:.2f}x the entries ({totals})"
+    # Seeded from the smaller side, a pass with one open node (AG, EG),
+    # or with one node in b and no open node before it (EU, AU), reads
+    # a few entries, not the tens of thousands that the other side would.
+    few = lm({"h": ["h"], leaves[1]: ["p"], leaves[0]: ["q"]}, props=("h", "p", "q"))
+    for f in (Temporal("AG", Atom("p")), Temporal("EG", Atom("p")),
+              Until("EU", Not(Atom("h")), Atom("q")), Until("AU", Not(Atom("h")), Atom("q"))):
+        succ.read = pred.read = 0
+        model_check(net, few, f)
+        assert succ.read + pred.read <= 2, (f, succ.read + pred.read)
 
 
 def test_until_needs_left_to_hold_up_to_right():
@@ -409,9 +456,25 @@ def _network_with_sinks_and_loops(rng, n, directed):
     return make_network(edges, directed=directed, keys=keys)
 
 
+def _assert_one_universal_pass(monkeypatch, net, assignments, formulas):
+    """Each formula agrees with direct_check, and its top operator, over
+    operands without a fixpoint, runs exactly one pass, a universal one."""
+    import netcheck.ctl as ctl
+
+    calls = []
+    real = ctl._Checker._until
+    monkeypatch.setattr(ctl._Checker, "_until",
+                        lambda *args: calls.append(args[-1]) or real(*args))
+    labels = lm(assignments)
+    for f in formulas:
+        calls.clear()
+        assert model_check(net, labels, f) == direct_check(net, f, assignments), f
+        assert calls == [True], (f, calls)
+
+
 @pytest.mark.parametrize("directed", [True, False])
 @pytest.mark.parametrize("n", [0, 1, 7, 8, 9, 63, 64, 65, 130])
-def test_model_check_matches_fixpoint_evaluator_at_word_edges(n, directed):
+def test_model_check_matches_fixpoint_evaluator_at_word_edges(monkeypatch, n, directed):
     # Sizes on both sides of byte and machine-word edges, with the lowest
     # and the highest id each alone in a set.
     rng = random.Random(f"{n}/{directed}")
@@ -426,9 +489,57 @@ def test_model_check_matches_fixpoint_evaluator_at_word_edges(n, directed):
     formulas = [Temporal(op, x) for op in ALL_UNARY for x in operands]
     formulas += [Until(op, x, y) for op in ALL_UNTIL
                  for x, y in zip(operands, operands[1:] + [FALSE])]
+    universal = [f for f in formulas if f.op in ("AF", "IAF", "AU", "IAU")]
     formulas += [random_formula(rng, depth=4) for _ in range(8)]
     for f in formulas:
         assert model_check(net, labels, f) == direct_check(net, f, assignments), f
+    _assert_one_universal_pass(monkeypatch, net, assignments, universal)
+
+
+def test_universal_until_runs_one_pass_on_hub(monkeypatch):
+    net, labels, _ = _hub(40)
+    assignments = {k: {p for p, ks in labels.sat.items() if k in ks} for k in net.node_keys()}
+    formulas = [f for f, _, _ in _HUB_CASES if f.op in ("AF", "AU")]
+    _assert_one_universal_pass(monkeypatch, net, assignments, formulas + list(map(_flip, formulas)))
+
+
+def _sized_sets_labels(rng, keys):
+    """Propositions z0, z1, zm and zn holding at 0, 1, n-1 and n nodes;
+    the one node in z1 and the one node outside zm are drawn at random."""
+    assignments = {k: {"zm", "zn"} for k in keys}
+    if keys:
+        assignments[rng.choice(keys)].add("z1")
+        assignments[rng.choice(keys)].discard("zm")
+    return assignments
+
+
+@pytest.mark.parametrize("directed", [True, False])
+@pytest.mark.parametrize("n", [0, 1, 7, 8, 9, 63, 64, 65, 130])
+def test_fixpoints_from_both_sides_at_word_edges(monkeypatch, n, directed):
+    # Operand sets of 0, 1, n-1 and n nodes make a pass seed from b in
+    # some cases and from the open nodes in others, for both counts.
+    import netcheck.ctl as ctl
+
+    sides = set()
+    real = ctl._Checker._until
+    def spy(checker, a, b, succ, pred, universal):
+        rest = a & ~b
+        if rest and b:
+            sides.add((universal, rest.bit_count() < b.bit_count()))
+        return real(checker, a, b, succ, pred, universal)
+    monkeypatch.setattr(ctl._Checker, "_until", spy)
+    rng = random.Random(f"sides/{n}/{directed}")
+    net = _network_with_sinks_and_loops(rng, n, directed)
+    assignments = _sized_sets_labels(rng, net.node_keys())
+    labels = lm(assignments, props=("z0", "z1", "zm", "zn"))
+    sets = [Atom(z) for z in ("z0", "z1", "zm", "zn")]
+    formulas = [Temporal(op, x) for op in ("EF", "AG", "EG", "AF", "IEF", "IAG", "IEG", "IAF")
+                for x in sets]
+    formulas += [Until(op, x, y) for op in ALL_UNTIL for x in sets for y in sets]
+    for f in formulas:
+        assert model_check(net, labels, f) == direct_check(net, f, assignments), f
+    if n >= 7:
+        assert sides == {(False, False), (False, True), (True, False), (True, True)}
 
 
 def test_oracle_refuses_large_networks():
@@ -598,11 +709,9 @@ def test_witness_computes_no_fixpoint(monkeypatch):
     import netcheck.ctl as ctl
 
     calls = []
-    for name in ("_eu", "_eg"):
-        real = getattr(ctl._Checker, name)
-        monkeypatch.setattr(ctl._Checker, name, staticmethod(
-            lambda *args, _name=name, _real=real: calls.append(_name) or _real(*args)
-        ))
+    real = ctl._Checker._until
+    monkeypatch.setattr(ctl._Checker, "_until",
+                        lambda *args: calls.append("_until") or real(*args))
     net = make_network(AU_EDGES)
     labels = lm(AU_LABELS)
     formulas = [Temporal(op, Atom("q")) for op in ("EX", "EF", "IEX", "IEF")]
@@ -616,7 +725,7 @@ def test_witness_computes_no_fixpoint(monkeypatch):
                 pass
     assert found > 0 and calls == []
     model_check(net, labels, formulas[1])
-    assert calls == ["_eu"]
+    assert calls == ["_until"]
 
 
 def test_witness_over_atoms_converts_no_whole_network_set(monkeypatch):

@@ -29,6 +29,7 @@ from netcheck.xpath import (
     LocationPath,
     Not,
     Or,
+    StringLiteral,
     _compile_filter,
     eval_filter,
     eval_path,
@@ -456,6 +457,18 @@ def test_number_renders_in_plain_notation(number):
     expr = parse_filter(f"a = {number}")
     assert render_filter(expr) == f"a = {number}"
     assert parse_filter(render_filter(expr)) == expr
+
+
+def test_string_with_both_quote_kinds_rejected():
+    # The grammar has no escapes, so only a hand-built filter could hold
+    # such a string, and no text would render it.
+    path = parse_filter("a").path
+    for build in (StringLiteral, lambda s: Contains(path, s)):
+        with pytest.raises(ValueError, match="both quote kinds"):
+            build("x'\"y")
+    for one_kind in ("x'y", 'x"y'):
+        for expr in (Comparison(path, "=", StringLiteral(one_kind)), Contains(path, one_kind)):
+            assert parse_filter(render_filter(expr)) == expr
 
 
 def _items(root):
