@@ -17,8 +17,9 @@ numbers and raise FilterTypeError when a string value does not parse.
 ``=`` and ``!=`` compare numerically when either side is a number
 literal or a count, as booleans when either side is a contains(), and
 by string value otherwise. Values are converted pair by pair, the left
-before the right, so the first pair that meets a bad value raises, and
-a literal is converted, through a cache, only when a pair reaches it.
+before the right, so the first pair that meets a bad value raises. A
+literal is converted once, when the filter is compiled; one that does
+not convert stays as written and raises only when a pair reaches it.
 
 A filter is compiled once into nested closures, kept by filter in a
 bounded cache, and then run at each context item. Within one
@@ -509,10 +510,15 @@ def _parse_bracketed(text: str, start: int) -> tuple[FilterExpr, int]:
 # ---------------------------------------------------------------------------
 # Evaluation
 #
-# Compiling settles node tests and the type each comparison is made on.
-# Each predicate's memo is registered in ``memos``, and the top-level
-# function clears them all when it returns. Every step maps a context
-# list, duplicate-free and in document order, to a list of the same kind.
+# Compiling settles node tests, the type each comparison is made on and
+# the converted value of each literal that converts. A path whose values
+# are wanted, not its items, and whose last step is a plain ``@name``
+# reads that attribute from ``attrs`` on the elements the other steps
+# reach, so no attribute item is built for it; ``eval_path`` and every
+# other attribute step build the items. Each predicate's memo is
+# registered in ``memos``, and the top-level function clears them all
+# when it returns. Every step maps a context list, duplicate-free and in
+# document order, to a list of the same kind.
 
 
 def eval_filter(expr: FilterExpr, context: XmlElement) -> bool:
@@ -574,8 +580,9 @@ def _compile_bool(expr: FilterExpr, memos: list[dict]):
         values, needle = _compile_values(expr.path, memos), expr.needle
         return lambda item: any(needle in value for value in values(item))
     if isinstance(expr, (Exists, CountExpr, LocationPath)):
-        path = _compile_path(expr if isinstance(expr, LocationPath) else expr.path, memos)
-        return lambda item: bool(path(item))
+        path = expr if isinstance(expr, LocationPath) else expr.path
+        found = _attribute_values(path, memos) or _compile_path(path, memos)
+        return lambda item: bool(found(item))
     if isinstance(expr, StringLiteral):
         value = expr.value != ""
         return lambda item: value
@@ -786,10 +793,10 @@ _OPERATORS = {
     "<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge,
 }
 
-# The type each comparison is made on, as the converter of a value to
-# it. A string read as a number goes through ``_to_number``; Decimal,
-# bool and str return a value of their own type as it is.
-_CONVERT = {"num": Decimal, "bool": bool, "str": str}
+# The converter of a value to the type a comparison is made on, by
+# (type of the value, type of the comparison). A value that is of the
+# comparison's type already is not converted.
+_CONVERT = {("str", "num"): _to_number, ("bool", "num"): Decimal, ("str", "bool"): bool}
 
 
 def _operand_kind(operand: Operand) -> str:
@@ -807,7 +814,9 @@ def _compile_comparison(cmp: Comparison, memos: list[dict]):
     left operand is evaluated first, then the right one, whose values
     are kept; pairs are then compared in order, converting the left
     value before the right, until one holds. A literal is converted
-    only when a pair reaches it."""
+    once, here; one that does not convert stays as it is and is
+    converted whenever a pair reaches it, so that it raises only then,
+    as every value of a path does."""
     kinds = _operand_kind(cmp.left), _operand_kind(cmp.right)
     if cmp.op not in ("=", "!=") or "num" in kinds:
         on = "num"
@@ -815,9 +824,23 @@ def _compile_comparison(cmp: Comparison, memos: list[dict]):
         on = "bool"
     else:
         on = "str"
-    lconv, rconv = (_to_number if on == "num" and k == "str" else _CONVERT[on] for k in kinds)
-    left, right = _compile_values(cmp.left, memos), _compile_values(cmp.right, memos)
+    (left, lconv), (right, rconv) = (
+        _compile_side(operand, kind, on, memos)
+        for operand, kind in zip((cmp.left, cmp.right), kinds)
+    )
     compare = _OPERATORS[cmp.op]
+    if rconv is None and isinstance(cmp.right, (StringLiteral, NumberLiteral)):
+        # The right operand is one value, converted: each left value is
+        # compared with it.
+        (b,) = right(None)
+
+        def run(item):
+            for a in left(item):
+                if compare(a if lconv is None else lconv(a), b):
+                    return True
+            return False
+
+        return run
 
     def run(item):
         lvals = left(item)
@@ -825,29 +848,69 @@ def _compile_comparison(cmp: Comparison, memos: list[dict]):
         if not rvals:
             return False
         for a in lvals:
-            a = lconv(a)  # once: the first pair that reads it converts it first
+            if lconv is not None:
+                a = lconv(a)  # once: the first pair that reads it converts it first
             for b in rvals:
-                if compare(a, rconv(b)):
+                if compare(a, b if rconv is None else rconv(b)):
                     return True
         return False
 
     return run
 
 
+def _compile_side(operand: Operand, kind: str, on: str, memos: list[dict]):
+    """The operand's values as a function of the context item, and the
+    converter each value still needs to the comparison type ``on``, or
+    None. A literal's value is converted here, if it converts."""
+    conv = _CONVERT.get((kind, on))
+    if not isinstance(operand, (StringLiteral, NumberLiteral)):
+        return _compile_values(operand, memos), conv
+    value = operand.value
+    if conv is not None:
+        try:
+            value, conv = conv(value), None
+        except FilterTypeError:
+            pass  # kept as written, to raise when a pair reaches it
+    value = (value,)
+    return (lambda item: value), conv
+
+
 def _compile_values(operand: Operand, memos: list[dict]):
-    """Function from the context item to the operand's values: a path's
-    string values, read lazily, or the one value of any other operand."""
+    """Function from the context item to the values of a path, a count()
+    or a contains(): a path's string values, read lazily, or the one
+    value of the others."""
     if isinstance(operand, LocationPath):
+        values = _attribute_values(operand, memos)
+        if values is not None:
+            return values
         path = _compile_path(operand, memos)
         return lambda item: map(string_value, path(item))
     if isinstance(operand, CountExpr):
-        path = _compile_path(operand.path, memos)
-        return lambda item: (Decimal(len(path(item))),)
-    if isinstance(operand, Contains):
-        test = _compile_bool(operand, memos)
-        return lambda item: (test(item),)
-    value = (operand.value,)
-    return lambda item: value
+        found = _attribute_values(operand.path, memos) or _compile_path(operand.path, memos)
+        return lambda item: (Decimal(len(found(item))),)
+    test = _compile_bool(operand, memos)  # contains()
+    return lambda item: (test(item),)
+
+
+def _attribute_values(path: LocationPath, memos: list[dict]):
+    """For a path whose last step is a plain ``attribute::name``, with no
+    predicates, a function from the context item to the values of that
+    attribute, read from ``attrs`` on each element the steps before it
+    reach. Those elements are in document order and each has the
+    attribute once, so the values are in the order of the attribute
+    items, and no item is built. Any other path gives None."""
+    *head, last = path.steps
+    if last.axis is not Axis.ATTRIBUTE or last.predicates or not isinstance(last.test, NameTest):
+        return None
+    name = last.test.name
+    if not head:
+        return lambda item: (
+            (item.attrs[name],) if isinstance(item, XmlElement) and name in item.attrs else ()
+        )
+    reach = _compile_path(LocationPath(tuple(head)), memos)
+    return lambda item: [
+        e.attrs[name] for e in reach(item) if isinstance(e, XmlElement) and name in e.attrs
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import gc
 import random
+import sys
 import time
 from decimal import Decimal
 
@@ -292,6 +293,36 @@ def _assert_linear_on_chains(quote):
             times[i] = min(times[i], time.perf_counter() - t0)
     ratio = times[1] / times[0]
     assert 2.0 <= ratio <= 10.0, f"4x nodes took {ratio:.1f}x as long ({times})"
+
+
+def _calls_to_parse(data):
+    """The Python and built-in calls that parse_network makes on
+    ``data``, as sys.setprofile reports them."""
+    calls = 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        if event == "call" or event == "c_call":
+            calls += 1
+
+    sys.setprofile(count)
+    try:
+        parse_network(data)
+    finally:
+        sys.setprofile(None)
+    return calls
+
+
+@pytest.mark.parametrize("quote", ['"', "'"])
+def test_parse_network_calls_linear_on_chains(quote):
+    # The work the timing brackets above measure, counted, so that host
+    # load cannot move it: every call, regex matches included. A step
+    # that repeats per item grows 16x for 4x the nodes, and n log n
+    # about 4.7x. Work done inside one call, such as a slice copy, is not
+    # seen here; the brackets above still bound it.
+    small, large = (_calls_to_parse(_chain_file(n, quote)) for n in (5_000, 20_000))
+    ratio = large / small
+    assert 3.8 <= ratio <= 4.2, f"4x nodes made {ratio:.2f}x the calls ({small}, {large})"
 
 
 def test_transpose_reverses_edges():

@@ -7,7 +7,7 @@ from decimal import Decimal
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from netcheck.checker import check, parse_formula
+from netcheck.checker import check, label_nodes, parse_formula
 from netcheck.errors import FilterTypeError, ParseError
 from netcheck.network import Network, parse_network
 from netcheck.xmldoc import (
@@ -618,6 +618,97 @@ def test_compiled_evaluator_matches_reference_in_networks(texts, filter_text):
                 assert _outcome(eval_path, path, item) == _outcome(
                     reference.eval_path, path, item
                 )
+
+
+def _labelled(net, filter_text):
+    """The keys that label_nodes gives the filter on ``net``."""
+    labels, registry = label_nodes(net, parse_formula(f"[{filter_text}]"))
+    (prop,) = registry.props()
+    return labels.sat[prop]
+
+
+@given(st.lists(document_texts(), min_size=1, max_size=3), filter_texts())
+@settings(max_examples=150, deadline=None)
+def test_labels_match_reference_per_payload(texts, filter_text):
+    # label_nodes on a fresh network against the reference run at each
+    # payload in key order: the same set, or the same first error,
+    # annotated with its filter and key.
+    expr = parse_filter(filter_text)
+    net = _network_of(texts)
+    want = set()
+    try:
+        for key in net.node_keys():
+            if reference.eval_filter(expr, net.payload(key)):
+                want.add(key)
+    except FilterTypeError as exc:
+        want = f"filter {render_filter(expr)!r} at node {key!r}: {exc}"
+    assert _outcome(_labelled, net, filter_text) == (
+        ("error", want) if isinstance(want, str) else ("value", want)
+    )
+
+
+def _elements(net):
+    return [item for key in net.node_keys() for item in net.payload(key).doc
+            if isinstance(item, XmlElement)]
+
+
+def test_labelling_a_trailing_attribute_step_builds_no_items():
+    # A path that ends in a plain @name reads the attribute map; only
+    # other attribute steps build the items, shared as attr_items.
+    text = ('<network><node key="a" v="1"><x v="1"/></node><node key="b" t="s" v="5">'
+            '<x v="2"/><x/></node><node key="c"><y v="1">t</y></node></network>')
+    net = parse_network(text)
+    for filter_text, keys in (('@v < 3', {"a"}), ("not(@t)", {"a", "c"}),
+                              ("count(x/@v) = 1", {"a", "b"}), ('x/@v = "1"', {"a"})):
+        assert _labelled(net, filter_text) == keys
+    assert all(e._attr_items is None for e in _elements(net))
+    for filter_text, keys, owners in (("attribute::*", {"a", "b", "c"}, "abc"),
+                                      ('attribute::v[. = "1"]', {"a"}, "ab")):
+        net = parse_network(text)
+        assert _labelled(net, filter_text) == keys
+        built = [e for e in _elements(net) if e._attr_items is not None]
+        assert built == [net.payload(key) for key in owners]
+        for e in built:
+            assert e.attr_items is e._attr_items
+            assert [(a.owner, a.name, a.value) for a in e.attr_items] == [
+                (e, n, v) for n, v in e.attrs.items()
+            ]
+
+
+def test_literal_is_converted_once_when_compiled(monkeypatch):
+    # Only the payloads' values are converted as pairs reach them.
+    import netcheck.xpath as xpath
+
+    converted = []
+    to_number = xpath._CONVERT[("str", "num")]
+    monkeypatch.setitem(xpath._CONVERT, ("str", "num"),
+                        lambda value: converted.append(value) or to_number(value))
+    holds = xpath._compile_filter.__wrapped__(parse_filter('@v < "3" or "2" > @w'))
+    assert converted == ["3", "2"]
+    docs = [parse_xml(f'<n v="{v}" w="{w}"/>') for v, w in (("1", "5"), ("4", "1"), ("4", "2"))]
+    assert [holds(doc) for doc in docs] == [True, True, False]
+    assert converted == ["3", "2", "1", "4", "1", "4", "2"]
+
+
+@pytest.mark.parametrize("filter_text, named", [
+    ('@v < "abc"', ("'abc'", "'q'")),
+    ('"abc" > @v', ("'abc'", "'abc'")),
+])
+def test_literal_that_fails_conversion_raises_only_when_reached(filter_text, named):
+    # The literal cannot be a number, but it raises only when a pair
+    # reaches it: never where no payload has v, and otherwise at the
+    # first key in key order whose payload has v. There the left value
+    # converts first, so a bad v on the left names itself instead.
+    none = parse_network('<network><node key="a"><x v="1"/></node><node key="b"/></network>')
+    assert _labelled(none, filter_text) == frozenset()
+    for (first, then), bad in zip((("1", "q"), ("q", "1")), named):
+        net = parse_network(f'<network><node key="a"/><node key="b" v="{first}"/>'
+                            f'<node key="c" v="{then}"/></network>')
+        with pytest.raises(FilterTypeError) as exc:
+            _labelled(net, filter_text)
+        assert str(exc.value) == (
+            f"filter {filter_text!r} at node 'b': cannot interpret {bad} as a number"
+        )
 
 
 TWIN = '<a x="1"><b y="2">t<c/>u</b><c x="3" y="4"><b>v</b><a/></c>w<b><c>z</c></b></a>'
