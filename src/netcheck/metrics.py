@@ -13,8 +13,11 @@ callers decide how to format them.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
+from operator import and_, ne
 
 from .errors import EmptyNetworkError, FormatError
 from .network import Network
@@ -161,24 +164,26 @@ class DegreeHistogram:
 def degree_histogram(net: Network) -> DegreeHistogram:
     """Degrees counted with edge multiplicity; an undirected self-loop
     adds two, a directed one adds one to each side."""
+    srcs, dsts, _ = _columns(net)
     if net.directed:
-        ins = {k: 0 for k in net.nodes}
-        outs = {k: 0 for k in net.nodes}
-        for e in net.edges:
-            outs[e.src] += 1
-            ins[e.dst] += 1
-        return DegreeHistogram(True, None, _histogram(ins), _histogram(outs))
-    degs = {k: 0 for k in net.nodes}
-    for e in net.edges:
-        degs[e.src] += 1
-        degs[e.dst] += 1
-    return DegreeHistogram(False, _histogram(degs))
+        return DegreeHistogram(True, None, _histogram(net, Counter(dsts)),
+                               _histogram(net, Counter(srcs)))
+    degs = Counter(srcs)
+    degs.update(dsts)
+    return DegreeHistogram(False, _histogram(net, degs))
 
 
-def _histogram(values: dict[str, int]) -> dict[int, int]:
-    hist: dict[int, int] = {}
-    for v in values.values():
-        hist[v] = hist.get(v, 0) + 1
+def _columns(net: Network) -> tuple[tuple, tuple, tuple]:
+    """The sources, destinations and weights of the edge records."""
+    return tuple(zip(*net.edges)) or ((), (), ())
+
+
+def _histogram(net: Network, degrees: Counter) -> dict[int, int]:
+    """Node counts per degree, from the degrees of the nodes that have
+    one; every other node of ``net`` has degree 0."""
+    hist = Counter(degrees.values())
+    if len(degrees) < net.n:
+        hist[0] = net.n - len(degrees)
     return dict(sorted(hist.items()))
 
 
@@ -191,22 +196,26 @@ def eulerian_path_exists(net: Network) -> bool:
     """
     if net.directed:
         raise ValueError("Eulerian path criterion applies to undirected networks")
-    odd: set[str] = set()
-    touched: set[str] = set()
-    for e in net.edges:
+    srcs, dsts, weights = _columns(net)
+    # Equal weights share integrality and parity, so each distinct one
+    # is read once, in record order, and the first bad record raises.
+    odd_weight = {}
+    for w in dict.fromkeys(weights):
         # the decimal digits give integrality and parity without the
-        # quadratic int(w); a self-loop adds 2w, which is always even
-        _, digits, exponent = e.weight.as_tuple()
+        # quadratic int(w)
+        _, digits, exponent = w.as_tuple()
         if exponent < 0 and any(digits[exponent:]):
-            raise FormatError(
-                f"edge weight {e.weight} is not an integer multiplicity"
-            )
-        touched.update((e.src, e.dst))
-        if e.src != e.dst and exponent <= 0 and digits[exponent - 1] % 2:
-            odd ^= {e.src, e.dst}
-    if len(odd) not in (0, 2):
+            raise FormatError(f"edge weight {w} is not an integer multiplicity")
+        odd_weight[w] = exponent <= 0 and digits[exponent - 1] % 2 == 1
+    # An edge of odd weight flips the parity of both its ends; a
+    # self-loop adds 2w, which is always even.
+    flips = tuple(map(and_, map(ne, srcs, dsts), map(odd_weight.__getitem__, weights)))
+    ends = Counter(compress(srcs, flips))
+    ends.update(compress(dsts, flips))
+    if sum(count % 2 for count in ends.values()) not in (0, 2):
         return False
     # every edge in one component (isolated nodes do not matter)
+    touched = set(srcs).union(dsts)
     keys = net.node_keys()
     return sum(
         1 for comp in net.component_ids if any(keys[i] in touched for i in comp)

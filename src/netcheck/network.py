@@ -1,7 +1,9 @@
 """Node-attributed networks and their XML wire format.
 
 A network is a keyed set of nodes, each carrying an XML payload, plus a
-multiset of weighted edges. The XML format is::
+multiset of weighted edges. An edge record, ``Edge``, is a NamedTuple
+``(src, dst, weight)``: it unpacks, and it equals its plain tuple. The
+XML format is::
 
     <network directed="true|false">      directed defaults to "true"
       <node key="K"> ... payload ... </node>
@@ -11,7 +13,8 @@ The file is read without building a tree of it. Each ``<node>`` is a
 payload, ranked as the document it would be on its own; a network ranks
 a payload built by hand once, when it is built. A run of ``<edge>`` tags
 in the spelling that ``serialize_network`` writes is read by one regular
-expression call straight into ``Edge`` records; an edge in any other
+expression call, whose columns become ``Edge`` records in one ``map``,
+each distinct weight text checked once; an edge in any other
 spelling is parsed as an element, checked and dropped. The errors are
 those of parsing the whole file first and checking it after: a
 ParseError anywhere wins over a FormatError, the first FormatError in
@@ -44,10 +47,10 @@ change once it is inside a network, or its stored labels go stale.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from decimal import Decimal, InvalidOperation
 from functools import cached_property
-from typing import Mapping
+from itertools import repeat
+from typing import Mapping, NamedTuple
 
 from .errors import FormatError, UnknownKeyError
 from .xmldoc import (
@@ -66,8 +69,10 @@ from .xmldoc import (
 _STORED_KEYS_PER_NODE = 16
 
 
-@dataclass(frozen=True)
-class Edge:
+class Edge(NamedTuple):
+    """One edge record. A tuple: it unpacks as ``src, dst, weight`` and
+    equals the plain tuple of its fields."""
+
     src: str
     dst: str
     weight: Decimal = Decimal(1)
@@ -244,8 +249,14 @@ def parse_network(data: bytes | str) -> Network:
             continue
         try:
             if isinstance(child, re.Match):  # a run of edges as serialize_network writes them
-                for src, dst, weight in _EDGE.findall(child.string, child.start(), child.end()):
-                    edges.append(Edge(src, dst, _weight(weight or "1", weights)))  # "": omitted
+                srcs, dsts, texts = zip(*_EDGE.findall(child.string, child.start(), child.end()))
+                # Each distinct text is checked once, the first in the file
+                # first. "" is an omitted weight; it stays out of ``weights``,
+                # where it would let an element's weight="" through.
+                by_text = {text: _weight(text or "1", weights) for text in dict.fromkeys(texts)}
+                # The records are made in C, with no Python frame per edge.
+                edges.extend(map(tuple.__new__, repeat(Edge),
+                                 zip(srcs, dsts, map(by_text.__getitem__, texts))))
             elif isinstance(child, str):
                 raise FormatError("text content is not allowed inside <network>")
             else:

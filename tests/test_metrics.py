@@ -439,6 +439,79 @@ def _eulerian_by_search_with_loops(net) -> bool:
     return any(walk(start, expanded) for start in net.node_keys())
 
 
+# Integer weights, equal values among them spelled apart; a third of
+# the networks also draw the fractional ones.
+INTEGER_WEIGHTS = ("1", "1", "1", "2", "2.0", "1E+1", "3")
+FRACTIONAL_WEIGHTS = ("3.5", "3.50", "0.5")
+
+
+def _random_multigraph(rng, directed):
+    """Up to 10 nodes and 30 edge records, with parallel edges,
+    self-loops and isolated nodes."""
+    keys = [f"v{i}" for i in range(rng.randint(1, 10))]
+    weights = INTEGER_WEIGHTS + (FRACTIONAL_WEIGHTS if rng.random() < 0.3 else ())
+    edges = []
+    for _ in range(rng.randint(0, 30)):
+        if edges and rng.random() < 0.2:
+            a, b, _ = rng.choice(edges)  # a parallel edge
+        else:
+            a = rng.choice(keys)
+            b = a if rng.random() < 0.15 else rng.choice(keys)
+        edges.append(Edge(a, b, Decimal(rng.choice(weights))))
+    return Network(directed, {k: parse_xml(f'<node key="{k}"/>') for k in keys}, edges)
+
+
+def _histogram_per_record(net):
+    """degree_histogram's dicts, one record at a time."""
+    def hist(degs):
+        counts = {}
+        for d in degs.values():
+            counts[d] = counts.get(d, 0) + 1
+        return dict(sorted(counts.items()))
+
+    ins, outs = dict.fromkeys(net.nodes, 0), dict.fromkeys(net.nodes, 0)
+    for e in net.edges:
+        outs[e.src] += 1
+        ins[e.dst] += 1
+    if net.directed:
+        return None, hist(ins), hist(outs)
+    return hist({k: ins[k] + outs[k] for k in net.nodes}), None, None
+
+
+def _eulerian_per_record(net):
+    """eulerian_path_exists one record at a time, with int weights: the
+    result, or the FormatError text of the first fractional weight."""
+    degree = dict.fromkeys(net.nodes, 0)
+    for e in net.edges:
+        if e.weight != int(e.weight):
+            return f"edge weight {e.weight} is not an integer multiplicity"
+        degree[e.src] += int(e.weight)
+        degree[e.dst] += int(e.weight)
+    odd = sum(d % 2 for d in degree.values())
+    touched = {k for e in net.edges for k in (e.src, e.dst)}
+    spanned = [c for c in union_find_components(net) if touched.intersection(c)]
+    return odd in (0, 2) and len(spanned) <= 1
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_edge_statistics_match_per_record_references(seed):
+    rng = random.Random(seed)
+    outcomes = set()
+    for _ in range(150):
+        net = _random_multigraph(rng, directed=rng.random() < 0.3)
+        hist = degree_histogram(net)
+        assert (hist.counts, hist.in_counts, hist.out_counts) == _histogram_per_record(net)
+        if net.directed:
+            continue
+        try:
+            found = eulerian_path_exists(net)
+        except FormatError as exc:
+            found = str(exc)
+        assert found == _eulerian_per_record(net), net.edges
+        outcomes.add(found if isinstance(found, bool) else "error")
+    assert outcomes == {True, False, "error"}
+
+
 # -- invariants -----------------------------------------------------------------------------
 
 

@@ -1,6 +1,7 @@
 """Network ingestion, adjacency, transpose, and round-trip tests."""
 
 import gc
+import pickle
 import random
 import sys
 import time
@@ -238,15 +239,55 @@ def test_parse_network_releases_root_and_edges():
 
 
 def test_parse_network_shares_one_weight_per_text():
+    # A canonical run, a second one after the comment, and two edges
+    # that take the general route; an omitted weight is the text "1".
     net = parse_network(
         '<network><node key="a"/><edge from="a" to="a" weight="2.5"/>'
         '<edge from="a" to="a"/><edge from="a" to="a" weight="2.5"/>'
-        '<edge from="a" to="a" weight="2.50"/></network>'
+        '<edge from="a" to="a" weight="2.50"/><!-- c --><edge from="a" to="a" weight="2.5"/>'
+        "<edge from='a' to='a' weight='2.5'/><edge from='a' to='a' weight='1'/></network>"
     )
     w = [e.weight for e in net.edges]
-    assert w == [Decimal("2.5"), 1, Decimal("2.5"), Decimal("2.5")]
-    assert w[0] is w[2] and w[0] is not w[3]
+    assert w == [Decimal("2.5"), 1, Decimal("2.5"), Decimal("2.5"), Decimal("2.5"),
+                 Decimal("2.5"), 1]
+    assert w[0] is w[2] is w[4] is w[5] and w[1] is w[6] and w[0] is not w[3]
     assert str(w[3]) == "2.50"
+
+
+def test_both_edge_routes_make_edge_records():
+    net = parse_network(
+        '<network><node key="a"/><edge from="a" to="a" weight="2"/>'
+        "<edge from='a' to='a'/></network>"
+    )
+    assert [type(e) for e in net.edges] == [Edge, Edge]
+    assert net.edges == (("a", "a", Decimal(2)), ("a", "a", Decimal(1)))
+
+
+@pytest.mark.parametrize("first, second, message", [
+    ("x", "0", "edge weight must be numeric, got 'x'"),
+    ("0", "x", "edge weight must be positive, got '0'"),
+    ("-1", "-1.0", "edge weight must be positive, got '-1'"),
+])
+def test_a_run_reports_its_first_bad_weight(first, second, message):
+    # All four edges are one canonical run; the bad weights come second
+    # and third, each also once more after them.
+    edges = "".join(f'<edge from="a" to="a"{w}/>' for w in (
+        "", f' weight="{first}"', f' weight="{second}"', f' weight="{first}"'))
+    with pytest.raises(FormatError) as info:
+        parse_network(f'<network><node key="a"/>{edges}</network>')
+    assert str(info.value) == message
+
+
+def test_edge_record_is_an_immutable_tuple():
+    e = Edge("a", "b")
+    assert repr(e) == "Edge(src='a', dst='b', weight=Decimal('1'))"
+    assert e == ("a", "b", Decimal(1)) and hash(e) == hash(("a", "b", Decimal(1)))
+    src, dst, weight = e
+    assert (src, dst, weight) == (e.src, e.dst, e.weight)
+    with pytest.raises(AttributeError):
+        e.weight = Decimal(2)
+    again = pickle.loads(pickle.dumps(e))
+    assert type(again) is Edge and again == e
 
 
 def _chain_file(n, q='"'):
@@ -285,9 +326,15 @@ def _assert_linear_on_chains(quote):
         assert net.successors(f"n{n - 2}") == (f"n{n - 1}",)
         assert net.payload("n3").children[0].attrs == {"v": "3", "w": "x"}
         files.append(data)
+    # No network is kept alive while the parses are timed, and each
+    # starts after a full collection, so that neither the collector's
+    # passes over a kept network nor garbage left by the previous parse
+    # falls on one size more than the other.
+    del net
     times = [float("inf"), float("inf")]
     for rep in range(3):
         for i in ((0, 1) if rep % 2 == 0 else (1, 0)):
+            gc.collect()
             t0 = time.perf_counter()
             parse_network(files[i])
             times[i] = min(times[i], time.perf_counter() - t0)
