@@ -74,9 +74,9 @@ def components(net: Network) -> ComponentDecomposition:
 _BLOCK = 1024
 
 
-def _giant_distance_sums(net: Network) -> tuple[int, int, int]:
-    """(giant size, eccentricity max, sum of ordered-pair distances)
-    over the giant component, by one bit-parallel all-pairs BFS.
+def _geodesics(net: Network) -> tuple[int, Fraction]:
+    """(diameter, mean geodesic) of the giant component from one
+    bit-parallel all-pairs BFS, so a report that needs both sweeps once.
 
     Sources are taken ``_BLOCK`` at a time, one bit each (Akiba, Iwata &
     Yoshida, SIGMOD 2013). Every node keeps a mask of the block's
@@ -84,11 +84,12 @@ def _giant_distance_sums(net: Network) -> tuple[int, int, int]:
     frontier node's bits to its neighbours, keeping the bits still
     unseen there, so all sources of a block advance together with one
     big-int AND per adjacency entry. Each new bit at level d adds d to
-    the total. The cost is O(ceil(g/_BLOCK) * D * m) big-int operations
-    on masks of ``_BLOCK`` bits, for giant size g and diameter D. On
-    short-diameter graphs that is far below the g * m steps of one BFS
-    per source; on long chains, where D is about g and the sources'
-    frontiers barely overlap, it is no faster.
+    the sum of ordered-pair distances. The cost is
+    O(ceil(g/_BLOCK) * D * m) big-int operations on masks of ``_BLOCK``
+    bits, for giant size g and diameter D. On short-diameter graphs that
+    is far below the g * m steps of one BFS per source; on long chains,
+    where D is about g and the sources' frontiers barely overlap, it is
+    no faster.
     """
     if net.n == 0:
         raise EmptyNetworkError("network has no nodes")
@@ -122,13 +123,6 @@ def _giant_distance_sums(net: Network) -> tuple[int, int, int]:
         # the last level found nothing; the one before it is the
         # block's largest eccentricity
         longest = max(longest, depth - 1)
-    return size, longest, total
-
-
-def _geodesics(net: Network) -> tuple[int, Fraction]:
-    """(diameter, mean geodesic) of the giant component from one
-    bit-parallel all-pairs BFS, so a report that needs both sweeps once."""
-    size, longest, total = _giant_distance_sums(net)
     if size < 2:
         return longest, Fraction(0)
     return longest, Fraction(total, size * (size - 1))
@@ -136,7 +130,7 @@ def _geodesics(net: Network) -> tuple[int, Fraction]:
 
 def diameter(net: Network) -> int:
     """Longest geodesic within the giant component, from the
-    bit-parallel all-pairs BFS of ``_giant_distance_sums``:
+    bit-parallel all-pairs BFS of ``_geodesics``:
     O(ceil(g/1024) * D * m) big-int operations for giant size g and
     diameter D, no faster than per-source BFS on long chains."""
     return _geodesics(net)[0]
@@ -145,7 +139,7 @@ def diameter(net: Network) -> int:
 def mean_geodesic(net: Network) -> Fraction:
     """Mean shortest-path length over unordered distinct pairs of the
     giant component; 0 for a single-node giant. Computed by the
-    bit-parallel all-pairs BFS of ``_giant_distance_sums``, at the cost
+    bit-parallel all-pairs BFS of ``_geodesics``, at the cost
     given for :func:`diameter`."""
     return _geodesics(net)[1]
 

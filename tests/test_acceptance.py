@@ -1,8 +1,9 @@
-"""Acceptance gate: seven shipping criteria, one test per criterion.
+"""Acceptance gate: seven shipping criteria, one test per criterion,
+plus a count-based twin of criterion 5.
 
 ``pytest -v tests/test_acceptance.py`` shows one PASSED/FAILED row per
-criterion; each test also prints an ``ACCEPTANCE n ... PASS`` line
-(visible with ``-s``) when its assertions all hold. Expected sets
+test; each criterion's test also prints an ``ACCEPTANCE n ... PASS``
+line (visible with ``-s``) when its assertions all hold. Expected sets
 marked as pinned below were computed by the brute-force route (or by
 hand) before the production checker was written, then frozen here.
 """
@@ -228,6 +229,41 @@ def test_criterion_5_linear_scaling():
         5,
         f"200k in {t200:.2f}s, size ratio {ratio:.2f}, formula ratio {fratio:.2f}",
     )
+
+
+def test_criterion_5_counts_linear(monkeypatch):
+    # The count-based twin of the timing bracket above: payload
+    # evaluations and id-adjacency entries read by one check, on a fresh
+    # network each time. Counts do not depend on the host's speed.
+    from tests.test_checker import _counting_compiler
+    from tests.test_ctl import _ReadCounter
+
+    counts = _counting_compiler(monkeypatch)
+
+    def counted(net, formula):
+        fresh = Network(True, net.nodes, net.edges)
+        fresh._succ = succ = _ReadCounter(fresh._succ)
+        fresh._pred = pred = _ReadCounter(fresh._pred)
+        succ.read = pred.read = 0
+        counts["runs"].clear()
+        check(fresh, formula)
+        return sum(counts["runs"].values()), succ.read + pred.read
+
+    f1 = parse_formula('EF [p = "1"]')
+    net10 = _chain(10_000)
+    evals10, read10 = counted(net10, f1)
+    evals20, read20 = counted(_chain(20_000), f1)
+    assert abs(evals20 / evals10 - 2) <= 0.05, (evals10, evals20)
+    assert abs(read20 / read10 - 2) <= 0.05, (read10, read20)
+
+    f_half = parse_formula('EF [p = "1"] | EF [p = "2"]')
+    f_full = parse_formula(
+        'EF [p = "1"] | EF [p = "2"] | EF [p = "3"] | EF [p = "4"]'
+    )
+    evals_half, read_half = counted(net10, f_half)
+    evals_full, read_full = counted(net10, f_full)
+    assert abs(evals_full / evals_half - 2) <= 0.05, (evals_half, evals_full)
+    assert read_full <= 1.05 * read_half, (read_half, read_full)
 
 
 # -- 6: statistics ---------------------------------------------------------------------

@@ -488,6 +488,46 @@ def test_pickled_formulas_and_filters_hash_afresh():
         assert proc.returncode == 0, proc.stderr.decode()
 
 
+def test_every_tree_node_hashes_as_its_field_tuple():
+    # The kept hash is the one the dataclass generates from the fields;
+    # a decorator that kept some other hash (say, object identity, were
+    # the two decorators swapped) fails here.
+    from dataclasses import fields, is_dataclass
+
+    from netcheck import ctl
+    from netcheck.ctl import witness
+    from netcheck.network import parse_network
+
+    formula = parse_formula(
+        'true & !false & (EX [a/* and not(text() = "x")] | EU([count(.//b) > 1.5],'
+        ' [contains(k, "y") or ../@c = 2])) & AG [e]'
+    )
+    net = parse_network('<network><node key="u"><e/></node><node key="v"/>'
+                        '<edge from="u" to="v"/></network>')
+    labels, registry = label_nodes(net, parse_formula("[e]"))
+    found = witness(net, labels, replace_filters(parse_formula("EF [e]"), registry), "u")
+    seen = set()
+
+    def walk(node):
+        if isinstance(node, tuple):
+            for item in node:
+                walk(item)
+        elif is_dataclass(node):
+            seen.add(type(node))
+            values = tuple(getattr(node, f.name) for f in fields(node))
+            assert hash(node) == hash(values), node
+            for value in values:
+                walk(value)
+
+    walk(formula)
+    for filter_expr in collect_filters(formula):
+        walk(filter_expr)
+    walk(found)
+    tree_nodes = {cls for module in (xp, ctl) for cls in vars(module).values()
+                  if isinstance(cls, type) and "_hash" in vars(cls)}
+    assert seen == tree_nodes, tree_nodes - seen
+
+
 def test_labels_and_checker_share_the_network_key_set():
     from netcheck.ctl import LabelMap, _Checker, witness
     from netcheck.errors import UnknownKeyError

@@ -216,13 +216,18 @@ def test_metrics_k3(capsys):
 
 
 def test_metrics_report_runs_one_geodesic_sweep(capsys, monkeypatch):
+    import netcheck.cli as cli
     import netcheck.metrics as metrics
 
+    # One counter behind both names, so a second sweep fails the test
+    # whether the report calls it directly or through diameter() or
+    # mean_geodesic().
     sweeps = []
-    sweep = metrics._giant_distance_sums
-    monkeypatch.setattr(
-        metrics, "_giant_distance_sums", lambda net: sweeps.append(net) or sweep(net)
-    )
+    sweep = metrics._geodesics
+    for module in (cli, metrics):
+        monkeypatch.setattr(
+            module, "_geodesics", lambda net: sweeps.append(net) or sweep(net)
+        )
     builds = Counter()
     for name in ("simple_view", "component_ids"):
         build = getattr(Network, name).func
