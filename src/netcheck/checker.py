@@ -136,31 +136,24 @@ class _FormulaParser(_Parser):
         kind, val, col = self.peek()
         if (kind == "SYM" and val == "!") or (kind == "WORD" and val in UNARY_OPS):
             self.next()
-            self.enter(col)
-            f, depth = self.parse_unary()
-            self.open -= 1
-            f = Not(f) if val == "!" else Temporal(val, f)
-            return f, self.within(depth + 1, col)
+            f, depth = self.nested(col, self.parse_unary)
+            return (Not(f) if val == "!" else Temporal(val, f)), depth
         if kind == "WORD" and val in UNTIL_OPS:
             self.next()
             self.expect_sym("(")
-            self.enter(col)
-            left, dl = self.parse_or()
+            left, dl = self.nested(col, self.parse_or)
             self.expect_sym(",")
-            right, dr = self.parse_or()
+            right, dr = self.nested(col, self.parse_or)
             self.expect_sym(")")
-            self.open -= 1
-            return Until(val, left, right), self.within(max(dl, dr) + 1, col)
+            return Until(val, left, right), max(dl, dr)
         if kind == "WORD" and val in ("true", "false"):
             self.next()
             return Bool(val == "true"), 0
         if kind == "SYM" and val == "(":
             self.next()
-            self.enter(col)
-            f, depth = self.parse_or()
+            f, depth = self.nested(col, self.parse_or)
             self.expect_sym(")")
-            self.open -= 1
-            return f, self.within(depth + 1, col)
+            return f, depth
         if kind == "FILTER":
             self.next()
             return Atom(val), 0

@@ -3,7 +3,9 @@
 Three subcommands: ``check`` evaluates a formula and prints the
 satisfying node keys in ascending order, ``query`` prints the keys
 whose payload matches a bare filter, ``metrics`` prints the statistics
-report. Output goes to stdout only on success and is byte-identical
+report. All three take ``--network`` and ``--format``, and ``query`` is
+answered as ``check`` is, with the filter as the one atom of its
+formula. Output goes to stdout only on success and is byte-identical
 across runs; diagnostics go to stderr. Exit codes: 0 success (an empty
 result set is success), 1 formula or filter syntax error, 2 network
 file or format error or command-line argument error, 3 evaluation type
@@ -17,7 +19,7 @@ import json
 import sys
 
 from . import __version__
-from .checker import check, label_nodes, parse_formula, replace_filters
+from .checker import label_nodes, parse_formula, replace_filters
 from .ctl import Atom, NotSatisfiedError, _Checker
 from .errors import FilterTypeError, FormatError, ParseError, UnknownKeyError
 from .metrics import (
@@ -52,23 +54,22 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"netcheck {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
+    # What every subcommand takes, declared once.
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--network", metavar="PATH")
+    common.add_argument("--format", choices=("lines", "json"), default="lines")
 
-    check_p = sub.add_parser("check", help="evaluate a formula over a network")
-    check_p.add_argument("--network", metavar="PATH")
+    check_p = sub.add_parser("check", parents=[common], help="evaluate a formula over a network")
     group = check_p.add_mutually_exclusive_group(required=True)
     group.add_argument("--formula", metavar="TEXT")
     group.add_argument("--formula-file", metavar="PATH")
     check_p.add_argument("--witness-for", metavar="KEY")
-    check_p.add_argument("--format", choices=("lines", "json"), default="lines")
 
-    query_p = sub.add_parser("query", help="print keys whose payload matches a filter")
-    query_p.add_argument("--network", metavar="PATH")
+    query_p = sub.add_parser("query", parents=[common],
+                             help="print keys whose payload matches a filter")
     query_p.add_argument("--filter", required=True, metavar="TEXT")
-    query_p.add_argument("--format", choices=("lines", "json"), default="lines")
 
-    metrics_p = sub.add_parser("metrics", help="print network statistics")
-    metrics_p.add_argument("--network", metavar="PATH")
-    metrics_p.add_argument("--format", choices=("lines", "json"), default="lines")
+    sub.add_parser("metrics", parents=[common], help="print network statistics")
 
     return parser
 
@@ -122,7 +123,13 @@ def _run_check(args) -> int:
         formula = parse_formula(formula_text)
     except ParseError as exc:
         return _fail(EXIT_SYNTAX, f"formula: {exc}")
+    return _answer(args, formula, args.witness_for)
 
+
+def _answer(args, formula, witness_for: str | None = None) -> int:
+    """Load the network, then label, check and print the keys where
+    ``formula`` holds, in ascending order, with the witness report for
+    ``witness_for`` if one is asked for."""
     net = _load(args)
     if isinstance(net, int):
         return net
@@ -133,8 +140,8 @@ def _run_check(args) -> int:
         checker = _Checker(net, labels)  # the witness reads its sets too
         keys = list(checker.keys_in(checker.sat(propositional)))  # ascending
         witness_report = None
-        if args.witness_for is not None:
-            witness_report = _witness_report(checker, propositional, args.witness_for)
+        if witness_for is not None:
+            witness_report = _witness_report(checker, propositional, witness_for)
     except FilterTypeError as exc:
         return _fail(EXIT_TYPE, f"evaluation: {exc}")
 
@@ -146,10 +153,9 @@ def _run_check(args) -> int:
             payload = {"satisfying": keys, "witness": witness_report}
             _emit([json.dumps(payload, indent=2, sort_keys=True)])
     else:
-        lines = list(keys)
         if witness_report is not None:
-            lines.append(_witness_line(witness_report))
-        _emit(lines)
+            keys.append(_witness_line(witness_report))
+        _emit(keys)
     return EXIT_OK
 
 
@@ -189,18 +195,7 @@ def _run_query(args) -> int:
         filter_expr = parse_filter(args.filter)
     except ParseError as exc:
         return _fail(EXIT_SYNTAX, f"filter: {exc}")
-    net = _load(args)
-    if isinstance(net, int):
-        return net
-    try:
-        keys = sorted(check(net, Atom(filter_expr)))
-    except FilterTypeError as exc:
-        return _fail(EXIT_TYPE, f"evaluation: {exc}")
-    if args.format == "json":
-        _emit([json.dumps(keys, indent=2)])
-    else:
-        _emit(keys)
-    return EXIT_OK
+    return _answer(args, Atom(filter_expr))
 
 
 def _run_metrics(args) -> int:

@@ -28,22 +28,22 @@ and decrements the counts of its open predecessors, and the result is
 b plus the settled nodes. An open sink has no successor to settle, so
 it never settles: its maximal path ends outside b. EF and AF are EU and
 AU with a true left operand; AG is the dual of EF and EG the dual of
-AF. A pass seeds from the smaller side: from b, reading the edges into
-it, or, when fewer nodes are open than b holds, from the open nodes
-that b settles at once, reading the out-edges of the open nodes
-instead. With no open node, or b empty, it returns b at once. Inverse
-operators run the same pass on the transposed relation. Either way a
-pass reads each edge at most twice, so every operator is O(n+m), also
-on hubs, the whole check is O(|formula|*(n+m)), and only the final set
-is decoded back to keys. ``oracle_check`` recomputes
-satisfaction by deliberately different brute-force means over keys,
-on successor and predecessor maps of its own built from the edge
-records, and is capped at 12 nodes; it exists so the two can be
-compared on random instances. ``witness``
-computes only the operand sets of a top-level EX, EF or EU, reading an
-atom's key set from the label map as it is; one search over the id
-adjacency from the start node, testing the key of each node it reaches,
-then finds a shortest witness path or decides that the formula does not
+AF. A pass seeds from the cheaper side: from b, reading the edges into
+it, or, when b holds more than twice as many nodes as are open (an open
+node costs about twice a node of b), from the open nodes that b settles
+at once, reading the out-edges of the open nodes instead. With no open
+node, or b empty, it returns b at once. Inverse operators run the same
+pass on the transposed relation. Either way a pass reads each edge at
+most twice, so every operator is O(n+m), also on hubs, the whole check
+is O(|formula|*(n+m)), and only the final set is decoded back to keys.
+``oracle_check`` recomputes satisfaction by deliberately different
+brute-force means over keys, on successor and predecessor maps of its
+own built from the edge records, and is capped at 12 nodes; it exists
+so the two can be compared on random instances. ``witness`` computes
+only the operand sets of a top-level EX, EF or EU, reading an atom's
+key set from the label map as it is; one search over the id adjacency
+from the start node, testing the key of each node it reaches, then
+finds a shortest witness path or decides that the formula does not
 hold there.
 """
 
@@ -324,11 +324,12 @@ class _Checker:
         if not rest or not b:
             return b
         open_ = _to_flags(rest, n)
-        if rest.bit_count() < b.bit_count():
+        if 2 * rest.bit_count() < b.bit_count():
             # Seed from the open side: the open nodes with a successor in
             # b (EU) or with successors only in b (AU) settle at once,
             # and an AU node counts only its successors outside b. The
             # out-edges of the open nodes are read, not the in-edges of b.
+            # Each costs a map and a sum, about two steps of the loop below.
             in_b = _to_flags(b, n).__getitem__
             if universal:
                 count = [0] * n

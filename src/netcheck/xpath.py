@@ -98,6 +98,11 @@ class AnyItemTest:
 NodeTest = NameTest | AnyElementTest | TextTest | AnyItemTest
 
 
+# The steps that test any item, as written: ``//`` is the empty step
+# between two slashes.
+_ANY_ITEM_FORMS = {Axis.SELF: ".", Axis.PARENT: "..", Axis.DESCENDANT_OR_SELF: ""}
+
+
 @hashed_once
 @dataclass(frozen=True)
 class Step:
@@ -105,11 +110,27 @@ class Step:
     test: NodeTest
     predicates: tuple = ()
 
+    def __post_init__(self):
+        # AnyItemTest is written only as ., .. or //, which take no
+        # predicate; any other such step could not be written back.
+        if self.test.__class__ is AnyItemTest and (
+            self.predicates or self.axis not in _ANY_ITEM_FORMS
+        ):
+            raise ValueError(f"only '.', '..' and '//' test any item, not a "
+                             f"{self.axis.value} step with {len(self.predicates)} predicates")
+
 
 @hashed_once
 @dataclass(frozen=True)
 class LocationPath:
     steps: tuple[Step, ...]
+
+    def __post_init__(self):
+        # ``//`` is always followed by a step, so a path cannot end in one.
+        if self.steps:
+            last = self.steps[-1]
+            if last.axis is Axis.DESCENDANT_OR_SELF and last.test.__class__ is AnyItemTest:
+                raise ValueError("a path cannot end in a bare '//' step")
 
 
 def _check_quotes(s: str) -> None:
@@ -304,10 +325,16 @@ class _Parser:
             )
         return depth
 
-    def enter(self, col: int, levels: int = 1) -> None:
+    def nested(self, col: int, parse, levels: int = 1):
+        """(result, depth) of ``parse`` for the part that the token at
+        ``col`` opens, ``levels`` deeper. Every level opens here; the
+        caller reads the closing token after, so depth errors come first."""
         # checked on the way down as well, so that the parser's own
         # recursion is bounded before any subtree is complete
         self.open = self.within(self.open + levels, col)
+        result, depth = parse()
+        self.open -= levels
+        return result, self.within(depth + levels, col)
 
     def parse_or(self):
         expr, depth = self.parse_and()
@@ -353,14 +380,6 @@ class _FilterParser(_Parser):
     or_tok, and_tok = ("NAME", "or"), ("NAME", "and")
     make_or, make_and = Or, And
 
-    def nested(self, col: int, levels: int = 1) -> tuple[FilterExpr, int]:
-        """The or-level expression inside the not(), parenthesis or
-        predicate opened at ``col``, ``levels`` deeper."""
-        self.enter(col, levels)
-        expr, depth = self.parse_or()
-        self.open -= levels
-        return expr, self.within(depth + levels, col)
-
     def _at_call(self, word: str) -> bool:
         tok = self.peek()
         return (tok.kind == "NAME" and tok.value == word
@@ -370,14 +389,14 @@ class _FilterParser(_Parser):
         if self._at_call("not"):
             col = self.next().col
             self.expect_sym("(")
-            inner, depth = self.nested(col)
+            inner, depth = self.nested(col, self.parse_or)
             self.expect_sym(")")
             return Not(inner), depth
         return self.parse_cmp()
 
     def parse_cmp(self) -> tuple[FilterExpr, int]:
         if self.at_sym("("):
-            inner, depth = self.nested(self.next().col)
+            inner, depth = self.nested(self.next().col, self.parse_or)
             self.expect_sym(")")
             return inner, depth
         left, depth = self.parse_operand()
@@ -477,7 +496,7 @@ class _FilterParser(_Parser):
         preds: list[FilterExpr] = []
         depth = 0
         while self.at_sym("["):
-            pred, d = self.nested(self.next().col, _PREDICATE_LEVELS)
+            pred, d = self.nested(self.next().col, self.parse_or, _PREDICATE_LEVELS)
             self.expect_sym("]")
             preds.append(pred)
             depth = max(depth, d)
@@ -534,7 +553,7 @@ def eval_path(path: LocationPath, context: XmlItem) -> list[XmlItem]:
     predicates filter that step's result.
     """
     memos: list[dict] = []
-    return _top_level(_compile_path(path, memos), memos)(context)
+    return _top_level(_compile_path(path.steps, memos), memos)(context)
 
 
 @lru_cache(maxsize=256)
@@ -581,7 +600,7 @@ def _compile_bool(expr: FilterExpr, memos: list[dict]):
         return lambda item: any(needle in value for value in values(item))
     if isinstance(expr, (Exists, CountExpr, LocationPath)):
         path = expr if isinstance(expr, LocationPath) else expr.path
-        found = _attribute_values(path, memos) or _compile_path(path, memos)
+        found = _attribute_values(path, memos) or _compile_path(path.steps, memos)
         return lambda item: bool(found(item))
     if isinstance(expr, StringLiteral):
         value = expr.value != ""
@@ -592,12 +611,13 @@ def _compile_bool(expr: FilterExpr, memos: list[dict]):
     raise AssertionError(expr)
 
 
-def _compile_path(path: LocationPath, memos: list[dict]):
-    steps = [_compile_step(step, memos) for step in path.steps]
+def _compile_path(steps, memos: list[dict]):
+    """Function from a context item to the items the steps reach."""
+    compiled = [_compile_step(step, memos) for step in steps]
 
     def run(item):
         items = [item]
-        for step in steps:
+        for step in compiled:
             if not items:
                 break
             items = step(items)
@@ -883,10 +903,11 @@ def _compile_values(operand: Operand, memos: list[dict]):
         values = _attribute_values(operand, memos)
         if values is not None:
             return values
-        path = _compile_path(operand, memos)
+        path = _compile_path(operand.steps, memos)
         return lambda item: map(string_value, path(item))
     if isinstance(operand, CountExpr):
-        found = _attribute_values(operand.path, memos) or _compile_path(operand.path, memos)
+        found = (_attribute_values(operand.path, memos)
+                 or _compile_path(operand.path.steps, memos))
         return lambda item: (Decimal(len(found(item))),)
     test = _compile_bool(operand, memos)  # contains()
     return lambda item: (test(item),)
@@ -907,7 +928,7 @@ def _attribute_values(path: LocationPath, memos: list[dict]):
         return lambda item: (
             (item.attrs[name],) if isinstance(item, XmlElement) and name in item.attrs else ()
         )
-    reach = _compile_path(LocationPath(tuple(head)), memos)
+    reach = _compile_path(head, memos)
     return lambda item: [
         e.attrs[name] for e in reach(item) if isinstance(e, XmlElement) and name in e.attrs
     ]
@@ -919,7 +940,8 @@ def _attribute_values(path: LocationPath, memos: list[dict]):
 
 def render_filter(expr: FilterExpr) -> str:
     """Render a filter AST back to source form; the form of every
-    filter parses back to an equal filter."""
+    filter parses back to an equal filter, except that a bare
+    ``LocationPath`` renders as the ``Exists`` it parses back to."""
     if isinstance(expr, Or):
         return f"{render_filter(expr.left)} or {_render_arg(expr.right, Or)}"
     if isinstance(expr, And):
@@ -963,42 +985,22 @@ def _render_string(s: str) -> str:
 
 
 def _render_path(path: LocationPath) -> str:
-    parts: list[str] = []
-    pending_slash = False
-    for step in path.steps:
-        if (
-            step.axis is Axis.DESCENDANT_OR_SELF
-            and isinstance(step.test, AnyItemTest)
-            and not step.predicates
-        ):
-            parts.append("//")
-            pending_slash = False
-            continue
-        if pending_slash:
-            parts.append("/")
-        parts.append(_render_step(step))
-        pending_slash = True
-    return "".join(parts)
+    text = "/".join(map(_render_step, path.steps))
+    return "/" + text if text.startswith("/") else text  # a leading '//'
 
 
 def _render_step(step: Step) -> str:
     preds = "".join(f"[{render_filter(p)}]" for p in step.predicates)
-    if step.axis is Axis.SELF and isinstance(step.test, AnyItemTest) and not preds:
-        return "."
-    if step.axis is Axis.PARENT and isinstance(step.test, AnyItemTest) and not preds:
-        return ".."
+    if isinstance(step.test, AnyItemTest):
+        return _ANY_ITEM_FORMS[step.axis]
     if step.axis is Axis.ATTRIBUTE and isinstance(step.test, NameTest) and not preds:
         return f"@{step.test.name}"
     if isinstance(step.test, NameTest):
         test = step.test.name
     elif isinstance(step.test, AnyElementTest):
         test = "*"
-    elif isinstance(step.test, TextTest):
-        test = "text()"
     else:
-        test = "self::*"  # AnyItemTest has no surface form outside . and ..
-        if step.axis in (Axis.SELF, Axis.PARENT):
-            test = "*"
+        test = "text()"
     if step.axis is Axis.CHILD:
         return f"{test}{preds}"
     return f"{step.axis.value}::{test}{preds}"

@@ -189,6 +189,16 @@ def test_formula_depth_cap(shape):
     assert exc.value.column == col
 
 
+def test_formula_depth_reported_before_missing_parenthesis():
+    # as for filters: an unclosed parenthesis around a | chain one
+    # operand too long is too deep before it is unclosed
+    text = "(" + " | ".join(["[a]"] * (MAX_FORMULA_DEPTH + 1))
+    with pytest.raises(ParseError) as exc:
+        parse_formula(text)
+    assert exc.value.message == f"formula nested deeper than {MAX_FORMULA_DEPTH} levels"
+    assert exc.value.column == 1
+
+
 def test_formula_depth_counts_chains_under_nesting():
     # a chain inside parentheses inside a chain: the tree is as deep as
     # the two chains and the parenthesis together

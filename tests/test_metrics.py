@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 from netcheck.errors import EmptyNetworkError, FormatError
 from netcheck.metrics import (
     _BLOCK,
+    _geodesics,
     clustering_coefficient,
     components,
     degree_histogram,
@@ -237,6 +238,43 @@ def test_geodesics_across_source_blocks(build):
     assert size > _BLOCK
     assert diameter(net) == longest
     assert mean_geodesic(net) == Fraction(total, size * (size - 1))
+
+
+def _geodesic_reads(net):
+    """(adjacency entries one ``_geodesics`` sweep reads, its diameter)."""
+    from tests.test_ctl import _ReadCounter
+
+    net.component_ids  # built first: it reads the simple view too
+    net.__dict__["simple_view"] = adj = _ReadCounter(net.simple_view)
+    adj.read = 0
+    longest, _ = _geodesics(net)
+    return adj.read, longest
+
+
+def _star(leaves):
+    return undirected([("hub", f"leaf{i:04d}") for i in range(leaves)])
+
+
+def _chain(n):
+    keys = [f"c{i:04d}" for i in range(n)]
+    return undirected(list(zip(keys, keys[1:])))
+
+
+def test_geodesic_sweep_reads_scale_with_blocks_levels_and_edges():
+    # The count-based twin of the sweep's cost: all sources of a
+    # 1024-source block advance together, so one BFS level reads each
+    # adjacency entry at most once for the whole block, and a sweep
+    # reads at most ceil(g/1024)*(D+1)*2m entries. One BFS per source
+    # would read about 2L entries per leaf of a star, L*L in all, and
+    # double the leaves would read 4x.
+    reads = [_geodesic_reads(_star(leaves))[0] for leaves in (250, 500, 1000)]
+    for small, large in zip(reads, reads[1:]):
+        assert 1.95 <= large / small <= 2.05, reads
+    for net in [_star(n) for n in (1000, 2000, 4000)] + [_chain(200), _chain(400)]:
+        read, longest = _geodesic_reads(net)
+        g = len(net.component_ids[0])
+        bound = -(-g // 1024) * (longest + 1) * 2 * net.m
+        assert 0 < read <= bound, (net.n, read, bound)
 
 
 # -- degree histograms ------------------------------------------------------------------

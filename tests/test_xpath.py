@@ -21,14 +21,17 @@ from netcheck.xmldoc import (
 from netcheck.xpath import (
     MAX_FILTER_DEPTH,
     And,
+    AnyItemTest,
     Axis,
     Comparison,
     Contains,
     CountExpr,
     Exists,
     LocationPath,
+    NameTest,
     Not,
     Or,
+    Step,
     StringLiteral,
     _compile_filter,
     eval_filter,
@@ -109,6 +112,15 @@ def test_filter_depth_cap(shape):
         parse_filter(text)
     assert exc.value.message == f"filter nested deeper than {MAX_FILTER_DEPTH} levels"
     assert exc.value.column == col
+
+
+def test_depth_reported_before_missing_parenthesis():
+    # an unclosed parenthesis around an or chain one operand too long
+    text = "(" + " or ".join(["@a"] * (MAX_FILTER_DEPTH + 1))
+    with pytest.raises(ParseError) as exc:
+        parse_filter(text)
+    assert exc.value.message == f"filter nested deeper than {MAX_FILTER_DEPTH} levels"
+    assert exc.value.column == 1
 
 
 def test_numeric_predicate_is_boolean_not_positional():
@@ -469,6 +481,29 @@ def test_string_with_both_quote_kinds_rejected():
     for one_kind in ("x'y", 'x"y'):
         for expr in (Comparison(path, "=", StringLiteral(one_kind)), Contains(path, one_kind)):
             assert parse_filter(render_filter(expr)) == expr
+
+
+def test_steps_and_paths_that_would_render_differently_rejected():
+    # Only '.', '..' and '//' test any item, with no predicate, and '//'
+    # is always followed by a step: any other such step or path would
+    # render as a different filter, or as text that does not parse.
+    p = (parse_filter("p"),)
+    a = Step(Axis.CHILD, NameTest("a"))
+    descent = Step(Axis.DESCENDANT_OR_SELF, AnyItemTest())
+    for build in (
+        lambda: Step(Axis.CHILD, AnyItemTest()),  # self::*
+        lambda: Step(Axis.SELF, AnyItemTest(), p),  # self::*[p]
+        lambda: Step(Axis.DESCENDANT_OR_SELF, AnyItemTest(), p),  # descendant-or-self::self::*[p]
+        lambda: LocationPath((a, descent)),  # a//
+    ):
+        with pytest.raises(ValueError):
+            build()
+    for text in (".", "..", "//a", "a//b[.]/..", "//@k = 'v'"):
+        expr = parse_filter(text)
+        assert parse_filter(render_filter(expr)) == expr
+    # a bare path renders as the Exists it parses back to
+    path = LocationPath((descent, a))
+    assert parse_filter(render_filter(path)) == Exists(path)
 
 
 def _items(root):
