@@ -41,6 +41,15 @@ from .xpath import FilterExpr, _compile_filter, _parse_bracketed, _Parser, _Tok,
 _KEYWORDS = {*UNARY_OPS, *UNTIL_OPS, "true", "false"}
 
 
+def _shown(filter_expr: FilterExpr) -> str:
+    """A filter as a diagnostic shows it: its text, quoted, or the repr
+    of a tree built by hand that no filter text spells."""
+    try:
+        return repr(render_filter(filter_expr))
+    except ValueError:
+        return repr(filter_expr)
+
+
 class FilterRegistry:
     """Order-preserving bijection between distinct filters and
     generated proposition ids p1, p2, ..."""
@@ -62,7 +71,7 @@ class FilterRegistry:
             return self._prop_of[filter_expr]
         except KeyError:
             raise MissingFilterError(
-                f"filter {render_filter(filter_expr)!r} is not registered"
+                f"filter {_shown(filter_expr)} is not registered"
             ) from None
 
     def filter_for(self, prop: str) -> FilterExpr:
@@ -223,7 +232,7 @@ def label_nodes(net: Network, formula: Formula) -> tuple[LabelMap, FilterRegistr
                     matched.append(key)
         except FilterTypeError as exc:
             raise FilterTypeError(
-                f"filter {render_filter(filter_expr)!r} at node {key!r}: {exc}"
+                f"filter {_shown(filter_expr)} at node {key!r}: {exc}"
             ) from exc
         # A filter that holds everywhere shares the network's own key set.
         return net._key_set if len(matched) == len(keys) else frozenset(matched)

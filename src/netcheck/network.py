@@ -228,26 +228,19 @@ def parse_network(data: bytes | str) -> Network:
     and FormatError for well-formed XML that is not a valid network.
 
     A ParseError anywhere in the text wins over a FormatError, and of
-    two FormatErrors the earlier in the text wins; so the first format
-    fault is kept while the scan goes on to the end, and raised there.
-    The checks that ``Network`` makes of endpoints come last."""
+    two FormatErrors the earlier in the text wins; so the checks stop at
+    the first format fault, which is raised once the rest of the text is
+    read. The checks that ``Network`` makes of endpoints come last."""
     children = _root_children(data, _EDGE_RUN.match)
     root = next(children)
-    fault = None
+    nodes: dict[str, XmlElement] = {}
+    edges: list[Edge] = []
+    weights: dict[str, Decimal] = {}  # weight text -> its checked value
     try:
         if root.name != "network":
             raise FormatError(f"root element must be <network>, got <{root.name}>")
         directed = _directed(root.attrs)
-    except FormatError as exc:
-        fault = exc
-
-    nodes: dict[str, XmlElement] = {}
-    edges: list[Edge] = []
-    weights: dict[str, Decimal] = {}  # weight text -> its checked value
-    for child in children:
-        if fault is not None:
-            continue
-        try:
+        for child in children:
             if isinstance(child, re.Match):  # a run of edges as serialize_network writes them
                 srcs, dsts, texts = zip(*_EDGE.findall(child.string, child.start(), child.end()))
                 # Each distinct text is checked once, the first in the file
@@ -261,11 +254,13 @@ def parse_network(data: bytes | str) -> Network:
                 raise FormatError("text content is not allowed inside <network>")
             else:
                 _add_child(child, nodes, edges, weights)
-        except FormatError as exc:
-            fault = exc
-    if fault is not None:
-        raise fault
-    return Network(directed, nodes, edges)
+    except FormatError as exc:
+        fault = exc
+    else:
+        return Network(directed, nodes, edges)
+    for _ in children:  # out of the except block: a ParseError here chains to nothing
+        pass
+    raise fault
 
 
 # An empty <edge> in the spelling serialize_network writes: from, to and

@@ -18,9 +18,9 @@ for a fault. An element builds its attribute items on first use.
 Serializing and comparing trees are iterative as well.
 
 ``parse_xml`` reads its root element with ``_element``, and so does
-``_root_children`` with each child of the root that it reads:
-``parse_network`` takes a network file's payloads from it without
-building a tree of the file.
+``_root_children`` with each child of the root, and what lies between
+two children with ``_char_data`` alone: ``parse_network`` takes a
+network file's payloads from it without building a tree of the file.
 
 Each element that ``_element`` reads is a document of its own, ranked
 from 0 as the parser makes its items: each element and text item gets
@@ -28,12 +28,12 @@ its ``parent``, its ``index`` among the parent's children and its
 document-order rank ``pos``, each element the largest rank ``end`` in
 its subtree and ``doc``, the list of the document's elements and text
 items by rank, which all its elements share. The subtree of an element
-is then the slice ``doc[pos : end + 1]``, in document order. A tree
-built by hand has no ranks until ``_rank`` gives it the ones the parser
-would: a ``Network`` ranks each payload built by hand once, when it is
-built, and the filter evaluator ranks a standalone tree at the start of
-each call and drops its ``doc`` when the call returns, so such a tree
-may change between calls.
+is then the slice ``doc[pos : end + 1]``, in document order, which
+``string_value`` reads. A tree built by hand has no ranks until
+``_rank`` gives it the ones the parser would: a ``Network`` ranks each
+payload built by hand once, when it is built, and the filter evaluator
+ranks a standalone tree at the start of each call and drops its ``doc``
+when the call returns, so such a tree may change between calls.
 
 Trees are treated as immutable once parsing returns.
 """
@@ -144,20 +144,15 @@ XmlItem = XmlElement | XmlText | XmlAttribute
 
 
 def string_value(item: XmlItem) -> str:
-    """Concatenation of all text beneath the item, in document order."""
+    """Concatenation of all text beneath the item, in document order. The
+    item is in a ranked tree: a parsed one, a network payload, or any
+    tree during a filter call; an element's text is in its ``doc`` slice."""
     if isinstance(item, XmlText):
         return item.text
     if isinstance(item, XmlAttribute):
         return item.value
-    parts: list[str] = []
-    stack = list(reversed(item.children))
-    while stack:
-        node = stack.pop()
-        if isinstance(node, XmlText):
-            parts.append(node.text)
-        else:
-            stack.extend(reversed(node.children))
-    return "".join(parts)
+    return "".join([x.text for x in item.doc[item.pos + 1 : item.end + 1]
+                    if x.__class__ is XmlText])
 
 
 def _rank(item: XmlItem) -> list[XmlElement | XmlText] | None:
@@ -352,12 +347,7 @@ def _root_children(data: bytes | str, raw: Callable[[str, int], re.Match | None]
     yield root
     run: list[str] = []
     while is_open:
-        m = _TEXT.match(text, i)
-        if m:
-            run.append(m[0])
-            i = m.end()
-        if text[i + 1:i + 2] in "!?" or text[i] != "<":  # as in _content
-            i = _char_data(text, i, run, root, start)
+        i = _char_data(text, i, run, root, start)
         if run:
             s = "".join(run)
             run.clear()

@@ -201,6 +201,10 @@ class Comparison:
     op: str  # = != < <= > >=
     right: Operand
 
+    def __post_init__(self):
+        if self.op not in _COMPARE_OPS:
+            raise ValueError(f"unknown comparison operator {self.op!r}")
+
 
 @hashed_once
 @dataclass(frozen=True)
@@ -219,13 +223,15 @@ FilterExpr = (
 
 
 _COMPARE_OPS = ("!=", "<=", ">=", "=", "<", ">")
+_FILTER_NAME_RE = r"[A-Za-z_][A-Za-z0-9_.\-]*"
+_FILTER_NAME = re.compile(_FILTER_NAME_RE)
 
 # One token per match, after any whitespace; the group that matched
 # gives the token's kind. A number is Unicode decimal digits, as \d
 # reads them, with an optional fraction. A quote that is never closed,
 # or any other character that starts no token, falls to the last group.
 _FILTER_TOKEN = re.compile(
-    r"""[ \t\r\n]*(?:("[^"]*"|'[^']*')|(\d+(?:\.\d+)?)|([A-Za-z_][A-Za-z0-9_.\-]*)"""
+    rf"""[ \t\r\n]*(?:("[^"]*"|'[^']*')|(\d+(?:\.\d+)?)|({_FILTER_NAME_RE})"""
     r"""|(::|//|\.\.|[!<>]=|[()/@=<>,.*])|(\[)|(\])|(\Z)|(.))""",
     re.DOTALL,
 )
@@ -939,9 +945,12 @@ def _attribute_values(path: LocationPath, memos: list[dict]):
 
 
 def render_filter(expr: FilterExpr) -> str:
-    """Render a filter AST back to source form; the form of every
-    filter parses back to an equal filter, except that a bare
-    ``LocationPath`` renders as the ``Exists`` it parses back to."""
+    """Render a filter AST back to source form. Every filter that text
+    can spell is written as text that parses back to an equal filter,
+    except that a bare ``LocationPath`` renders as the ``Exists`` it
+    parses back to. The rest, which only a tree built by hand can hold,
+    raise ValueError: an empty path, two ``//`` steps in a row, a name
+    test that is not a name token, and a signed or non-finite number."""
     if isinstance(expr, Or):
         return f"{render_filter(expr.left)} or {_render_arg(expr.right, Or)}"
     if isinstance(expr, And):
@@ -970,7 +979,10 @@ def _render_operand(operand) -> str:
     if isinstance(operand, StringLiteral):
         return _render_string(operand.value)
     if isinstance(operand, NumberLiteral):
-        return format(operand.value, "f")  # str() writes 1E-7 for 0.0000001
+        value = Decimal(operand.value)  # exact, also for an int built by hand
+        if not value.is_finite() or value.is_signed():
+            raise ValueError(f"filter text cannot spell the number {value}")
+        return format(value, "f")  # str() writes 1E-7 for 0.0000001
     if isinstance(operand, CountExpr):
         return f"count({_render_path(operand.path)})"
     if isinstance(operand, Contains):
@@ -985,18 +997,23 @@ def _render_string(s: str) -> str:
 
 
 def _render_path(path: LocationPath) -> str:
-    text = "/".join(map(_render_step, path.steps))
+    pieces = [_render_step(step) for step in path.steps]  # '//' is the empty piece
+    if not pieces or ("", "") in zip(pieces, pieces[1:]):
+        raise ValueError("filter text cannot spell an empty path or two '//' steps in a row")
+    text = "/".join(pieces)
     return "/" + text if text.startswith("/") else text  # a leading '//'
 
 
 def _render_step(step: Step) -> str:
-    preds = "".join(f"[{render_filter(p)}]" for p in step.predicates)
     if isinstance(step.test, AnyItemTest):
         return _ANY_ITEM_FORMS[step.axis]
-    if step.axis is Axis.ATTRIBUTE and isinstance(step.test, NameTest) and not preds:
-        return f"@{step.test.name}"
+    preds = "".join(f"[{render_filter(p)}]" for p in step.predicates)
     if isinstance(step.test, NameTest):
         test = step.test.name
+        if not _FILTER_NAME.fullmatch(test):
+            raise ValueError(f"filter text cannot spell the name test {test!r}")
+        if step.axis is Axis.ATTRIBUTE and not preds:
+            return f"@{test}"
     elif isinstance(step.test, AnyElementTest):
         test = "*"
     else:

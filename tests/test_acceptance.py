@@ -10,11 +10,13 @@ hand) before the production checker was written, then frozen here.
 
 import gc
 import glob
+import os
 import random
 import subprocess
 import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 from netcheck.checker import check, parse_formula
 from netcheck.ctl import LabelMap, model_check, oracle_check
@@ -83,7 +85,7 @@ EXAMPLES = [
 def test_criterion_1_example_fidelity():
     start = time.perf_counter()
 
-    bibitem = parse_xml(open("fixtures/bibitem.xml", "rb").read())
+    bibitem = parse_xml(Path("fixtures/bibitem.xml").read_bytes())
     falsy = 'count(author) = 1 and (year > 2007) and contains(abstract/em, "XML")'
     truthy = 'contains(abstract/em, "relational")'
     assert eval_filter(parse_filter(falsy), bibitem) is False
@@ -304,11 +306,13 @@ def test_criterion_7_cli_determinism():
         ("check", "--formula", "EF true", "--network"),
         ("query", "--filter", "*", "--network"),
     ]
+    # The children import the package from this checkout, installed or not.
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")}
     for path in FIXTURES:
         for cmd in commands:
             argv = [sys.executable, "-m", "netcheck", *cmd, path]
-            first = subprocess.run(argv, capture_output=True)
-            second = subprocess.run(argv, capture_output=True)
+            first = subprocess.run(argv, capture_output=True, env=env)
+            second = subprocess.run(argv, capture_output=True, env=env)
             assert first.returncode == second.returncode, (path, cmd)
             assert first.stdout == second.stdout, (path, cmd)
     _report(7, f"byte-identical reruns over {len(FIXTURES)} fixtures")

@@ -30,10 +30,12 @@ def run_main(capsys, *argv):
 
 
 def run_proc(*argv):
+    # The child imports the package from this checkout, installed or not.
     return subprocess.run(
         [sys.executable, "-m", "netcheck", *argv],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")},
     )
 
 

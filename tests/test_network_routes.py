@@ -253,6 +253,10 @@ MALFORMED = [
      ('ParseError', 'line 1, column 28: unterminated comment')),
     ('<network><edge from="a" to="a" weight="x"/><node key="a">&bad;</node></network>',
      ('ParseError', 'line 1, column 58: unknown entity &bad;')),
+    ('<network><edge from="a" to="a" weight="0"/><node key="a">&bad;</node></network>',
+     ('ParseError', 'line 1, column 58: unknown entity &bad;')),
+    ('<graph><node key="a"><p></q></node></graph>',
+     ('ParseError', 'line 1, column 25: mismatched closing tag: expected </p>, found </q>')),
     ('<network><node key="a"/><edge from="a" to="a" weight="x"/><edge from="a" from="a"/></network>',
      ('ParseError', "line 1, column 74: duplicate attribute 'from'")),
     ('<network><edge weight="x" to="a"/><edge from="a" to="a" weight="y"/></network>',
@@ -294,6 +298,17 @@ def test_malformed_file_raises_as_before(data, expected):
     except Exception as exc:
         outcome = (type(exc).__name__, str(exc))
     assert outcome == expected
+
+
+def test_parse_error_after_format_fault_has_no_context():
+    # The scan reads on after the first format fault, outside the except
+    # block that caught it, so a ParseError found later is not chained
+    # to the FormatError it wins over.
+    for data, expected in MALFORMED:
+        if isinstance(data, str) and expected is not None and expected[0] == "ParseError":
+            with pytest.raises(ParseError) as info:
+                parse_network(data)
+            assert info.value.__context__ is None, data
 
 
 def _whole_tree_outcome(data):

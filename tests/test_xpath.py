@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from netcheck.checker import check, label_nodes, parse_formula
+from netcheck.ctl import Atom
 from netcheck.errors import FilterTypeError, ParseError
 from netcheck.network import Network, parse_network
 from netcheck.xmldoc import (
@@ -30,6 +31,7 @@ from netcheck.xpath import (
     LocationPath,
     NameTest,
     Not,
+    NumberLiteral,
     Or,
     Step,
     StringLiteral,
@@ -498,12 +500,40 @@ def test_steps_and_paths_that_would_render_differently_rejected():
     ):
         with pytest.raises(ValueError):
             build()
-    for text in (".", "..", "//a", "a//b[.]/..", "//@k = 'v'"):
+    with pytest.raises(ValueError, match="unknown comparison operator"):
+        Comparison(LocationPath((a,)), "~", StringLiteral("x"))  # a ~ "x"
+    # Construction accepts these, but no filter text spells them, so
+    # render_filter refuses them rather than write text that does not
+    # parse back.
+    for expr in (
+        Exists(LocationPath((descent, descent, a))),  # ///a
+        Exists(LocationPath((a, descent, descent, a))),  # a///a
+        Exists(LocationPath(())),  # the empty string
+        Exists(LocationPath((Step(Axis.CHILD, NameTest("1x")),))),
+        Exists(LocationPath((Step(Axis.CHILD, NameTest("a b")),))),
+        Exists(LocationPath((Step(Axis.ATTRIBUTE, NameTest(".x")),))),  # an XML name
+        *(Comparison(LocationPath((a,)), "=", NumberLiteral(Decimal(number)))
+          for number in ("-1", "-0", "Infinity", "-Infinity", "NaN")),
+    ):
+        with pytest.raises(ValueError, match="filter text cannot spell"):
+            render_filter(expr)
+    for text in (".", "..", "//a", "a//b[.]/..", "//@k = 'v'", "and and or", "a = 0"):
         expr = parse_filter(text)
         assert parse_filter(render_filter(expr)) == expr
+    seven = Comparison(LocationPath((a,)), "=", NumberLiteral(7))
+    assert render_filter(seven) == "a = 7" and parse_filter("a = 7") == seven
     # a bare path renders as the Exists it parses back to
     path = LocationPath((descent, a))
     assert parse_filter(render_filter(path)) == Exists(path)
+
+
+def test_unspellable_filter_shown_by_repr_in_diagnostics():
+    # A hand-built filter that no text spells still names itself when
+    # it fails at a node.
+    expr = Comparison(parse_filter("a").path, "<", NumberLiteral(Decimal(-1)))
+    net = parse_network('<network><node key="k"><a>x</a></node></network>')
+    with pytest.raises(FilterTypeError, match=r"^filter Comparison\(.* at node 'k': "):
+        label_nodes(net, Atom(expr))
 
 
 def _items(root):
@@ -618,18 +648,28 @@ def _ranks(root):
     return items, [type(item).__name__ for item in root.doc]
 
 
+def _assert_string_values(root):
+    for item in _items(root):
+        assert string_value(item) == reference.string_value(item)
+
+
 @given(st.lists(document_texts(), min_size=1, max_size=3))
 @settings(max_examples=100, deadline=None)
 def test_ranks_index_the_shared_document(texts):
     # Each payload of a network is ranked as the document it would be on
-    # its own: from 0, in an array that no other payload shares.
+    # its own: from 0, in an array that no other payload shares. The
+    # string value that production reads from the ranks is the one the
+    # reference finds by walking children, at every item.
     for text in texts:
-        _assert_ranked(parse_xml(text))
+        root = parse_xml(text)
+        _assert_ranked(root)
+        _assert_string_values(root)
     net = _network_of(texts)
     docs = set()
     for key in net.node_keys():
         payload = net.payload(key)
         _assert_ranked(payload)
+        _assert_string_values(payload)
         assert payload.pos == 0 and payload.doc[0] is payload
         assert _ranks(payload) == _ranks(parse_xml(serialize_xml(payload)))
         docs.add(id(payload.doc))

@@ -18,7 +18,6 @@ from netcheck.xmldoc import (
     XmlElement,
     XmlItem,
     XmlText,
-    string_value,
 )
 from netcheck.xpath import (
     And,
@@ -49,6 +48,24 @@ def doc_order_key(item: XmlItem) -> tuple:
         owner = item.owner
         return (owner.pos, 1, owner.attr_items.index(item))
     return (item.pos, 0, 0)
+
+
+def string_value(item: XmlItem) -> str:
+    """Concatenation of all text beneath the item, in document order,
+    found by walking its children, not by reading its ranks."""
+    if isinstance(item, XmlText):
+        return item.text
+    if isinstance(item, XmlAttribute):
+        return item.value
+    parts: list[str] = []
+    stack = list(reversed(item.children))
+    while stack:
+        node = stack.pop()
+        if isinstance(node, XmlText):
+            parts.append(node.text)
+        else:
+            stack.extend(reversed(node.children))
+    return "".join(parts)
 
 
 def eval_path(path: LocationPath, context: XmlItem) -> list[XmlItem]:
