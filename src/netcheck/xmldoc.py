@@ -31,9 +31,10 @@ items by rank, which all its elements share. The subtree of an element
 is then the slice ``doc[pos : end + 1]``, in document order, which
 ``string_value`` reads. A tree built by hand has no ranks until
 ``_rank`` gives it the ones the parser would: a ``Network`` ranks each
-payload built by hand once, when it is built, and the filter evaluator
-ranks a standalone tree at the start of each call and drops its ``doc``
-when the call returns, so such a tree may change between calls.
+payload built by hand once, when it is built, and ``_ranked_call``
+ranks a standalone tree for one filter call or ``string_value`` call and
+drops its ``doc`` when the call returns, so such a tree may change
+between calls.
 
 Trees are treated as immutable once parsing returns.
 """
@@ -144,15 +145,32 @@ XmlItem = XmlElement | XmlText | XmlAttribute
 
 
 def string_value(item: XmlItem) -> str:
-    """Concatenation of all text beneath the item, in document order. The
-    item is in a ranked tree: a parsed one, a network payload, or any
-    tree during a filter call; an element's text is in its ``doc`` slice."""
+    """Concatenation of all text beneath the item, in document order. An
+    element's text is in its ``doc`` slice; a tree built by hand that no
+    network or filter call has ranked is ranked for this call."""
     if isinstance(item, XmlText):
         return item.text
     if isinstance(item, XmlAttribute):
         return item.value
+    if item.doc is None:
+        return _ranked_call(string_value, item)
     return "".join([x.text for x in item.doc[item.pos + 1 : item.end + 1]
                     if x.__class__ is XmlText])
+
+
+def _ranked_call(run: Callable[[XmlItem], object], item: XmlItem):
+    """``run(item)``, with the tree that holds ``item`` ranked by
+    ``_rank`` if it is not ranked already. Ranks made here are dropped
+    again when ``run`` returns, so that the next call sees a tree built
+    by hand as it is then."""
+    doc = _rank(item)
+    try:
+        return run(item)
+    finally:
+        if doc is not None:
+            for node in doc:
+                if node.__class__ is XmlElement:
+                    node.doc = None
 
 
 def _rank(item: XmlItem) -> list[XmlElement | XmlText] | None:

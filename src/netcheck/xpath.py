@@ -1,13 +1,20 @@
 """Navigational filter language over document trees.
 
 A filter is a boolean combination of location paths, comparisons, and
-the count/contains functions, evaluated at one element of a tree.
-Location paths are built from nine axes (child, descendant,
-descendant-or-self, parent, ancestor, self, attribute, following-sibling,
-preceding-sibling) with name, ``*``, and ``text()`` node tests plus
-boolean predicates; `` p/q ``, ``//``, ``@a``, ``.`` and ``..`` are the
-usual abbreviations. Path results are duplicate-free and in document
-order.
+the count/contains functions, evaluated at one element of a tree. A
+bare location path is a filter node of its own that means existence,
+as XPath's ``boolean()`` reads a node-set: ``parse_filter("a")`` is the
+``LocationPath``. Location paths are built from nine axes (child,
+descendant, descendant-or-self, parent, ancestor, self, attribute,
+following-sibling, preceding-sibling) with name, ``*``, and ``text()``
+node tests plus boolean predicates; `` p/q ``, ``//``, ``@a``, ``.``
+and ``..`` are the usual abbreviations. Path results are duplicate-free
+and in document order.
+
+The node constructors check only what evaluation needs: ``Comparison``
+refuses an unknown operator. ``render_filter`` alone decides what
+filter text can spell, and refuses a tree built by hand that no text
+spells.
 
 Comparison semantics are existential over sequences: a path's values
 are its items' string values, any other operand has one value, and a
@@ -53,7 +60,7 @@ from typing import NamedTuple
 
 from ._hashing import hashed_once
 from .errors import FilterTypeError, ParseError
-from .xmldoc import XmlAttribute, XmlElement, XmlItem, XmlText, _rank, string_value
+from .xmldoc import XmlAttribute, XmlElement, XmlItem, XmlText, _ranked_call, string_value
 
 
 class Axis(Enum):
@@ -98,11 +105,6 @@ class AnyItemTest:
 NodeTest = NameTest | AnyElementTest | TextTest | AnyItemTest
 
 
-# The steps that test any item, as written: ``//`` is the empty step
-# between two slashes.
-_ANY_ITEM_FORMS = {Axis.SELF: ".", Axis.PARENT: "..", Axis.DESCENDANT_OR_SELF: ""}
-
-
 @hashed_once
 @dataclass(frozen=True)
 class Step:
@@ -110,43 +112,17 @@ class Step:
     test: NodeTest
     predicates: tuple = ()
 
-    def __post_init__(self):
-        # AnyItemTest is written only as ., .. or //, which take no
-        # predicate; any other such step could not be written back.
-        if self.test.__class__ is AnyItemTest and (
-            self.predicates or self.axis not in _ANY_ITEM_FORMS
-        ):
-            raise ValueError(f"only '.', '..' and '//' test any item, not a "
-                             f"{self.axis.value} step with {len(self.predicates)} predicates")
-
 
 @hashed_once
 @dataclass(frozen=True)
 class LocationPath:
     steps: tuple[Step, ...]
 
-    def __post_init__(self):
-        # ``//`` is always followed by a step, so a path cannot end in one.
-        if self.steps:
-            last = self.steps[-1]
-            if last.axis is Axis.DESCENDANT_OR_SELF and last.test.__class__ is AnyItemTest:
-                raise ValueError("a path cannot end in a bare '//' step")
-
-
-def _check_quotes(s: str) -> None:
-    # The grammar has no escapes, so a string holds one kind of quote at
-    # most; a value with both could not be written back as a filter.
-    if '"' in s and "'" in s:
-        raise ValueError(f"a filter string cannot hold both quote kinds: {s!r}")
-
 
 @hashed_once
 @dataclass(frozen=True)
 class StringLiteral:
     value: str
-
-    def __post_init__(self):
-        _check_quotes(self.value)
 
 
 @hashed_once
@@ -166,9 +142,6 @@ class CountExpr:
 class Contains:
     path: LocationPath
     needle: str
-
-    def __post_init__(self):
-        _check_quotes(self.needle)
 
 
 Operand = LocationPath | StringLiteral | NumberLiteral | CountExpr | Contains
@@ -206,14 +179,10 @@ class Comparison:
             raise ValueError(f"unknown comparison operator {self.op!r}")
 
 
-@hashed_once
-@dataclass(frozen=True)
-class Exists:
-    path: LocationPath
-
-
+# A bare operand is a filter too: a path holds where it reaches an item,
+# and the others hold as their value converts to a boolean.
 FilterExpr = (
-    And | Or | Not | Comparison | Exists | Contains | CountExpr
+    And | Or | Not | Comparison | Contains | CountExpr
     | StringLiteral | NumberLiteral | LocationPath
 )
 
@@ -411,10 +380,6 @@ class _FilterParser(_Parser):
             self.next()
             right, d = self.parse_operand()
             return Comparison(left, tok.value, right), max(depth, d)
-        # A bare path means existence; other bare operands keep their
-        # boolean coercion.
-        if isinstance(left, LocationPath):
-            return Exists(left), depth
         return left, depth
 
     def parse_operand(self) -> tuple[Operand, int]:
@@ -574,17 +539,13 @@ def _compile_filter(expr: FilterExpr):
 
 def _top_level(run, memos: list[dict]):
     def call(context):
-        ranked = context.__class__ is XmlElement and context.doc is not None
-        doc = None if ranked else _rank(context)  # a tree built by hand, for this call
         try:
-            return run(context)
+            if context.__class__ is XmlElement and context.doc is not None:
+                return run(context)
+            return _ranked_call(run, context)  # a tree built by hand, for this call
         finally:
             for memo in memos:
                 memo.clear()
-            if doc is not None:  # so that the next call sees the tree as it is then
-                for item in doc:
-                    if item.__class__ is XmlElement:
-                        item.doc = None
 
     return call
 
@@ -604,7 +565,7 @@ def _compile_bool(expr: FilterExpr, memos: list[dict]):
     if isinstance(expr, Contains):
         values, needle = _compile_values(expr.path, memos), expr.needle
         return lambda item: any(needle in value for value in values(item))
-    if isinstance(expr, (Exists, CountExpr, LocationPath)):
+    if isinstance(expr, (CountExpr, LocationPath)):
         path = expr if isinstance(expr, LocationPath) else expr.path
         found = _attribute_values(path, memos) or _compile_path(path.steps, memos)
         return lambda item: bool(found(item))
@@ -946,11 +907,12 @@ def _attribute_values(path: LocationPath, memos: list[dict]):
 
 def render_filter(expr: FilterExpr) -> str:
     """Render a filter AST back to source form. Every filter that text
-    can spell is written as text that parses back to an equal filter,
-    except that a bare ``LocationPath`` renders as the ``Exists`` it
-    parses back to. The rest, which only a tree built by hand can hold,
-    raise ValueError: an empty path, two ``//`` steps in a row, a name
-    test that is not a name token, and a signed or non-finite number."""
+    can spell, a bare path included, is written as text that parses back
+    to an equal filter. The rest, which only a tree built by hand can
+    hold, raise ValueError: an empty path, a ``//`` step that no other
+    step follows, a step that tests any item other than ``.``, ``..``
+    and ``//``, a name test that is not a name token, a signed or
+    non-finite number, and a string that holds both quote kinds."""
     if isinstance(expr, Or):
         return f"{render_filter(expr.left)} or {_render_arg(expr.right, Or)}"
     if isinstance(expr, And):
@@ -961,8 +923,6 @@ def render_filter(expr: FilterExpr) -> str:
         return (
             f"{_render_operand(expr.left)} {expr.op} {_render_operand(expr.right)}"
         )
-    if isinstance(expr, Exists):
-        return _render_path(expr.path)
     return _render_operand(expr)
 
 
@@ -991,22 +951,36 @@ def _render_operand(operand) -> str:
 
 
 def _render_string(s: str) -> str:
+    # The grammar has no escapes, so a string holds one kind of quote at most.
     if '"' not in s:
         return f'"{s}"'
+    if "'" in s:
+        raise ValueError(f"filter text cannot spell a string with both quote kinds: {s!r}")
     return f"'{s}'"
 
 
 def _render_path(path: LocationPath) -> str:
     pieces = [_render_step(step) for step in path.steps]  # '//' is the empty piece
-    if not pieces or ("", "") in zip(pieces, pieces[1:]):
-        raise ValueError("filter text cannot spell an empty path or two '//' steps in a row")
+    # a '//' is always followed by a step that is not one
+    if not pieces or ("", "") in zip(pieces, pieces[1:] + [""]):
+        raise ValueError("filter text cannot spell an empty path, "
+                         "or a '//' step that no other step follows")
     text = "/".join(pieces)
     return "/" + text if text.startswith("/") else text  # a leading '//'
 
 
+# The steps that test any item, as written: ``//`` is the empty step
+# between two slashes.
+_ANY_ITEM_FORMS = {Axis.SELF: ".", Axis.PARENT: "..", Axis.DESCENDANT_OR_SELF: ""}
+
+
 def _render_step(step: Step) -> str:
     if isinstance(step.test, AnyItemTest):
-        return _ANY_ITEM_FORMS[step.axis]
+        form = None if step.predicates else _ANY_ITEM_FORMS.get(step.axis)
+        if form is None:
+            raise ValueError(f"filter text cannot spell a {step.axis.value} step that tests "
+                             f"any item, with {len(step.predicates)} predicates")
+        return form
     preds = "".join(f"[{render_filter(p)}]" for p in step.predicates)
     if isinstance(step.test, NameTest):
         test = step.test.name

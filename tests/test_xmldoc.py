@@ -173,7 +173,7 @@ def test_document_order_attrs_before_children():
 def test_attr_items_built_once_and_shared_with_xpath():
     root = parse_xml('<a x="1" y="&lt;2"><b x="3"/><c/></a>')
     b, c = root.children
-    assert eval_path(parse_filter("@z").path, root) == []
+    assert eval_path(parse_filter("@z"), root) == []
     assert root._attr_items is None  # a named step that misses builds no items
     for elem in (root, b, c):
         items = elem.attr_items
@@ -183,10 +183,10 @@ def test_attr_items_built_once_and_shared_with_xpath():
         assert all(isinstance(a, XmlAttribute) for a in items)
     assert [a.value for a in root.attr_items] == ["1", "<2"]
     assert c.attr_items == ()
-    (x,) = eval_path(parse_filter("@x").path, root)
+    (x,) = eval_path(parse_filter("@x"), root)
     assert x is root.attr_items[0]
-    assert eval_path(parse_filter("attribute::*").path, root)[1] is root.attr_items[1]
-    (bx,) = eval_path(parse_filter("*/@x").path, root)
+    assert eval_path(parse_filter("attribute::*"), root)[1] is root.attr_items[1]
+    (bx,) = eval_path(parse_filter("*/@x"), root)
     assert bx is b.attr_items[0]
 
 

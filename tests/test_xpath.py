@@ -27,7 +27,6 @@ from netcheck.xpath import (
     Comparison,
     Contains,
     CountExpr,
-    Exists,
     LocationPath,
     NameTest,
     Not,
@@ -59,8 +58,7 @@ def holds(text, context=DOC):
 
 
 def paths(text, context=DOC):
-    expr = parse_filter(text)
-    return eval_path(expr.path, context)
+    return eval_path(parse_filter(text), context)
 
 
 # -- parsing ------------------------------------------------------------------
@@ -162,7 +160,7 @@ def test_attribute_star():
 
 def test_text_node_test():
     note = paths("note")[0]
-    texts = [t.text for t in eval_path(parse_filter("text()").path, note)]
+    texts = [t.text for t in eval_path(parse_filter("text()"), note)]
     assert texts == ["see ", " shelf 3"]
 
 
@@ -181,18 +179,18 @@ def test_descendant_axis_explicit():
 
 def test_parent_and_ancestor():
     first_author = paths("book/author")[0]
-    up = eval_path(parse_filter("..").path, first_author)
+    up = eval_path(parse_filter(".."), first_author)
     assert [e.name for e in up] == ["book"]
-    anc = eval_path(parse_filter("ancestor::*").path, first_author)
+    anc = eval_path(parse_filter("ancestor::*"), first_author)
     assert [e.name for e in anc] == ["lib", "book"]
 
 
 def test_sibling_axes():
     first_book = paths("book")[0]
-    fol = eval_path(parse_filter("following-sibling::*").path, first_book)
+    fol = eval_path(parse_filter("following-sibling::*"), first_book)
     assert [e.name for e in fol] == ["book", "note"]
     note = paths("note")[0]
-    pre = eval_path(parse_filter("preceding-sibling::book").path, note)
+    pre = eval_path(parse_filter("preceding-sibling::book"), note)
     assert [e.name for e in pre] == ["book", "book"]
 
 
@@ -203,7 +201,7 @@ def test_self_axis():
 
 def test_attribute_parent_is_owner():
     year = paths("book/@year")[0]
-    owners = eval_path(parse_filter("../title").path, year)
+    owners = eval_path(parse_filter("../title"), year)
     assert [string_value(e) for e in owners] == ["Alpha"]
 
 
@@ -351,8 +349,8 @@ def test_decimal_not_float_comparison():
 def test_upward_navigation_stops_at_detached_root():
     inner = parse_xml("<r><x/></r>")
     x = inner.children[0]
-    assert eval_path(parse_filter("ancestor::*").path, x)[0].name == "r"
-    assert eval_path(parse_filter("ancestor::*").path, inner) == []
+    assert eval_path(parse_filter("ancestor::*"), x)[0].name == "r"
+    assert eval_path(parse_filter("ancestor::*"), inner) == []
 
 
 # -- rendering -------------------------------------------------------------------
@@ -476,42 +474,37 @@ def test_number_renders_in_plain_notation(number):
 def test_string_with_both_quote_kinds_rejected():
     # The grammar has no escapes, so only a hand-built filter could hold
     # such a string, and no text would render it.
-    path = parse_filter("a").path
+    path = parse_filter("a")
     for build in (StringLiteral, lambda s: Contains(path, s)):
-        with pytest.raises(ValueError, match="both quote kinds"):
-            build("x'\"y")
+        with pytest.raises(ValueError, match="cannot spell a string with both quote kinds"):
+            render_filter(build("x'\"y"))
     for one_kind in ("x'y", 'x"y'):
         for expr in (Comparison(path, "=", StringLiteral(one_kind)), Contains(path, one_kind)):
             assert parse_filter(render_filter(expr)) == expr
 
 
 def test_steps_and_paths_that_would_render_differently_rejected():
-    # Only '.', '..' and '//' test any item, with no predicate, and '//'
-    # is always followed by a step: any other such step or path would
-    # render as a different filter, or as text that does not parse.
+    # Construction accepts these, but no filter text spells them, so
+    # render_filter refuses them rather than write text that does not
+    # parse back. Only '.', '..' and '//' test any item, with no
+    # predicate, and '//' is always followed by a step that is not one.
     p = (parse_filter("p"),)
     a = Step(Axis.CHILD, NameTest("a"))
     descent = Step(Axis.DESCENDANT_OR_SELF, AnyItemTest())
-    for build in (
-        lambda: Step(Axis.CHILD, AnyItemTest()),  # self::*
-        lambda: Step(Axis.SELF, AnyItemTest(), p),  # self::*[p]
-        lambda: Step(Axis.DESCENDANT_OR_SELF, AnyItemTest(), p),  # descendant-or-self::self::*[p]
-        lambda: LocationPath((a, descent)),  # a//
-    ):
-        with pytest.raises(ValueError):
-            build()
     with pytest.raises(ValueError, match="unknown comparison operator"):
         Comparison(LocationPath((a,)), "~", StringLiteral("x"))  # a ~ "x"
-    # Construction accepts these, but no filter text spells them, so
-    # render_filter refuses them rather than write text that does not
-    # parse back.
     for expr in (
-        Exists(LocationPath((descent, descent, a))),  # ///a
-        Exists(LocationPath((a, descent, descent, a))),  # a///a
-        Exists(LocationPath(())),  # the empty string
-        Exists(LocationPath((Step(Axis.CHILD, NameTest("1x")),))),
-        Exists(LocationPath((Step(Axis.CHILD, NameTest("a b")),))),
-        Exists(LocationPath((Step(Axis.ATTRIBUTE, NameTest(".x")),))),  # an XML name
+        LocationPath((Step(Axis.CHILD, AnyItemTest()),)),  # XPath's child::node()
+        LocationPath((Step(Axis.SELF, AnyItemTest(), p),)),  # .[p]
+        LocationPath((Step(Axis.DESCENDANT_OR_SELF, AnyItemTest(), p),)),  # //[p]
+        LocationPath((a, descent)),  # a//
+        LocationPath((descent,)),  # //
+        LocationPath((descent, descent, a)),  # ///a
+        LocationPath((a, descent, descent, a)),  # a///a
+        LocationPath(()),  # the empty string
+        LocationPath((Step(Axis.CHILD, NameTest("1x")),)),
+        LocationPath((Step(Axis.CHILD, NameTest("a b")),)),
+        LocationPath((Step(Axis.ATTRIBUTE, NameTest(".x")),)),  # an XML name
         *(Comparison(LocationPath((a,)), "=", NumberLiteral(Decimal(number)))
           for number in ("-1", "-0", "Infinity", "-Infinity", "NaN")),
     ):
@@ -522,15 +515,42 @@ def test_steps_and_paths_that_would_render_differently_rejected():
         assert parse_filter(render_filter(expr)) == expr
     seven = Comparison(LocationPath((a,)), "=", NumberLiteral(7))
     assert render_filter(seven) == "a = 7" and parse_filter("a = 7") == seven
-    # a bare path renders as the Exists it parses back to
+    # a bare path is its own existence test
     path = LocationPath((descent, a))
-    assert parse_filter(render_filter(path)) == Exists(path)
+    assert parse_filter(render_filter(path)) == path
 
 
-def test_unspellable_filter_shown_by_repr_in_diagnostics():
+ANY_ITEM_STEPS = [
+    Step(axis, AnyItemTest(), preds)
+    for axis in Axis
+    for preds in ((), (parse_filter("@x"),), (parse_filter("not(b)"), parse_filter(".")))
+]
+
+
+@pytest.mark.parametrize("step", ANY_ITEM_STEPS, ids=repr)
+def test_any_item_steps_evaluate_on_every_axis(step):
+    # A step that tests any item evaluates as the reference does at
+    # every item of a document, also where no filter text spells it;
+    # render_filter writes only '.' and '..' and refuses the rest.
+    path = LocationPath((step,))
+    for prefixed in (path, LocationPath((Step(Axis.DESCENDANT_OR_SELF, AnyItemTest()), step))):
+        for item in _items(parse_xml(TWIN)):
+            assert eval_path(prefixed, item) == reference.eval_path(prefixed, item)
+            assert eval_filter(prefixed, item) is bool(reference.eval_path(prefixed, item))
+    if step.predicates or step.axis not in (Axis.SELF, Axis.PARENT):
+        with pytest.raises(ValueError, match="filter text cannot spell"):
+            render_filter(path)
+    else:
+        assert parse_filter(render_filter(path)) == path
+
+
+@pytest.mark.parametrize("expr", [
+    Comparison(parse_filter("a"), "<", NumberLiteral(Decimal(-1))),
+    Comparison(LocationPath((Step(Axis.CHILD, AnyItemTest()),)), "<", NumberLiteral(1)),
+])
+def test_unspellable_filter_shown_by_repr_in_diagnostics(expr):
     # A hand-built filter that no text spells still names itself when
     # it fails at a node.
-    expr = Comparison(parse_filter("a").path, "<", NumberLiteral(Decimal(-1)))
     net = parse_network('<network><node key="k"><a>x</a></node></network>')
     with pytest.raises(FilterTypeError, match=r"^filter Comparison\(.* at node 'k': "):
         label_nodes(net, Atom(expr))
@@ -556,7 +576,7 @@ def _location_paths(expr):
         return _location_paths(expr.operand)
     if isinstance(expr, Comparison):
         return _location_paths(expr.left) + _location_paths(expr.right)
-    if isinstance(expr, (Exists, CountExpr, Contains)):
+    if isinstance(expr, (CountExpr, Contains)):
         return _location_paths(expr.path)
     if isinstance(expr, LocationPath):
         found = [expr]
@@ -821,7 +841,7 @@ def test_tree_built_by_hand_matches_parsed_twin(axis):
     built = _build_by_hand(parsed)
     pairs = list(zip(_items(parsed), _items(built)))[::-1]
     paths = [
-        parse_filter(f"{prefix}{axis}::{test}").path
+        parse_filter(f"{prefix}{axis}::{test}")
         for prefix in ("", "descendant-or-self::*/", "//text()/", "//@x/")
         for test in ("a", "b", "c", "x", "*", "text()")
     ]
@@ -862,11 +882,29 @@ def test_tree_built_by_hand_may_change_between_calls():
     assert built.doc is None and twin.doc is not None
 
 
+def test_string_value_ranks_a_tree_built_by_hand_for_the_call():
+    # No network holds these trees and no filter call is running, so
+    # string_value ranks each for its own call and drops the ranks when
+    # it returns: a text appended later is read by the next call.
+    a = XmlElement("a", {}, 0)
+    for text, want in (("t", "t"), ("u", "tu")):
+        item = XmlText(text, 0)
+        item.parent = a
+        a.children.append(item)
+        assert string_value(a) == reference.string_value(a) == want
+        assert a.doc is None
+    built = _build_by_hand(parse_xml(TWIN))
+    items = _items(built)
+    for item in items[::-1]:
+        assert string_value(item) == reference.string_value(item)
+    assert all(item.doc is None for item in items if isinstance(item, XmlElement))
+
+
 def test_network_ranks_payloads_built_by_hand_once(monkeypatch):
     # A network ranks each payload built by hand when it is built, so
     # checks on it rank nothing, and its ranks and results are those of
     # the parsed twin.
-    import netcheck.xpath as xpath
+    import netcheck.xmldoc as xmldoc
 
     parsed = _network_of([TWIN, '<b x="1">t<c/></b>', "<c/>"])
     built = Network(True, {k: _build_by_hand(p) for k, p in parsed.nodes.items()},
@@ -874,8 +912,8 @@ def test_network_ranks_payloads_built_by_hand_once(monkeypatch):
     for key in parsed.node_keys():
         assert _ranks(built.payload(key)) == _ranks(parsed.payload(key))
     ranked = []
-    real = xpath._rank
-    monkeypatch.setattr(xpath, "_rank", lambda item: ranked.append(item) or real(item))
+    real = xmldoc._rank
+    monkeypatch.setattr(xmldoc, "_rank", lambda item: ranked.append(item) or real(item))
     for text, keys in (('EF [//c/ancestor::b] & [*/@x]', {"k0", "k1"}),
                        ('EX [descendant::text() = "t"] | [a/c]', {"k0", "k1", "k2"})):
         formula = parse_formula(text)
@@ -906,7 +944,7 @@ def test_descendant_steps_linear_on_deep_payloads():
     # n nested contexts is one pass. Enumerating every context's subtree
     # and sorting, as the reference does, grows about 16x for 4x the
     # depth; a linear pass measures 4-6x.
-    paths = [parse_filter(text).path
+    paths = [parse_filter(text)
              for text in ("descendant::d/descendant::d", "descendant-or-self::d//d")]
     small = _nested(200)
     for item in (small, small.children[1], small.children[1].children[1].children[0]):

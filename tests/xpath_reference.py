@@ -27,7 +27,6 @@ from netcheck.xpath import (
     Comparison,
     Contains,
     CountExpr,
-    Exists,
     FilterExpr,
     LocationPath,
     NameTest,
@@ -168,8 +167,6 @@ def _eval_boolean(expr: FilterExpr, item: XmlItem) -> bool:
         return not _eval_boolean(expr.operand, item)
     if isinstance(expr, Comparison):
         return _compare(expr, item)
-    if isinstance(expr, Exists):
-        return bool(eval_path(expr.path, item))
     if isinstance(expr, Contains):
         return any(expr.needle in string_value(it) for it in eval_path(expr.path, item))
     if isinstance(expr, CountExpr):
