@@ -1,6 +1,11 @@
-"""Hashing of frozen tree nodes, shared by the formula and filter trees."""
+"""Hashing of frozen tree nodes, and the boolean connectives ``Not``,
+``And`` and ``Or``, shared by the formula and filter trees. A
+connective's operands are filters in a filter and formulas in a
+formula; each evaluator dispatches on the classes itself."""
 
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 
 def hashed_once(cls):
@@ -29,3 +34,23 @@ def hashed_once(cls):
     cls.__hash__ = __hash__
     cls.__getstate__ = __getstate__
     return cls
+
+
+@hashed_once
+@dataclass(frozen=True)
+class Not:
+    operand: object
+
+
+@hashed_once
+@dataclass(frozen=True)
+class And:
+    left: object
+    right: object
+
+
+@hashed_once
+@dataclass(frozen=True)
+class Or:
+    left: object
+    right: object

@@ -13,7 +13,8 @@ Parsing is one pass. The formula lexer reads one token per regex
 match, and at each '[' it hands the text to the filter lexer and
 parser, which stop at the ']' that closes the filter, so filter errors
 carry columns of the whole formula. Formulas and filters share one
-parser base, whose or/and chain loops build ``|``/``&`` here and
+parser base and one set of connectives: its or/and chain loops build
+the same ``Or`` and ``And`` nodes from ``|``/``&`` here and from
 ``or``/``and`` in filters.
 
 Checking is staged. First every distinct filter of the formula is
@@ -139,7 +140,6 @@ class _FormulaParser(_Parser):
     what = "formula"
     max_depth = MAX_FORMULA_DEPTH
     or_tok, and_tok = ("SYM", "|"), ("SYM", "&")
-    make_or, make_and = Or, And
 
     def parse_unary(self) -> tuple[Formula, int]:
         kind, val, col = self.peek()

@@ -54,7 +54,7 @@ from itertools import compress
 from operator import mul
 from typing import Iterable, Iterator, KeysView, Mapping
 
-from ._hashing import hashed_once
+from ._hashing import And, Not, Or, hashed_once
 from .errors import (
     NotSatisfiedError,
     SizeExceededError,
@@ -81,26 +81,6 @@ class Atom:
     replacement stage) a filter expression."""
 
     value: object
-
-
-@hashed_once
-@dataclass(frozen=True)
-class Not:
-    operand: "Formula"
-
-
-@hashed_once
-@dataclass(frozen=True)
-class And:
-    left: "Formula"
-    right: "Formula"
-
-
-@hashed_once
-@dataclass(frozen=True)
-class Or:
-    left: "Formula"
-    right: "Formula"
 
 
 @hashed_once

@@ -58,7 +58,7 @@ from enum import Enum
 from functools import lru_cache
 from typing import NamedTuple
 
-from ._hashing import hashed_once
+from ._hashing import And, Not, Or, hashed_once
 from .errors import FilterTypeError, ParseError
 from .xmldoc import XmlAttribute, XmlElement, XmlItem, XmlText, _ranked_call, string_value
 
@@ -145,26 +145,6 @@ class Contains:
 
 
 Operand = LocationPath | StringLiteral | NumberLiteral | CountExpr | Contains
-
-
-@hashed_once
-@dataclass(frozen=True)
-class And:
-    left: "FilterExpr"
-    right: "FilterExpr"
-
-
-@hashed_once
-@dataclass(frozen=True)
-class Or:
-    left: "FilterExpr"
-    right: "FilterExpr"
-
-
-@hashed_once
-@dataclass(frozen=True)
-class Not:
-    operand: "FilterExpr"
 
 
 @hashed_once
@@ -259,10 +239,11 @@ def _lex_filter(text: str, start: int, bracketed: bool) -> list[_Tok]:
 class _Parser:
     """Recursive descent over tokens ending in END, shared by filters
     and formulas. A subclass names what it parses, how deep that may
-    nest, its chain tokens ``or_tok`` and ``and_tok`` as (kind, value)
-    and the nodes ``make_or`` and ``make_and`` they build, and provides
-    ``parse_unary``, an operand of an and chain. Its parse methods that
-    can nest return (result, depth), where one without nesting is 0."""
+    nest and its chain tokens ``or_tok`` and ``and_tok`` as (kind,
+    value), and provides ``parse_unary``, an operand of an and chain.
+    The chains build the shared ``Or`` and ``And`` nodes. Its parse
+    methods that can nest return (result, depth), where one without
+    nesting is 0."""
 
     what = ""
     max_depth = 0
@@ -316,7 +297,7 @@ class _Parser:
         while self.toks[self.i][:2] == self.or_tok:
             col = self.next().col
             right, d = self.parse_and()
-            expr, depth = self.make_or(expr, right), self.within(max(depth, d) + 1, col)
+            expr, depth = Or(expr, right), self.within(max(depth, d) + 1, col)
         return expr, depth
 
     def parse_and(self):
@@ -324,7 +305,7 @@ class _Parser:
         while self.toks[self.i][:2] == self.and_tok:
             col = self.next().col
             right, d = self.parse_unary()
-            expr, depth = self.make_and(expr, right), self.within(max(depth, d) + 1, col)
+            expr, depth = And(expr, right), self.within(max(depth, d) + 1, col)
         return expr, depth
 
     def parse(self):
@@ -353,7 +334,6 @@ class _FilterParser(_Parser):
     what = "filter"
     max_depth = MAX_FILTER_DEPTH
     or_tok, and_tok = ("NAME", "or"), ("NAME", "and")
-    make_or, make_and = Or, And
 
     def _at_call(self, word: str) -> bool:
         tok = self.peek()
@@ -912,7 +892,8 @@ def render_filter(expr: FilterExpr) -> str:
     hold, raise ValueError: an empty path, a ``//`` step that no other
     step follows, a step that tests any item other than ``.``, ``..``
     and ``//``, a name test that is not a name token, a signed or
-    non-finite number, and a string that holds both quote kinds."""
+    non-finite number, a string that holds both quote kinds, and a
+    comparison operand that is a connective or a comparison."""
     if isinstance(expr, Or):
         return f"{render_filter(expr.left)} or {_render_arg(expr.right, Or)}"
     if isinstance(expr, And):
@@ -947,7 +928,7 @@ def _render_operand(operand) -> str:
         return f"count({_render_path(operand.path)})"
     if isinstance(operand, Contains):
         return f"contains({_render_path(operand.path)}, {_render_string(operand.needle)})"
-    raise AssertionError(operand)
+    raise ValueError(f"filter text cannot spell an operand of type {type(operand).__name__}")
 
 
 def _render_string(s: str) -> str:

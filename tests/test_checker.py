@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import netcheck
 from netcheck.checker import (
     MAX_FORMULA_DEPTH,
     FilterRegistry,
@@ -229,6 +230,9 @@ def test_registry_assigns_stable_ids():
     assert len(reg) == 2
     with pytest.raises(MissingFilterError):
         reg.prop_for(parse_filter("zz"))
+    # a hand-built filter that no text spells is named by its repr
+    with pytest.raises(MissingFilterError, match=r"^filter Comparison\("):
+        reg.prop_for(xp.Comparison(parse_filter("a and b"), "=", fa))
     with pytest.raises(MissingFilterError):
         reg.filter_for("p9")
 
@@ -495,6 +499,12 @@ def test_pickled_formulas_and_filters_hash_afresh():
                  "PYTHONPATH": str(Path(__file__).parents[1] / "src")},
         )
         assert proc.returncode == 0, proc.stderr.decode()
+    # Filters and formulas share one set of connectives.
+    for name in ("And", "Or", "Not"):
+        assert getattr(xp, name) is getattr(netcheck, name)
+    a, b, c = map(parse_filter, "abc")
+    assert parse_filter("a and not(b or c)") == And(a, Not(Or(b, c)))
+    assert parse_formula("[a] & !([b] | [c])") == And(Atom(a), Not(Or(Atom(b), Atom(c))))
 
 
 def test_every_tree_node_hashes_as_its_field_tuple():

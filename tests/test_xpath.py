@@ -505,6 +505,7 @@ def test_steps_and_paths_that_would_render_differently_rejected():
         LocationPath((Step(Axis.CHILD, NameTest("1x")),)),
         LocationPath((Step(Axis.CHILD, NameTest("a b")),)),
         LocationPath((Step(Axis.ATTRIBUTE, NameTest(".x")),)),  # an XML name
+        Comparison(parse_filter("a and b"), "=", StringLiteral("x")),  # (a and b) = "x"
         *(Comparison(LocationPath((a,)), "=", NumberLiteral(Decimal(number)))
           for number in ("-1", "-0", "Infinity", "-Infinity", "NaN")),
     ):
@@ -963,6 +964,24 @@ def test_descendant_steps_linear_on_deep_payloads():
         times.append(best)
     ratio = times[1] / times[0]
     assert 2.0 <= ratio <= 10.0, f"4x depth took {ratio:.1f}x as long ({times})"
+
+
+def test_predicate_evaluated_once_per_item(monkeypatch):
+    # The inner predicate is reached from every ancestor list of the
+    # outer one, k items at depth k, but its memo tests each of the n - 1
+    # ancestors once; without the memo this is n(n - 1)/2 calls.
+    import netcheck.xpath as xpath
+
+    calls = []
+    real = xpath.string_value
+    monkeypatch.setattr(xpath, "string_value", lambda item: calls.append(item) or real(item))
+    path = parse_filter('descendant::d[ancestor::d[contains(text(), "z")]]')
+    for n in (50, 100, 200):
+        root = _nested(n)
+        calls.clear()
+        found = eval_path(path, root)
+        assert len(calls) == n - 1
+        assert found == reference.eval_path(path, root)
 
 
 def test_eval_filter_compiles_each_filter_once(monkeypatch):
