@@ -20,11 +20,13 @@ the same ``Or`` and ``And`` nodes from ``|``/``&`` here and from
 Checking is staged. First every distinct filter of the formula is
 evaluated at every node payload, and the set of nodes whose payload
 matches it is recorded under a generated proposition id (the labelling
-stage). The network keeps each filter's set in a bounded store, so a
-filter is evaluated once per network and later checks read its set.
-Then filters are substituted by their proposition ids, preserving the
-formula's shape. Finally the propositional checker runs on the labelled
-network, reading each atom's set from the labelling.
+stage). One pass per filter marks a byte per node id, from which both
+forms of its label are made: the key set and the id bitset. The network
+keeps the two together in a bounded store, so a filter is evaluated
+once per network and later checks read its label. Then filters are
+substituted by their proposition ids, preserving the formula's shape.
+Finally the propositional checker runs on the labelled network,
+starting each atom from its stored bitset.
 The stages cost O(filters * nodes) for the filters the network has not
 stored yet, plus O(formula * (nodes + edges)).
 """
@@ -32,9 +34,10 @@ stored yet, plus O(formula * (nodes + edges)).
 from __future__ import annotations
 
 import re
+from itertools import compress
 
 from .ctl import (UNARY_OPS, UNTIL_OPS, And, Atom, Bool, Formula, LabelMap, Not, Or, Temporal,
-                  Until, model_check)
+                  Until, _to_bits, model_check)
 from .errors import FilterTypeError, MissingFilterError, ParseError
 from .network import Network
 from .xpath import FilterExpr, _compile_filter, _parse_bracketed, _Parser, _Tok, render_filter
@@ -210,9 +213,11 @@ def label_nodes(net: Network, formula: Formula) -> tuple[LabelMap, FilterRegistr
     proposition holds, plus the registry pairing filters with their
     generated proposition ids. A filter is evaluated once per network:
     it is compiled and run at every payload, in one pass over the keys
-    that builds its set, and the network keeps that set in a store
-    bounded by ``_STORED_KEYS_PER_NODE`` keys a node, from which later
-    calls read it. A FilterTypeError is re-raised annotated with the
+    that marks a byte per id, from which its key set and its id bitset
+    are made. The network keeps the pair in a store bounded by
+    ``_STORED_KEYS_PER_NODE`` key-equivalents a node, from which later
+    calls read it, and the label map hands the bitsets to
+    ``model_check``. A FilterTypeError is re-raised annotated with the
     offending node key and filter, and is never stored, so the same
     filter raises the same error on every call; with several failures
     the first in (filter, key) order wins.
@@ -223,23 +228,26 @@ def label_nodes(net: Network, formula: Formula) -> tuple[LabelMap, FilterRegistr
     keys = net.node_keys()
     payloads = net.nodes
 
-    def evaluate(filter_expr: FilterExpr) -> frozenset[str]:
+    def evaluate(filter_expr: FilterExpr) -> tuple[frozenset[str], int]:
         holds = _compile_filter(filter_expr)
-        matched = []
+        flags = bytearray(len(keys))  # byte i is 1 where id i matches
         try:
-            for key in keys:
+            for i, key in enumerate(keys):
                 if holds(payloads[key]):
-                    matched.append(key)
+                    flags[i] = 1
         except FilterTypeError as exc:
             raise FilterTypeError(
                 f"filter {_shown(filter_expr)} at node {key!r}: {exc}"
             ) from exc
         # A filter that holds everywhere shares the network's own key set.
-        return net._key_set if len(matched) == len(keys) else frozenset(matched)
+        matched = net._key_set if 0 not in flags else frozenset(compress(keys, flags))
+        return matched, _to_bits(flags)
 
-    sat = {prop: net._label(filter_expr, evaluate)
-           for filter_expr, prop in zip(registry.filters(), registry.props())}
-    return LabelMap(sat, net._key_set), registry
+    stored = {prop: net._label(filter_expr, evaluate)
+              for filter_expr, prop in zip(registry.filters(), registry.props())}
+    labels = LabelMap({prop: keys for prop, (keys, _) in stored.items()}, net._key_set)
+    labels._stored = stored
+    return labels, registry
 
 
 def replace_filters(formula: Formula, registry: FilterRegistry) -> Formula:

@@ -13,29 +13,33 @@ equality, one O(n+m) set computation per operator for n nodes and m
 edges. It works on node ids, the position of each key in key order, so
 ascending ids are ascending keys; the network builds its id map and id
 adjacency at construction. Between operators a satisfaction set is an
-int bitset (bit i is node id i): an atom's key set from the
-``LabelMap`` is encoded once, the connectives are bitwise operations
-and AX, AG and EG complement their duals. Inside a fixpoint the operand
-bitsets are expanded once into a bytearray with one byte per node, the
-pass runs over the id adjacency, and its result is packed back once; a
-fixpoint never tests one bit of an int, because ``s >> v & 1`` costs
-O(n) and would make the pass quadratic. EX is a predecessor scan.
-Every other operator is one backward counting pass (Clarke, Emerson &
-Sistla, TOPLAS 1986). For E[a U b] or A[a U b] the nodes of a outside
-b are open, each with a count of the successors it waits for: one for
-EU, its out-degree for AU. A node whose count falls to zero settles
-and decrements the counts of its open predecessors, and the result is
-b plus the settled nodes. An open sink has no successor to settle, so
-it never settles: its maximal path ends outside b. EF and AF are EU and
-AU with a true left operand; AG is the dual of EF and EG the dual of
-AF. A pass seeds from the cheaper side: from b, reading the edges into
-it, or, when b holds more than twice as many nodes as are open (an open
-node costs about twice a node of b), from the open nodes that b settles
-at once, reading the out-edges of the open nodes instead. With no open
-node, or b empty, it returns b at once. Inverse operators run the same
-pass on the transposed relation. Either way a pass reads each edge at
-most twice, so every operator is O(n+m), also on hubs, the whole check
-is O(|formula|*(n+m)), and only the final set is decoded back to keys.
+int bitset (bit i is node id i): an atom's bitset is the one that the
+labelling stored on the network beside its key set, and only the key
+set of a ``LabelMap`` built by hand is encoded, once per check; the
+connectives are bitwise operations and AX, AG and EG complement their
+duals. Inside a fixpoint the operand bitsets are expanded once into a
+bytearray with one byte per node, the pass runs over the id adjacency,
+and its result is packed back once; a fixpoint never tests one bit of
+an int, because ``s >> v & 1`` costs O(n) and would make the pass
+quadratic. EX is a predecessor scan. Every other operator is one
+backward counting pass (Clarke, Emerson & Sistla, TOPLAS 1986). For
+E[a U b] or A[a U b] the nodes of a outside b are open, each with a
+count of the successors it waits for: one for EU, its out-degree for
+AU, copied from the degree tuple that the network keeps. A node whose
+count falls to zero settles and decrements the counts of its open
+predecessors; the open flags guard the loop, so the counts of other
+nodes are never read. The result is b plus the settled nodes. An open
+sink has no successor to settle, so it never settles: its maximal path
+ends outside b. EF and AF are EU and AU with a true left operand; AG is
+the dual of EF and EG the dual of AF. A pass seeds from the cheaper
+side: from b, reading the edges into it, or, when b holds more than
+twice as many nodes as are open (an open node costs about twice a node
+of b), from the open nodes that b settles at once, reading the
+out-edges of the open nodes instead. With no open node, or b empty, it
+returns b at once. Inverse operators run the same pass on the
+transposed relation. Either way a pass reads each edge at most twice,
+so every operator is O(n+m), also on hubs, the whole check is
+O(|formula|*(n+m)), and only the final set is decoded back to keys.
 ``oracle_check`` recomputes satisfaction by deliberately different
 brute-force means over keys, on successor and predecessor maps of its
 own built from the edge records, and is capped at 12 nodes; it exists
@@ -49,9 +53,8 @@ hold there.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import compress
-from operator import mul
 from typing import Iterable, Iterator, KeysView, Mapping
 
 from ._hashing import And, Not, Or, hashed_once
@@ -143,6 +146,10 @@ class LabelMap:
 
     sat: dict[str, frozenset[str]]
     keys: frozenset[str]
+    # Set by ``label_nodes``: the network's stored (keys, bitset) pair of
+    # each proposition, from which the checker reads an atom's bitset.
+    _stored: dict[str, tuple[frozenset[str], int]] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def props(self) -> KeysView[str]:
@@ -230,12 +237,14 @@ class _Checker:
         self.labels = labels
         self.memo: dict[Formula, int] = {}
 
-    def _relation(self, op: str) -> tuple[str, tuple, tuple]:
-        """(base operator, successor ids, predecessor ids), transposed
-        for an inverse operator."""
+    def _relation(self, op: str) -> tuple[str, tuple, tuple, tuple]:
+        """(base operator, successor ids, predecessor ids, out-degrees),
+        transposed for an inverse operator."""
         base, inverse = _split_op(op)
         net = self.net
-        return (base, net._pred, net._succ) if inverse else (base, net._succ, net._pred)
+        if inverse:
+            return base, net._pred, net._succ, net._in_degree
+        return base, net._succ, net._pred, net._out_degree
 
     def keys_in(self, bits: int) -> Iterator[str]:
         """The keys of a bitset, in ascending order."""
@@ -250,17 +259,26 @@ class _Checker:
         return result
 
     def _atom(self, f: Atom) -> frozenset[str]:
-        if f.value not in self.labels.sat:
+        keys = self.labels.sat.get(f.value)
+        if keys is None:
             raise UnboundAtomError(f"unregistered proposition {f.value!r}")
-        return self.labels.sat[f.value]
+        return keys
 
     def _compute(self, f: Formula) -> int:
         everything = self.everything
         if isinstance(f, Bool):
             return everything if f.value else 0
         if isinstance(f, Atom):
+            keys = self._atom(f)
+            # Stored bitsets number the ids of the network they were made
+            # on, and hold for the key set they were stored with.
+            if self.labels.keys is self.net._key_set:
+                stored = self.labels._stored.get(f.value)
+                if stored is not None and stored[0] is keys:
+                    return stored[1]
+            # A label map built by hand: encode its key set.
             flags = bytearray(len(self.keys))
-            for i in map(self.net._index.__getitem__, self._atom(f)):
+            for i in map(self.net._index.__getitem__, keys):
                 flags[i] = 1
             return _to_bits(flags)
         if isinstance(f, Not):
@@ -270,7 +288,7 @@ class _Checker:
         if isinstance(f, Or):
             return self.sat(f.left) | self.sat(f.right)
         if isinstance(f, Temporal):
-            base, succ, pred = self._relation(f.op)
+            base, succ, pred, degree = self._relation(f.op)
             s = self.sat(f.operand)
             if base == "EX":
                 return self._pre(s, pred)
@@ -279,10 +297,12 @@ class _Checker:
             # EF s = E[true U s] and AF s = A[true U s]; AG is the dual
             # of EF and EG the dual of AF.
             if base in ("EF", "AF"):
-                return self._until(everything, s, succ, pred, base == "AF")
-            return everything ^ self._until(everything, everything ^ s, succ, pred, base == "EG")
-        base, succ, pred = self._relation(f.op)
-        return self._until(self.sat(f.left), self.sat(f.right), succ, pred, base == "AU")
+                return self._until(everything, s, succ, pred, degree, base == "AF")
+            return everything ^ self._until(everything, everything ^ s, succ, pred, degree,
+                                            base == "EG")
+        base, succ, pred, degree = self._relation(f.op)
+        return self._until(self.sat(f.left), self.sat(f.right), succ, pred, degree,
+                           base == "AU")
 
     def _pre(self, s: int, pred) -> int:
         ids = self.net._ids
@@ -293,7 +313,7 @@ class _Checker:
                 out[v] = 1
         return _to_bits(out)
 
-    def _until(self, a: int, b: int, succ, pred, universal: bool) -> int:
+    def _until(self, a: int, b: int, succ, pred, degree, universal: bool) -> int:
         """E[a U b], or A[a U b] when universal, by the counting pass
         that the module docstring describes (see also Baier & Katoen,
         Principles of Model Checking, 2008, section 6.4). The result is
@@ -304,6 +324,10 @@ class _Checker:
         if not rest or not b:
             return b
         open_ = _to_flags(rest, n)
+        # An open node waits for all its successors (AU), its count a copy
+        # of its out-degree, or for one (EU), its count its open flag. Only
+        # the counts of open nodes are read.
+        count = list(degree) if universal else open_
         if 2 * rest.bit_count() < b.bit_count():
             # Seed from the open side: the open nodes with a successor in
             # b (EU) or with successors only in b (AU) settle at once,
@@ -312,7 +336,6 @@ class _Checker:
             # Each costs a map and a sum, about two steps of the loop below.
             in_b = _to_flags(b, n).__getitem__
             if universal:
-                count = [0] * n
                 queue = []
                 for v in compress(ids, open_):
                     nxt = succ[v]
@@ -320,24 +343,20 @@ class _Checker:
                     if nxt and not c:
                         queue.append(v)
             else:
-                count = list(open_)
                 queue = [v for v in compress(ids, open_) if any(map(in_b, succ[v]))]
             for v in queue:
-                count[v] = open_[v] = 0
+                open_[v] = 0
         else:
-            # Seed from b: an open node waits for one successor (EU) or
-            # for all of them (AU).
-            count = list(map(mul, map(len, succ), open_)) if universal else list(open_)
             queue = list(compress(ids, _to_flags(b, n)))
         for w in queue:  # breadth-first: the list grows as it is read
             for v in pred[w]:
-                c = count[v]
-                if c:
-                    if c == 1:
-                        count[v] = open_[v] = 0
-                        queue.append(v)
+                if open_[v]:
+                    c = count[v] - 1
+                    if c:
+                        count[v] = c
                     else:
-                        count[v] = c - 1
+                        open_[v] = 0
+                        queue.append(v)
         return b | (rest ^ _to_bits(open_))
 
     def _key_set_of(self, f: Formula) -> frozenset[str]:

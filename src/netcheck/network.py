@@ -36,12 +36,19 @@ the undirected simple view and its weak components, which the
 statistics share.
 
 A network also keeps the frozenset of its node keys, which every
-labelling and check reads, and a store of filter labels: for each
-filter the labelling has evaluated on it, the set of keys whose payload
-matches. The store is bounded by the keys its sets hold together,
-``_STORED_KEYS_PER_NODE`` times the node count (an empty set counts as
-one), and drops the oldest set first. A payload must therefore not
-change once it is inside a network, or its stored labels go stale.
+labelling and check reads; the out-degree and in-degree of each node
+id, as tuples made once from the adjacency (one tuple when undirected),
+from which a counting pass copies its counts; and a store of filter
+labels. For each filter the labelling has evaluated on it, the store
+holds the label in the two forms the pipeline reads: the frozenset of
+keys whose payload matches, and the int bitset of their ids, bit i for
+id i. The two are stored and dropped together. The store is bounded by
+``_STORED_KEYS_PER_NODE`` key-equivalents per node: a label counts one
+per key, one more for the set itself, so that an empty set counts, and
+one per 64 bytes, begun, of its bitset, which costs up to n/8 bytes
+whatever its key count. Labels are dropped oldest first. A payload must
+therefore not change once it is inside a network, or its stored labels
+go stale.
 """
 
 from __future__ import annotations
@@ -62,11 +69,19 @@ from .xmldoc import (
     xml_equal,
 )
 
-# Bound of a network's label store: the keys its sets hold together, per
-# node. A frozenset costs 40 to 85 bytes a key, so a full store holds at
-# most about 1.4 KB a node; the 17 filters of the benchmark's payloads
-# workload hold 7.5 keys a node.
+# Bound of a network's label store, in key-equivalents per node. A
+# frozenset costs 40 to 85 bytes a key, and a bitset is counted one
+# key-equivalent per 64 bytes, so a full store holds at most about 1.4 KB
+# a node; the 17 filters of the benchmark's payloads workload hold 7.5
+# keys a node.
 _STORED_KEYS_PER_NODE = 16
+
+
+def _stored_cost(label: tuple[frozenset[str], int]) -> int:
+    """Key-equivalents that a stored label counts against the bound: one
+    per key, one for the set, and one per 512 bits, begun, of the bitset."""
+    keys, bits = label
+    return len(keys) + 1 + (bits.bit_length() + 511 >> 9)
 
 
 class Edge(NamedTuple):
@@ -115,7 +130,9 @@ class Network:
         self._succ = tuple([tuple(sorted(v)) if len(v) > 1 else tuple(v) for v in succ])
         self._pred = (tuple([tuple(sorted(v)) if len(v) > 1 else tuple(v) for v in pred])
                       if directed else self._succ)
-        self._labels: dict = {}  # filter -> matching keys, oldest first
+        self._out_degree = tuple(map(len, self._succ))
+        self._in_degree = tuple(map(len, self._pred)) if directed else self._out_degree
+        self._labels: dict = {}  # filter -> (matching keys, their id bitset), oldest first
         self._labels_held = 0
         for payload in self.nodes.values():
             if payload.doc is None:  # built by hand: rank it once, here
@@ -166,21 +183,21 @@ class Network:
         ends = {(src, dst)} if self.directed else {(src, dst), (dst, src)}
         return sum((e.src, e.dst) in ends for e in self.edges)
 
-    def _label(self, filter_expr, evaluate) -> frozenset[str]:
-        """The keys whose payload matches ``filter_expr``: the stored set,
-        or else ``evaluate(filter_expr)``, which is then stored. An
-        exception from ``evaluate`` propagates and stores nothing. Sets
-        are dropped oldest first while the store holds more than its
-        bound."""
-        keys = self._labels.get(filter_expr)
-        if keys is None:
-            keys = evaluate(filter_expr)
-            self._labels[filter_expr] = keys
-            self._labels_held += len(keys) + 1
+    def _label(self, filter_expr, evaluate) -> tuple[frozenset[str], int]:
+        """The label of ``filter_expr``, as the pair (keys whose payload
+        matches, bitset of their ids): the stored pair, or else
+        ``evaluate(filter_expr)``, which is then stored. An exception from
+        ``evaluate`` propagates and stores nothing. Pairs are dropped
+        oldest first while the store holds more than its bound."""
+        label = self._labels.get(filter_expr)
+        if label is None:
+            label = evaluate(filter_expr)
+            self._labels[filter_expr] = label
+            self._labels_held += _stored_cost(label)
             while self._labels_held > _STORED_KEYS_PER_NODE * len(self._keys):
                 oldest = next(iter(self._labels))
-                self._labels_held -= len(self._labels.pop(oldest)) + 1
-        return keys
+                self._labels_held -= _stored_cost(self._labels.pop(oldest))
+        return label
 
     @cached_property
     def simple_view(self) -> tuple[frozenset[int], ...]:

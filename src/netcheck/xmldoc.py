@@ -19,7 +19,8 @@ Serializing and comparing trees are iterative as well.
 
 ``parse_xml`` reads its root element with ``_element``, and so does
 ``_root_children`` with each child of the root, and what lies between
-two children with ``_char_data`` alone: ``parse_network`` takes a
+two children with ``_char_data``, unless it is only whitespace before a
+tag, which one regular expression skips: ``parse_network`` takes a
 network file's payloads from it without building a tree of the file.
 
 Each element that ``_element`` reads is a document of its own, ranked
@@ -66,6 +67,9 @@ _END_TAG = re.compile(rf"({_NAME_RE})?[ \t\r\n]*(>?)")
 # comment is left unmatched, for the caller to report.
 _MISC = re.compile(r"(?:[ \t\r\n]+|<!--.*?-->)*", re.S)
 _TEXT = re.compile(r"[^<&]+")
+# Whitespace up to the '<' of a start or closing tag, not of a comment,
+# a '<!' or a '<?' that ``_char_data`` reads or refuses.
+_WS_TO_TAG = re.compile(r"[ \t\r\n]*(?=<(?![!?]))")
 _ATTR_VALUE = {'"': re.compile(r'[^"<&]*'), "'": re.compile(r"[^'<&]*")}
 # One item of element content: a text run, a whole start tag, a closing
 # tag or a predefined entity. Each branch is one outer group, so that
@@ -365,8 +369,11 @@ def _root_children(data: bytes | str, raw: Callable[[str, int], re.Match | None]
     yield root
     run: list[str] = []
     while is_open:
-        i = _char_data(text, i, run, root, start)
-        if run:
+        m = _WS_TO_TAG.match(text, i)
+        if m:  # only whitespace before the next tag, the common case
+            i = m.end()
+        else:
+            i = _char_data(text, i, run, root, start)
             s = "".join(run)
             run.clear()
             if s.strip(_XML_WS):

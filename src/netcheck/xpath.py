@@ -493,7 +493,9 @@ def _parse_bracketed(text: str, start: int) -> tuple[FilterExpr, int]:
 
 def eval_filter(expr: FilterExpr, context: XmlElement) -> bool:
     """Evaluate a filter at an element; raises FilterTypeError when a
-    relational comparison meets a value that is not a number."""
+    relational comparison meets a value that is not a number, and
+    ValueError, naming the node, for a tree built by hand that holds a
+    node that is not a filter, such as a formula's ``Atom``."""
     return _compile_filter(expr)(context)
 
 
@@ -555,7 +557,7 @@ def _compile_bool(expr: FilterExpr, memos: list[dict]):
     if isinstance(expr, NumberLiteral):
         value = expr.value != 0
         return lambda item: value
-    raise AssertionError(expr)
+    raise ValueError(f"{type(expr).__name__} node is not a filter: {expr!r}")
 
 
 def _compile_path(steps, memos: list[dict]):

@@ -445,7 +445,9 @@ def test_label_store_stays_within_its_bound():
     formulas = [parse_formula(f'[item/@num != "{i}"] | EX [item/@num = "{i}"]') for i in range(40)]
     for formula in formulas:
         check(net, formula)
-        held = sum(len(keys) + 1 for keys in net._labels.values())
+        # A label counts its keys, itself, and each 64 bytes of its bitset.
+        held = sum(len(keys) + 1 + -(-bits.bit_length() // 512)
+                   for keys, bits in net._labels.values())
         assert held == net._labels_held <= bound
     # The earliest sets were dropped, the latest are kept, oldest first.
     assert parse_filter('item/@num != "0"') not in net._labels
@@ -453,6 +455,126 @@ def test_label_store_stays_within_its_bound():
     for formula in formulas:  # answers after eviction are unchanged
         assert check(net, formula) == direct_check(net, formula)
         assert net._labels_held <= bound
+
+
+def test_label_store_counts_bitsets_against_its_bound(monkeypatch):
+    # A bitset costs up to n/8 bytes whatever its key count: one key on
+    # the highest id costs as much as every key. Filters that each hold
+    # there alone fill the store; counted by their keys only, they would
+    # hold n/8 bytes apiece for two key-equivalents. The bound is lowered
+    # to one key-equivalent a node, so that a few hundred filters fill it.
+    from netcheck import network
+    from netcheck.network import parse_network
+
+    monkeypatch.setattr(network, "_STORED_KEYS_PER_NODE", 1)
+    n = 1100
+    net = parse_network('<network>' + ''.join(
+        f'<node key="v{i:04d}" last="{int(i == n - 1)}"/>' for i in range(n)) + '</network>')
+    bound = n
+    top = frozenset({net.node_keys()[-1]})
+    filters = [parse_filter(f'@last = "1" and not(@x = "{i}")') for i in range(n // 4)]
+    for f in filters:
+        labels, _ = label_nodes(net, Atom(f))
+        assert labels.sat == {"p1": top}
+        held = sum(len(keys) + 1 + -(-bits.bit_length() // 512)
+                   for keys, bits in net._labels.values())
+        assert held == net._labels_held <= bound
+        # Each stored bitset is its key set's, stored and dropped with it.
+        for keys, bits in net._labels.values():
+            assert bits == 1 << n - 1 and keys == top
+    # Each set counts 1 + 1 + 3: the store keeps the latest bound // 5.
+    assert list(net._labels) == filters[-(bound // 5):]
+    assert sum(bits.bit_length() for _, bits in net._labels.values()) // 8 <= 64 * bound
+
+
+def test_stored_and_encoded_atoms_check_alike():
+    # An atom's bitset comes from the network's store for a label map
+    # that label_nodes made, and is encoded from its key set for one
+    # built by hand. Both routes give the same answers, also once the
+    # store has dropped the labels that an older label map still holds.
+    from netcheck.ctl import LabelMap
+    from netcheck.network import Network
+
+    rng = random.Random("atom-routes")
+    for trial in range(40):
+        net = random_attributed_network(rng, max_n=20, directed=trial % 3 != 0)
+        formula = parse_formula(random_xpl_text(rng, depth=3))
+        labels, registry = label_nodes(net, formula)
+        propositional = replace_filters(formula, registry)
+        by_key = {k: {p for p, keys in labels.sat.items() if k in keys} for k in net.node_keys()}
+        built = LabelMap.build(by_key, props=registry.props())
+        assert built == labels
+        expected = model_check(net, built, propositional)
+        assert model_check(net, labels, propositional) == expected
+        # A set swapped into the map after labelling is encoded afresh.
+        swapped, _ = label_nodes(net, formula)
+        for prop in swapped.sat:
+            swapped.sat[prop] = frozenset(net.node_keys()[::2])
+            assert (model_check(net, swapped, propositional)
+                    == model_check(net, LabelMap(dict(swapped.sat), net._key_set), propositional))
+        # Fill the store with other labels until this formula's are gone.
+        i = 0
+        while any(f in net._labels for f in registry.filters()):
+            label_nodes(net, Atom(parse_filter(f'@color = "c{i}"')))
+            i += 1
+        assert model_check(net, labels, propositional) == expected
+        again, registry = label_nodes(net, formula)
+        assert model_check(net, again, replace_filters(formula, registry)) == expected
+        # Labels made on a network without the first key number their ids
+        # one lower; on the whole network their key sets are encoded.
+        first, *rest = net.node_keys()
+        part = Network(net.directed, {k: net.nodes[k] for k in rest},
+                       [e for e in net.edges if first not in (e.src, e.dst)])
+        labels, registry = label_nodes(part, formula)
+        propositional = replace_filters(formula, registry)
+        by_key = {k: {p for p, keys in labels.sat.items() if k in keys} for k in rest}
+        assert (model_check(net, labels, propositional)
+                == model_check(net, LabelMap.build(by_key, props=registry.props()), propositional))
+
+
+class _CountingIndex(dict):
+    """A key -> id map that counts the entries read from it."""
+
+    reads = 0
+
+    def __getitem__(self, key):
+        self.reads += 1
+        return dict.__getitem__(self, key)
+
+    def get(self, key, default=None):
+        self.reads += 1
+        return dict.get(self, key, default)
+
+
+def test_checks_read_atom_bitsets_without_the_key_index():
+    # The count twin of the stored bitsets: a check after labelling reads
+    # no key -> id entry, on the second call as on the first. Encoding a
+    # label map built by hand reads one entry per key, which shows that
+    # the counter sees the reads.
+    from netcheck.ctl import LabelMap
+
+    n = 3000
+    net = make_network([(f"v{i:04d}", f"v{i + 1:04d}") for i in range(n - 1)],
+                       payload_xml={f"v{i:04d}": f'<node p="{i % 2}"/>' for i in range(n)})
+    formula = parse_formula('EF [@p = "1"] | AF [@p = "0"] | EG [@p = "0"]')
+    net._index = index = _CountingIndex(net._index)
+    first = check(net, formula)
+    assert check(net, formula) == first == direct_check(net, formula)
+    assert index.reads == 0
+    labels, registry = label_nodes(net, formula)
+    by_hand = LabelMap(dict(labels.sat), labels.keys)
+    assert model_check(net, by_hand, replace_filters(formula, registry)) == first
+    assert index.reads == sum(map(len, labels.sat.values())) == n
+
+
+def test_non_filter_node_in_an_atom_raises_value_error():
+    from netcheck.network import parse_network
+
+    net = parse_network('<network><node key="a"><a/><b/></node></network>')
+    formula = Atom(And(Atom(parse_filter("a")), parse_filter("b")))
+    with pytest.raises(ValueError, match=r"^Atom node is not a filter: "):
+        check(net, formula)
+    assert not net._labels
 
 
 def test_references_read_the_edge_records_not_the_id_adjacency():
@@ -561,7 +683,7 @@ def test_labels_and_checker_share_the_network_key_set():
         assert checker._relation("IEX")[1] is net._pred
     # A filter that holds at every node stores the network's own key set.
     assert labels.sat[registry.prop_for(parse_filter("item"))] is net._key_set
-    assert net._labels[parse_filter("item")] is net._key_set
+    assert net._labels[parse_filter("item")][0] is net._key_set
     # A label map built by the caller is still checked against the network.
     stray = LabelMap.build({"v1": {"p"}, "nowhere": {"p"}}, props={"p"})
     with pytest.raises(UnknownKeyError):

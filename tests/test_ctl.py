@@ -522,11 +522,11 @@ def test_fixpoints_from_both_sides_at_word_edges(monkeypatch, n, directed):
 
     sides = set()
     real = ctl._Checker._until
-    def spy(checker, a, b, succ, pred, universal):
+    def spy(checker, a, b, succ, pred, degree, universal):
         rest = a & ~b
         if rest and b:
             sides.add((universal, rest.bit_count() < b.bit_count()))
-        return real(checker, a, b, succ, pred, universal)
+        return real(checker, a, b, succ, pred, degree, universal)
     monkeypatch.setattr(ctl._Checker, "_until", spy)
     rng = random.Random(f"sides/{n}/{directed}")
     net = _network_with_sinks_and_loops(rng, n, directed)

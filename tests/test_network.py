@@ -120,6 +120,11 @@ def test_adjacency_and_multiplicity_match_edge_records(net):
     simple = [{keys.index(b) for s, b in pairs if s == a and b != a}
               | {keys.index(s) for s, b in pairs if b == a and s != a} for a in keys]
     assert list(net.simple_view) == simple
+    # The degrees that a counting pass copies: distinct neighbours by id.
+    assert net._out_degree == tuple(len(net.successors(a)) for a in keys)
+    assert net._in_degree == tuple(len(net.predecessors(a)) for a in keys)
+    if not net.directed:
+        assert net._in_degree is net._out_degree
 
 
 def test_unknown_key_raises():

@@ -483,6 +483,14 @@ def test_string_with_both_quote_kinds_rejected():
             assert parse_filter(render_filter(expr)) == expr
 
 
+def test_non_filter_node_in_a_filter_raises_value_error():
+    # The connectives are shared with formulas, so a formula's Atom can
+    # end up inside a filter's And; evaluating it names the node.
+    tree = And(Atom(parse_filter("a")), parse_filter("b"))
+    with pytest.raises(ValueError, match=r"^Atom node is not a filter: Atom\(value=LocationPath"):
+        eval_filter(tree, parse_xml("<r><a/><b/></r>"))
+
+
 def test_steps_and_paths_that_would_render_differently_rejected():
     # Construction accepts these, but no filter text spells them, so
     # render_filter refuses them rather than write text that does not
