@@ -20,13 +20,15 @@ the same ``Or`` and ``And`` nodes from ``|``/``&`` here and from
 Checking is staged. First every distinct filter of the formula is
 evaluated at every node payload, and the set of nodes whose payload
 matches it is recorded under a generated proposition id (the labelling
-stage). One pass per filter marks a byte per node id, from which both
-forms of its label are made: the key set and the id bitset. The network
-keeps the two together in a bounded store, so a filter is evaluated
-once per network and later checks read its label. Then filters are
-substituted by their proposition ids, preserving the formula's shape.
-Finally the propositional checker runs on the labelled network,
-starting each atom from its stored bitset.
+stage). One pass per filter marks a byte per node id, which is packed
+into the one form of its label, the id bitset. The network keeps it in
+a bounded store, so a filter is evaluated once per network and later
+checks read its label. Then filters are substituted by their
+proposition ids, preserving the formula's shape. Finally the
+propositional checker runs on the labelled network. ``check`` starts
+each atom from its stored bitset and builds no key set; the public
+``label_nodes`` decodes the key sets of its ``LabelMap`` from the
+bitsets, and ``model_check`` encodes them again.
 The stages cost O(filters * nodes) for the filters the network has not
 stored yet, plus O(formula * (nodes + edges)).
 """
@@ -37,7 +39,7 @@ import re
 from itertools import compress
 
 from .ctl import (UNARY_OPS, UNTIL_OPS, And, Atom, Bool, Formula, LabelMap, Not, Or, Temporal,
-                  Until, _to_bits, model_check)
+                  Until, _Checker, _to_bits, _to_flags)
 from .errors import FilterTypeError, MissingFilterError, ParseError
 from .network import Network
 from .xpath import FilterExpr, _compile_filter, _parse_bracketed, _Parser, _Tok, render_filter
@@ -205,30 +207,17 @@ def collect_filters(formula: Formula) -> list[FilterExpr]:
     return found
 
 
-def label_nodes(net: Network, formula: Formula) -> tuple[LabelMap, FilterRegistry]:
-    """Labelling stage: the set of node keys whose payload matches each
-    distinct filter of the formula.
-
-    Returns the label map, which holds the set of keys where each
-    proposition holds, plus the registry pairing filters with their
-    generated proposition ids. A filter is evaluated once per network:
-    it is compiled and run at every payload, in one pass over the keys
-    that marks a byte per id, from which its key set and its id bitset
-    are made. The network keeps the pair in a store bounded by
-    ``_STORED_KEYS_PER_NODE`` key-equivalents a node, from which later
-    calls read it, and the label map hands the bitsets to
-    ``model_check``. A FilterTypeError is re-raised annotated with the
-    offending node key and filter, and is never stored, so the same
-    filter raises the same error on every call; with several failures
-    the first in (filter, key) order wins.
-    """
+def _label_bits(net: Network, formula: Formula) -> tuple[dict[str, int], FilterRegistry]:
+    """The id bitset of each distinct filter of the formula, by
+    proposition id, and the registry: the labelling stage in the one
+    form the network stores (see ``label_nodes``)."""
     registry = FilterRegistry()
     for f in collect_filters(formula):
         registry.register(f)
     keys = net.node_keys()
     payloads = net.nodes
 
-    def evaluate(filter_expr: FilterExpr) -> tuple[frozenset[str], int]:
+    def evaluate(filter_expr: FilterExpr) -> int:
         holds = _compile_filter(filter_expr)
         flags = bytearray(len(keys))  # byte i is 1 where id i matches
         try:
@@ -239,15 +228,40 @@ def label_nodes(net: Network, formula: Formula) -> tuple[LabelMap, FilterRegistr
             raise FilterTypeError(
                 f"filter {_shown(filter_expr)} at node {key!r}: {exc}"
             ) from exc
-        # A filter that holds everywhere shares the network's own key set.
-        matched = net._key_set if 0 not in flags else frozenset(compress(keys, flags))
-        return matched, _to_bits(flags)
+        return _to_bits(flags)
 
-    stored = {prop: net._label(filter_expr, evaluate)
-              for filter_expr, prop in zip(registry.filters(), registry.props())}
-    labels = LabelMap({prop: keys for prop, (keys, _) in stored.items()}, net._key_set)
-    labels._stored = stored
-    return labels, registry
+    bits = {prop: net._label(filter_expr, evaluate)
+            for filter_expr, prop in zip(registry.filters(), registry.props())}
+    return bits, registry
+
+
+def label_nodes(net: Network, formula: Formula) -> tuple[LabelMap, FilterRegistry]:
+    """Labelling stage: the set of node keys whose payload matches each
+    distinct filter of the formula.
+
+    Returns the label map, which holds the set of keys where each
+    proposition holds, plus the registry pairing filters with their
+    generated proposition ids. A filter is evaluated once per network:
+    it is compiled and run at every payload, in one pass over the keys
+    that marks a byte per id, and packed into an id bitset, which the
+    network keeps in a store bounded by ``_STORED_BYTES_PER_NODE`` bytes
+    a node. The key sets are decoded from the bitsets; while a caller
+    holds one, later calls on the network return the same set for its
+    filter. A FilterTypeError is re-raised annotated with the offending
+    node key and filter, and is never stored, so the same filter raises
+    the same error on every call; with several failures the first in
+    (filter, key) order wins.
+    """
+    bits, registry = _label_bits(net, formula)
+    keys = net.node_keys()
+    decoded = net._key_sets
+    sat = {}
+    for filter_expr, (prop, label) in zip(registry.filters(), bits.items()):
+        key_set = decoded.get(filter_expr)
+        if key_set is None:
+            key_set = decoded[filter_expr] = frozenset(compress(keys, _to_flags(label, len(keys))))
+        sat[prop] = key_set
+    return LabelMap(sat, net._key_set), registry
 
 
 def replace_filters(formula: Formula, registry: FilterRegistry) -> Formula:
@@ -274,8 +288,15 @@ def replace_filters(formula: Formula, registry: FilterRegistry) -> Formula:
                  replace_filters(formula.right, registry))
 
 
+def _labelled_checker(net: Network, formula: Formula) -> tuple[_Checker, Formula]:
+    """Label and replace: a checker whose atoms start from the stored
+    bitsets of the formula's filters, and the propositional formula."""
+    bits, registry = _label_bits(net, formula)
+    checker = _Checker(net, None, {Atom(prop): label for prop, label in bits.items()})
+    return checker, replace_filters(formula, registry)
+
+
 def check(net: Network, formula: Formula) -> frozenset[str]:
     """Label, replace, and model-check; returns the satisfying keys."""
-    labels, registry = label_nodes(net, formula)
-    propositional = replace_filters(formula, registry)
-    return model_check(net, labels, propositional)
+    checker, propositional = _labelled_checker(net, formula)
+    return frozenset(checker.keys_in(checker.sat(propositional)))

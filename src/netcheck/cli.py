@@ -19,7 +19,7 @@ import json
 import sys
 
 from . import __version__
-from .checker import label_nodes, parse_formula, replace_filters
+from .checker import _labelled_checker, parse_formula
 from .ctl import Atom, NotSatisfiedError, _Checker
 from .errors import FilterTypeError, FormatError, ParseError, UnknownKeyError
 from .metrics import (
@@ -135,9 +135,8 @@ def _answer(args, formula, witness_for: str | None = None) -> int:
         return net
 
     try:
-        labels, registry = label_nodes(net, formula)
-        propositional = replace_filters(formula, registry)
-        checker = _Checker(net, labels)  # the witness reads its sets too
+        # One checker: the witness reads its sets too.
+        checker, propositional = _labelled_checker(net, formula)
         keys = list(checker.keys_in(checker.sat(propositional)))  # ascending
         witness_report = None
         if witness_for is not None:

@@ -13,15 +13,15 @@ equality, one O(n+m) set computation per operator for n nodes and m
 edges. It works on node ids, the position of each key in key order, so
 ascending ids are ascending keys; the network builds its id map and id
 adjacency at construction. Between operators a satisfaction set is an
-int bitset (bit i is node id i): an atom's bitset is the one that the
-labelling stored on the network beside its key set, and only the key
-set of a ``LabelMap`` built by hand is encoded, once per check; the
-connectives are bitwise operations and AX, AG and EG complement their
-duals. Inside a fixpoint the operand bitsets are expanded once into a
-bytearray with one byte per node, the pass runs over the id adjacency,
-and its result is packed back once; a fixpoint never tests one bit of
-an int, because ``s >> v & 1`` costs O(n) and would make the pass
-quadratic. EX is a predecessor scan. Every other operator is one
+int bitset (bit i is node id i). ``check`` starts each atom from the
+bitset that the labelling stored on the network, and builds no key set;
+``model_check`` encodes the key set of each atom of its ``LabelMap``,
+once per check. The connectives are bitwise operations and AX, AG and
+EG complement their duals. Inside a fixpoint the operand bitsets are
+expanded once into a bytearray with one byte per node, the pass runs
+over the id adjacency, and its result is packed back once; a fixpoint
+never tests one bit of an int, because ``s >> v & 1`` costs O(n) and
+would make the pass quadratic. EX is a predecessor scan. Every other operator is one
 backward counting pass (Clarke, Emerson & Sistla, TOPLAS 1986). For
 E[a U b] or A[a U b] the nodes of a outside b are open, each with a
 count of the successors it waits for: one for EU, its out-degree for
@@ -45,15 +45,15 @@ brute-force means over keys, on successor and predecessor maps of its
 own built from the edge records, and is capped at 12 nodes; it exists
 so the two can be compared on random instances. ``witness`` computes
 only the operand sets of a top-level EX, EF or EU, reading an atom's
-key set from the label map as it is; one search over the id adjacency
-from the start node, testing the key of each node it reaches, then
-finds a shortest witness path or decides that the formula does not
-hold there.
+key set from the label map as it is, without encoding it; one search
+over the id adjacency from the start node, testing the key of each node
+it reaches, then finds a shortest witness path or decides that the
+formula does not hold there.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import compress
 from typing import Iterable, Iterator, KeysView, Mapping
 
@@ -146,10 +146,6 @@ class LabelMap:
 
     sat: dict[str, frozenset[str]]
     keys: frozenset[str]
-    # Set by ``label_nodes``: the network's stored (keys, bitset) pair of
-    # each proposition, from which the checker reads an atom's bitset.
-    _stored: dict[str, tuple[frozenset[str], int]] = field(
-        default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def props(self) -> KeysView[str]:
@@ -185,9 +181,11 @@ def _check_labels(keys: Iterable[str], labels: LabelMap) -> None:
         return
     unknown = labels.keys.union(*labels.sat.values()).difference(keys)
     if unknown:
-        raise UnknownKeyError(
-            f"label map mentions keys not in the network: {sorted(unknown)}"
-        )
+        raise _unknown_keys(unknown)
+
+
+def _unknown_keys(unknown: Iterable[str]) -> UnknownKeyError:
+    return UnknownKeyError(f"label map mentions keys not in the network: {sorted(unknown)}")
 
 
 # ---------------------------------------------------------------------------
@@ -203,7 +201,7 @@ def model_check(net: Network, labels: LabelMap, formula: Formula) -> frozenset[s
     docstring describes the ids, the bitsets and each fixpoint.
     """
     _check_labels(net._key_set, labels)
-    checker = _Checker(net, labels)
+    checker = _Checker(net, labels, {})
     return frozenset(checker.keys_in(checker.sat(formula)))
 
 
@@ -227,15 +225,17 @@ def _to_flags(bits: int, n: int) -> bytearray:
 
 
 class _Checker:
-    """Satisfaction sets of one network and label map, as int bitsets
-    over the network's node ids, memoized per subformula."""
+    """Satisfaction sets of one network, as int bitsets over its node
+    ids, memoized per subformula. ``check`` puts the stored bitset of
+    each atom in ``memo`` and passes no label map; any other atom is
+    encoded from the key set that ``labels`` holds."""
 
-    def __init__(self, net: Network, labels: LabelMap):
+    def __init__(self, net: Network, labels: LabelMap | None, memo: dict[Formula, int]):
         self.net = net
         self.keys = net.node_keys()
         self.everything = (1 << len(self.keys)) - 1
         self.labels = labels
-        self.memo: dict[Formula, int] = {}
+        self.memo = memo
 
     def _relation(self, op: str) -> tuple[str, tuple, tuple, tuple]:
         """(base operator, successor ids, predecessor ids, out-degrees),
@@ -270,16 +270,12 @@ class _Checker:
             return everything if f.value else 0
         if isinstance(f, Atom):
             keys = self._atom(f)
-            # Stored bitsets number the ids of the network they were made
-            # on, and hold for the key set they were stored with.
-            if self.labels.keys is self.net._key_set:
-                stored = self.labels._stored.get(f.value)
-                if stored is not None and stored[0] is keys:
-                    return stored[1]
-            # A label map built by hand: encode its key set.
             flags = bytearray(len(self.keys))
-            for i in map(self.net._index.__getitem__, keys):
-                flags[i] = 1
+            try:
+                for i in map(self.net._index.__getitem__, keys):
+                    flags[i] = 1
+            except KeyError:  # a set put in the map after _check_labels passed it
+                raise _unknown_keys(set(keys).difference(self.net._key_set)) from None
             return _to_bits(flags)
         if isinstance(f, Not):
             return everything ^ self.sat(f.operand)
@@ -361,8 +357,9 @@ class _Checker:
 
     def _key_set_of(self, f: Formula) -> frozenset[str]:
         """The keys where ``f`` holds: an atom's set as the label map
-        holds it, any other formula's set decoded from its bitset."""
-        if isinstance(f, Atom):
+        holds it, and any other set, or any set without a label map,
+        decoded from its bitset."""
+        if isinstance(f, Atom) and self.labels is not None:
             return self._atom(f)
         return frozenset(self.keys_in(self.sat(f)))
 
@@ -371,7 +368,6 @@ class _Checker:
         key_set = self.net._key_set
         if start not in key_set:
             raise UnknownKeyError(f"unknown node key {start!r}")
-        _check_labels(key_set, self.labels)
         op = f.op if isinstance(f, (Temporal, Until)) else None
         if op not in _WITNESSABLE:
             return Witness("none-available")
@@ -440,9 +436,11 @@ def witness(net: Network, labels: LabelMap, formula: Formula, start: str) -> Wit
     out, the node does not satisfy the formula and NotSatisfiedError is
     raised. Returns kind "none-available" when the top operator has no
     finite witness (EG, universal and boolean forms). Raises
-    UnknownKeyError for an unknown node.
+    UnknownKeyError for an unknown node, and for a label map that names
+    a key the network does not have.
     """
-    return _Checker(net, labels).witness(formula, start)
+    _check_labels(net._key_set, labels)
+    return _Checker(net, labels, {}).witness(formula, start)
 
 
 # ---------------------------------------------------------------------------

@@ -40,15 +40,16 @@ labelling and check reads; the out-degree and in-degree of each node
 id, as tuples made once from the adjacency (one tuple when undirected),
 from which a counting pass copies its counts; and a store of filter
 labels. For each filter the labelling has evaluated on it, the store
-holds the label in the two forms the pipeline reads: the frozenset of
-keys whose payload matches, and the int bitset of their ids, bit i for
-id i. The two are stored and dropped together. The store is bounded by
-``_STORED_KEYS_PER_NODE`` key-equivalents per node: a label counts one
-per key, one more for the set itself, so that an empty set counts, and
-one per 64 bytes, begun, of its bitset, which costs up to n/8 bytes
-whatever its key count. Labels are dropped oldest first. A payload must
-therefore not change once it is inside a network, or its stored labels
-go stale.
+holds the label as one int bitset of the ids whose payload matches, bit
+i for id i; the key sets of the public ``LabelMap`` are decoded from
+it. The store is bounded by ``_STORED_BYTES_PER_NODE`` bytes per node:
+a label counts the bytes of its bitset, which cost up to n/8 whatever
+its key count, plus ``_LABEL_ENTRY_BYTES`` for the entry itself, so
+that an empty label counts. Labels are dropped oldest first. A payload
+must therefore not change once it is inside a network, or its stored
+labels go stale. A key set decoded from a label is kept by filter in a
+weak map while a caller holds it, so that label maps made meanwhile
+share it.
 """
 
 from __future__ import annotations
@@ -58,6 +59,7 @@ from decimal import Decimal, InvalidOperation
 from functools import cached_property
 from itertools import repeat
 from typing import Mapping, NamedTuple
+from weakref import WeakValueDictionary
 
 from .errors import FormatError, UnknownKeyError
 from .xmldoc import (
@@ -69,19 +71,18 @@ from .xmldoc import (
     xml_equal,
 )
 
-# Bound of a network's label store, in key-equivalents per node. A
-# frozenset costs 40 to 85 bytes a key, and a bitset is counted one
-# key-equivalent per 64 bytes, so a full store holds at most about 1.4 KB
-# a node; the 17 filters of the benchmark's payloads workload hold 7.5
-# keys a node.
-_STORED_KEYS_PER_NODE = 16
+# Bound of a network's label store, in bytes per node. A label counts
+# the bytes of its bitset, up to n/8, and a fixed cost for its entry, so
+# a full store holds about 8000 labels that reach the highest id; the 17
+# filters of the benchmark's payloads workload hold 9 bytes a node.
+_STORED_BYTES_PER_NODE = 1024
+_LABEL_ENTRY_BYTES = 64
 
 
-def _stored_cost(label: tuple[frozenset[str], int]) -> int:
-    """Key-equivalents that a stored label counts against the bound: one
-    per key, one for the set, and one per 512 bits, begun, of the bitset."""
-    keys, bits = label
-    return len(keys) + 1 + (bits.bit_length() + 511 >> 9)
+def _stored_cost(bits: int) -> int:
+    """Bytes that a stored bitset counts against the bound: its own, and
+    a fixed cost for its entry."""
+    return _LABEL_ENTRY_BYTES + (bits.bit_length() + 7 >> 3)
 
 
 class Edge(NamedTuple):
@@ -132,8 +133,9 @@ class Network:
                       if directed else self._succ)
         self._out_degree = tuple(map(len, self._succ))
         self._in_degree = tuple(map(len, self._pred)) if directed else self._out_degree
-        self._labels: dict = {}  # filter -> (matching keys, their id bitset), oldest first
-        self._labels_held = 0
+        self._labels: dict = {}  # filter -> id bitset of its label, oldest first
+        self._labels_held = 0  # bytes, by _stored_cost
+        self._key_sets = WeakValueDictionary()  # filter -> decoded key set, while held
         for payload in self.nodes.values():
             if payload.doc is None:  # built by hand: rank it once, here
                 _rank(payload)
@@ -183,21 +185,20 @@ class Network:
         ends = {(src, dst)} if self.directed else {(src, dst), (dst, src)}
         return sum((e.src, e.dst) in ends for e in self.edges)
 
-    def _label(self, filter_expr, evaluate) -> tuple[frozenset[str], int]:
-        """The label of ``filter_expr``, as the pair (keys whose payload
-        matches, bitset of their ids): the stored pair, or else
-        ``evaluate(filter_expr)``, which is then stored. An exception from
-        ``evaluate`` propagates and stores nothing. Pairs are dropped
-        oldest first while the store holds more than its bound."""
-        label = self._labels.get(filter_expr)
-        if label is None:
-            label = evaluate(filter_expr)
-            self._labels[filter_expr] = label
-            self._labels_held += _stored_cost(label)
-            while self._labels_held > _STORED_KEYS_PER_NODE * len(self._keys):
+    def _label(self, filter_expr, evaluate) -> int:
+        """The id bitset of ``filter_expr``'s label: the stored one, or
+        else ``evaluate(filter_expr)``, which is then stored. An exception
+        from ``evaluate`` propagates and stores nothing. Labels are
+        dropped oldest first while the store holds more than its bound."""
+        bits = self._labels.get(filter_expr)
+        if bits is None:
+            bits = evaluate(filter_expr)
+            self._labels[filter_expr] = bits
+            self._labels_held += _stored_cost(bits)
+            while self._labels_held > _STORED_BYTES_PER_NODE * len(self._keys):
                 oldest = next(iter(self._labels))
                 self._labels_held -= _stored_cost(self._labels.pop(oldest))
-        return label
+        return bits
 
     @cached_property
     def simple_view(self) -> tuple[frozenset[int], ...]:

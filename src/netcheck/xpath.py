@@ -615,6 +615,8 @@ def _compile_axis(axis: Axis, test: NodeTest):
         collect = _subtrees(axis is Axis.DESCENDANT_OR_SELF)
     elif axis is Axis.ANCESTOR:
         collect = _ancestors
+    elif axis is Axis.FOLLOWING_SIBLING or axis is Axis.PRECEDING_SIBLING:
+        collect = _siblings(axis is Axis.FOLLOWING_SIBLING)
     elif axis is Axis.SELF:
         return keep
     else:
@@ -693,12 +695,36 @@ def _ancestors(items: list) -> list:
     return found
 
 
+def _siblings(after: bool):
+    """The following-sibling axis, or preceding-sibling. The contexts
+    under one parent share one slice of its children: after the first
+    of them, or before the last, which in document order are the first
+    and last met. Slices under distinct parents are disjoint and are
+    merged by rank, so a step from k siblings reads k items, not k²/2.
+    Attributes and parentless roots have no siblings."""
+
+    def collect(items):
+        bounds = {}  # parent -> child index of its first (after) or last context
+        for item in items:
+            parent = None if isinstance(item, XmlAttribute) else item.parent
+            if parent is not None and (not after or parent not in bounds):
+                bounds[parent] = item.index
+        found = []
+        for parent, i in bounds.items():
+            found += parent.children[i + 1 :] if after else parent.children[:i]
+        if len(bounds) > 1:
+            found.sort(key=_POS)
+        return found
+
+    return collect
+
+
 def _merged(axis: Axis, keep):
     """An axis that takes one context at a time, from a context list.
     The attributes of elements in document order are in document order
     already. Children of distinct contexts never repeat, but those of
-    nested contexts interleave, and parents and siblings may repeat
-    too, so these are merged by rank."""
+    nested contexts interleave, and parents may repeat too, so these are
+    merged by rank."""
     items_of = _AXES[axis]
 
     def collect(items):
@@ -708,7 +734,7 @@ def _merged(axis: Axis, keep):
         for item in items:
             found += items_of(item)
         if axis is not Axis.ATTRIBUTE:
-            if axis is not Axis.CHILD:
+            if axis is Axis.PARENT:
                 found = list(set(found))
             found.sort(key=_POS)
         return keep(found)
@@ -724,13 +750,6 @@ def _parent(item: XmlItem) -> tuple:
     return () if parent is None else (parent,)
 
 
-def _siblings(item: XmlItem, after: bool):
-    if isinstance(item, XmlAttribute) or item.parent is None:
-        return ()
-    children = item.parent.children
-    return children[item.index + 1 :] if after else children[: item.index]
-
-
 # The axes that take one context at a time, as functions from a context
 # item to its items in document order. Attribute steps read the slot
 # behind the lazy ``XmlElement.attr_items`` and call the property, a
@@ -741,8 +760,6 @@ _AXES = {
     Axis.ATTRIBUTE: lambda item: (
         item._attr_items or item.attr_items if isinstance(item, XmlElement) else ()
     ),
-    Axis.FOLLOWING_SIBLING: lambda item: _siblings(item, True),
-    Axis.PRECEDING_SIBLING: lambda item: _siblings(item, False),
 }
 
 

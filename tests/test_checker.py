@@ -438,16 +438,15 @@ def test_networks_never_share_stored_labels(monkeypatch):
 
 
 def test_label_store_stays_within_its_bound():
-    from netcheck.network import _STORED_KEYS_PER_NODE, parse_network
+    from netcheck.network import _STORED_BYTES_PER_NODE, parse_network
 
     net = parse_network(_batch_network_text())
-    bound = _STORED_KEYS_PER_NODE * net.n
-    formulas = [parse_formula(f'[item/@num != "{i}"] | EX [item/@num = "{i}"]') for i in range(40)]
+    bound = _STORED_BYTES_PER_NODE * net.n
+    formulas = [parse_formula(f'[item/@num != "{i}"] | EX [item/@num = "{i}"]') for i in range(100)]
     for formula in formulas:
         check(net, formula)
-        # A label counts its keys, itself, and each 64 bytes of its bitset.
-        held = sum(len(keys) + 1 + -(-bits.bit_length() // 512)
-                   for keys, bits in net._labels.values())
+        # A label counts 64 bytes for its entry and the bytes of its bitset.
+        held = sum(64 + -(-bits.bit_length() // 8) for bits in net._labels.values())
         assert held == net._labels_held <= bound
     # The earliest sets were dropped, the latest are kept, oldest first.
     assert parse_filter('item/@num != "0"') not in net._labels
@@ -461,30 +460,29 @@ def test_label_store_counts_bitsets_against_its_bound(monkeypatch):
     # A bitset costs up to n/8 bytes whatever its key count: one key on
     # the highest id costs as much as every key. Filters that each hold
     # there alone fill the store; counted by their keys only, they would
-    # hold n/8 bytes apiece for two key-equivalents. The bound is lowered
-    # to one key-equivalent a node, so that a few hundred filters fill it.
+    # hold n/8 bytes apiece for one key. The bound is lowered to 16 bytes
+    # a node, so that a few hundred filters fill it.
     from netcheck import network
     from netcheck.network import parse_network
 
-    monkeypatch.setattr(network, "_STORED_KEYS_PER_NODE", 1)
+    monkeypatch.setattr(network, "_STORED_BYTES_PER_NODE", 16)
     n = 1100
     net = parse_network('<network>' + ''.join(
         f'<node key="v{i:04d}" last="{int(i == n - 1)}"/>' for i in range(n)) + '</network>')
-    bound = n
+    bound = 16 * n
     top = frozenset({net.node_keys()[-1]})
     filters = [parse_filter(f'@last = "1" and not(@x = "{i}")') for i in range(n // 4)]
     for f in filters:
         labels, _ = label_nodes(net, Atom(f))
         assert labels.sat == {"p1": top}
-        held = sum(len(keys) + 1 + -(-bits.bit_length() // 512)
-                   for keys, bits in net._labels.values())
+        held = sum(64 + -(-bits.bit_length() // 8) for bits in net._labels.values())
         assert held == net._labels_held <= bound
-        # Each stored bitset is its key set's, stored and dropped with it.
-        for keys, bits in net._labels.values():
-            assert bits == 1 << n - 1 and keys == top
-    # Each set counts 1 + 1 + 3: the store keeps the latest bound // 5.
-    assert list(net._labels) == filters[-(bound // 5):]
-    assert sum(bits.bit_length() for _, bits in net._labels.values()) // 8 <= 64 * bound
+        # Each stored label is the bitset of the one key it holds.
+        for bits in net._labels.values():
+            assert bits == 1 << n - 1
+    # Each label counts 64 + 138 bytes: the store keeps the latest bound // 202.
+    assert list(net._labels) == filters[-(bound // 202):]
+    assert sum(bits.bit_length() for bits in net._labels.values()) // 8 <= bound
 
 
 def test_stored_and_encoded_atoms_check_alike():
@@ -678,15 +676,85 @@ def test_labels_and_checker_share_the_network_key_set():
     labels, registry = label_nodes(net, parse_formula('[item] | [item/alpha]'))
     assert labels.keys is net._key_set
     # Every checker reads the one id adjacency the network built.
-    for checker in (_Checker(net, labels), _Checker(net, labels)):
+    for checker in (_Checker(net, labels, {}), _Checker(net, labels, {})):
         assert checker._relation("EX")[1] is net._succ
         assert checker._relation("IEX")[1] is net._pred
-    # A filter that holds at every node stores the network's own key set.
-    assert labels.sat[registry.prop_for(parse_filter("item"))] is net._key_set
-    assert net._labels[parse_filter("item")][0] is net._key_set
+    # A filter that holds at every node labels every key, and its stored
+    # bitset has every id's bit.
+    assert labels.sat[registry.prop_for(parse_filter("item"))] == net._key_set
+    assert net._labels[parse_filter("item")] == (1 << net.n) - 1
     # A label map built by the caller is still checked against the network.
     stray = LabelMap.build({"v1": {"p"}, "nowhere": {"p"}}, props={"p"})
     with pytest.raises(UnknownKeyError):
         model_check(net, stray, Atom("p"))
     with pytest.raises(UnknownKeyError):
         witness(net, stray, Temporal("EX", Atom("p")), "v1")
+
+
+def test_check_builds_no_key_set(monkeypatch):
+    # A check labels into id bitsets and starts its atoms from them: on a
+    # fresh network it stores only ints, and no key set is decoded while
+    # it checks. The checker it builds has no label map to read one from.
+    from netcheck import ctl
+    from netcheck.network import parse_network
+
+    seen = []
+    real = ctl._Checker.__init__
+
+    def spy(self, net, labels, memo):
+        seen.append((labels, len(net._key_sets)))
+        real(self, net, labels, memo)
+
+    monkeypatch.setattr(ctl._Checker, "__init__", spy)
+    net = parse_network(_batch_network_text())
+    formula = parse_formula('EU([item/alpha], [item/@num > 2]) | AX [item/beta]')
+    assert check(net, formula) == direct_check(net, formula)
+    assert seen == [(None, 0)]
+    assert not net._key_sets
+    assert len(net._labels) == 3
+    assert all(type(bits) is int for bits in net._labels.values())
+
+
+def test_label_maps_share_decoded_key_sets_while_held():
+    # label_nodes decodes each filter's key set from its stored bitset
+    # once while a caller holds it: later calls, under any proposition
+    # id, return the same set. Once every map is dropped, none is kept.
+    import gc
+
+    from netcheck.network import parse_network
+
+    net = parse_network(_batch_network_text())
+    formula = parse_formula('[item/alpha] | EX [item/@num > 2]')
+    first, registry = label_nodes(net, formula)
+    second, _ = label_nodes(net, formula)
+    assert first.sat.keys() == second.sat.keys() == {"p1", "p2"}
+    assert all(second.sat[p] is first.sat[p] for p in first.sat)
+    alone, _ = label_nodes(net, parse_formula('[item/@num > 2]'))
+    assert alone.sat["p1"] is first.sat[registry.prop_for(parse_filter("item/@num > 2"))]
+    assert len(net._key_sets) == 2
+    expected = dict(first.sat)
+    del first, second, alone
+    assert len(net._key_sets) == 2  # ``expected`` holds the sets still
+    del expected
+    gc.collect()
+    assert not net._key_sets
+    again, _ = label_nodes(net, formula)
+    assert again.sat == {"p1": {k for k in net.node_keys() if int(k[1:]) % 3},
+                         "p2": {f"v{i}" for i in range(9) if i % 5 > 2}}
+
+
+def test_swapped_label_set_naming_an_unknown_key_is_refused():
+    # _check_labels passes a label_nodes map without reading its sets,
+    # since the map labels the network's own key set; a set swapped in
+    # afterwards that names an unknown key is refused when its atom is
+    # encoded, not reported as a bare KeyError.
+    from netcheck.errors import UnknownKeyError
+    from netcheck.network import parse_network
+
+    net = parse_network(_batch_network_text())
+    formula = parse_formula('EF [item/alpha] & [item/@num > 2]')
+    labels, registry = label_nodes(net, formula)
+    propositional = replace_filters(formula, registry)
+    labels.sat["p2"] = frozenset({"v1", "zz"})
+    with pytest.raises(UnknownKeyError, match=r"not in the network: \['zz'\]$"):
+        model_check(net, labels, propositional)

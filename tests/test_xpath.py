@@ -974,6 +974,72 @@ def test_descendant_steps_linear_on_deep_payloads():
     assert 2.0 <= ratio <= 10.0, f"4x depth took {ratio:.1f}x as long ({times})"
 
 
+def _wide(k):
+    """One payload of k sibling <a/> elements followed by a <b/>."""
+    return parse_xml("<n>" + "<a/>" * k + "<b/></n>")
+
+
+_SIBLING_PATHS = ("a/following-sibling::b", "a/preceding-sibling::a")
+
+
+def test_sibling_steps_match_reference_on_mixed_contexts():
+    # Contexts under several parents, nested ones, text items and
+    # attributes, on both sibling axes.
+    root = parse_xml('<r><a x="1">t<b/>u<a y="2"><b/><c/>v</a></a><b/>w<a/>'
+                     '<c><a/><b/>z</c></r>')
+    for text in ("//a/following-sibling::*", "//*/preceding-sibling::text()",
+                 "descendant::text()/following-sibling::*", "//following-sibling::text()",
+                 "//@x/following-sibling::*", "//b/preceding-sibling::a[b]",
+                 "a/a/preceding-sibling::text()", ".//preceding-sibling::*", *_SIBLING_PATHS):
+        path = parse_filter(text)
+        for item in (root, root.children[0], root.children[0].children[3]):
+            assert eval_path(path, item) == reference.eval_path(path, item), text
+
+
+def test_sibling_steps_linear_on_wide_payloads():
+    # A sibling step from k siblings takes one slice of their parent's
+    # children, so it is one pass. A slice per context, merged and
+    # deduplicated, is k²/2 items: about 16x for 4x the siblings.
+    paths = [parse_filter(text) for text in _SIBLING_PATHS]
+    times = []
+    for k in (4_000, 16_000):
+        root = _wide(k)
+        assert [len(eval_path(path, root)) for path in paths] == [1, k - 1]
+        best = float("inf")
+        for _ in range(5):
+            t0 = time.perf_counter()
+            for path in paths:
+                eval_path(path, root)
+            best = min(best, time.perf_counter() - t0)
+        times.append(best)
+    ratio = times[1] / times[0]
+    assert 2.0 <= ratio <= 10.0, f"4x siblings took {ratio:.1f}x as long ({times})"
+
+
+class _SliceCounter(list):
+    """A children list that counts the items its slices hold."""
+
+    read = 0
+
+    def __getitem__(self, index):
+        got = list.__getitem__(self, index)
+        if isinstance(index, slice):
+            self.read += len(got)
+        return got
+
+
+def test_sibling_steps_read_each_sibling_once():
+    # The count twin of the bracket above: from k sibling contexts, each
+    # sibling axis reads fewer items of the parent's children than it has.
+    for k in (500, 1_000, 2_000):
+        root = _wide(k)
+        for text in _SIBLING_PATHS:
+            root.children = counter = _SliceCounter(root.children)
+            found = eval_path(parse_filter(text), root)
+            assert len(found) == (1 if "following" in text else k - 1)
+            assert counter.read <= k + 1, (text, k, counter.read)
+
+
 def test_predicate_evaluated_once_per_item(monkeypatch):
     # The inner predicate is reached from every ancestor list of the
     # outer one, k items at depth k, but its memo tests each of the n - 1
