@@ -202,6 +202,13 @@ def _run_metrics(args) -> int:
     if isinstance(net, int):
         return net
 
+    eulerian = None
+    if not net.directed:
+        # decided first, so that a bad weight exits before the geodesics
+        try:
+            eulerian = eulerian_path_exists(net)
+        except FormatError as exc:
+            return _fail(EXIT_FORMAT, f"network: {exc}")
     comp = components(net)
     hist = degree_histogram(net)
     longest, mean = _geodesics(net) if net.n > 0 else (None, None)
@@ -218,13 +225,8 @@ def _run_metrics(args) -> int:
         "degree_histogram": hist.counts,
         "in_degree_histogram": hist.in_counts,
         "out_degree_histogram": hist.out_counts,
-        "eulerian_path": None,
+        "eulerian_path": eulerian,
     }
-    if not net.directed:
-        try:
-            data["eulerian_path"] = eulerian_path_exists(net)
-        except FormatError as exc:
-            return _fail(EXIT_FORMAT, f"network: {exc}")
 
     if args.format == "json":
         _emit([json.dumps(_jsonable(data), indent=2, sort_keys=True)])

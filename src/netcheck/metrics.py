@@ -29,12 +29,12 @@ def triangle_triple_counts(net: Network) -> tuple[int, int]:
     distinct neighbours, so each triangle yields three triples."""
     adj = net.simple_view
     triples = sum(len(nbrs) * (len(nbrs) - 1) // 2 for nbrs in adj)
-    triangles = 0
-    for v, nbrs in enumerate(adj):
-        for w in nbrs:
-            if w > v:
-                # common neighbours above w close each triangle once
-                triangles += sum(1 for u in nbrs & adj[w] if u > w)
+    # Forward counting (Schank & Wagner 2005) from each triangle's
+    # smallest node v: its other two nodes are both among v's higher
+    # neighbours ``up`` and each is a neighbour of the other, so the sum
+    # finds every triangle twice. One node's ``up`` is held at a time.
+    ups = (set(filter(v.__lt__, nbrs)) for v, nbrs in enumerate(adj))
+    triangles = sum(len(up & adj[w]) for up in ups for w in up) // 2
     return triangles, triples
 
 
@@ -75,8 +75,74 @@ _BLOCK = 1024
 
 
 def _geodesics(net: Network) -> tuple[int, Fraction]:
-    """(diameter, mean geodesic) of the giant component from one
-    bit-parallel all-pairs BFS, so a report that needs both sweeps once.
+    """(diameter, mean geodesic) of the giant component, so a report
+    that needs both walks the giant once.
+
+    A giant of g nodes is a tree exactly when its simple degrees sum to
+    2(g - 1), because none of its nodes has a neighbour outside it.
+    A tree takes :func:`_tree_geodesics`, O(g); every other giant takes
+    :func:`_bit_parallel_sweep`, O(ceil(g/_BLOCK) * D * m) big-int
+    operations for diameter D.
+    """
+    if net.n == 0:
+        raise EmptyNetworkError("network has no nodes")
+    giant = net.component_ids[0]
+    adj = net.simple_view
+    size = len(giant)
+    if sum(map(len, map(adj.__getitem__, giant))) == 2 * (size - 1):
+        longest, total = _tree_geodesics(adj, giant)
+    else:
+        longest, total = _bit_parallel_sweep(adj, giant)
+    if size < 2:
+        return longest, Fraction(0)
+    return longest, Fraction(total, size * (size - 1))
+
+
+def _tree_geodesics(adj, giant) -> tuple[int, int]:
+    """(diameter, sum of ordered-pair distances) of a tree, in O(g).
+
+    The edge above a subtree of s nodes lies on the paths of exactly the
+    s(g - s) unordered pairs it separates, so summing that over the
+    edges of one BFS tree gives the Wiener sum (Mohar & Pisanski, J. Math.
+    Chem. 1988); ordered pairs count twice. The node a BFS reaches last is
+    an end of a longest path, and a second BFS from it reaches the other
+    end (double sweep, exact on trees).
+    """
+    order, parent = _tree_bfs(adj, giant[0])
+    g = len(order)
+    below = dict.fromkeys(order, 1)
+    half = 0
+    # leaves first; the root, its own parent, adds g * 0
+    for v in reversed(order):
+        s = below[v]
+        below[parent[v]] += s
+        half += s * (g - s)
+    order, parent = _tree_bfs(adj, order[-1])
+    v = order[-1]
+    longest = 0
+    while parent[v] != v:
+        v = parent[v]
+        longest += 1
+    return longest, 2 * half
+
+
+def _tree_bfs(adj, root: int) -> tuple[list[int], dict[int, int]]:
+    """BFS order of a tree from ``root``, and each node's parent (the
+    root's is itself). In a tree every neighbour but the parent is new."""
+    parent = {root: root}
+    order = [root]
+    for v in order:
+        up = parent[v]
+        for w in adj[v]:
+            if w != up:
+                parent[w] = v
+                order.append(w)
+    return order, parent
+
+
+def _bit_parallel_sweep(adj, giant) -> tuple[int, int]:
+    """(diameter, sum of ordered-pair distances) of a connected ``giant``
+    from one bit-parallel all-pairs BFS.
 
     Sources are taken ``_BLOCK`` at a time, one bit each (Akiba, Iwata &
     Yoshida, SIGMOD 2013). Every node keeps a mask of the block's
@@ -91,10 +157,6 @@ def _geodesics(net: Network) -> tuple[int, Fraction]:
     where D is about g and the sources' frontiers barely overlap, it is
     no faster.
     """
-    if net.n == 0:
-        raise EmptyNetworkError("network has no nodes")
-    giant = net.component_ids[0]
-    adj = net.simple_view
     size = len(giant)
     longest = 0
     total = 0
@@ -123,24 +185,21 @@ def _geodesics(net: Network) -> tuple[int, Fraction]:
         # the last level found nothing; the one before it is the
         # block's largest eccentricity
         longest = max(longest, depth - 1)
-    if size < 2:
-        return longest, Fraction(0)
-    return longest, Fraction(total, size * (size - 1))
+    return longest, total
 
 
 def diameter(net: Network) -> int:
-    """Longest geodesic within the giant component, from the
-    bit-parallel all-pairs BFS of ``_geodesics``:
-    O(ceil(g/1024) * D * m) big-int operations for giant size g and
-    diameter D, no faster than per-source BFS on long chains."""
+    """Longest geodesic within the giant component, from
+    ``_geodesics``: O(g) for a giant of g nodes that is a tree, and
+    otherwise O(ceil(g/1024) * D * m) big-int operations for diameter
+    D, which on long-diameter graphs is no faster than per-source BFS."""
     return _geodesics(net)[0]
 
 
 def mean_geodesic(net: Network) -> Fraction:
     """Mean shortest-path length over unordered distinct pairs of the
-    giant component; 0 for a single-node giant. Computed by the
-    bit-parallel all-pairs BFS of ``_geodesics``, at the cost
-    given for :func:`diameter`."""
+    giant component; 0 for a single-node giant. Computed by
+    ``_geodesics``, at the cost given for :func:`diameter`."""
     return _geodesics(net)[1]
 
 

@@ -459,6 +459,26 @@ def test_metrics_fractional_weight_is_exit_2(capsys, tmp_path, fmt):
     assert err == "netcheck: network: edge weight 1.5 is not an integer multiplicity\n"
 
 
+def test_metrics_bad_weight_exits_before_the_geodesics(capsys, tmp_path, monkeypatch):
+    # The Eulerian criterion reads the weights first, so a network that
+    # exits 2 does not pay for the geodesics.
+    import netcheck.cli as cli
+
+    def refuse(net):
+        raise AssertionError("geodesics computed for a network that exits 2")
+
+    monkeypatch.setattr(cli, "_geodesics", refuse)
+    net = tmp_path / "w.xml"
+    net.write_text(
+        '<network directed="false"><node key="a"/><node key="b"/>'
+        '<edge from="a" to="b" weight="1.5"/></network>',
+        encoding="utf-8",
+    )
+    code, out, err = run_main(capsys, "metrics", "--network", str(net))
+    assert (code, out) == (2, "")
+    assert err == "netcheck: network: edge weight 1.5 is not an integer multiplicity\n"
+
+
 def test_type_error_is_exit_3(capsys, tmp_path):
     net = tmp_path / "t.xml"
     net.write_text(

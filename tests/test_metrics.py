@@ -10,8 +10,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from netcheck.errors import EmptyNetworkError, FormatError
+import netcheck.metrics as metrics
 from netcheck.metrics import (
     _BLOCK,
+    _bit_parallel_sweep,
     _geodesics,
     clustering_coefficient,
     components,
@@ -207,13 +209,24 @@ def test_distance_stats_match_all_pairs_oracle(seed):
         assert mean_geodesic(net) == 0
 
 
-def _long_chain():
+def _long_chain_edges():
     # even keys out, odd keys back: both ends fall in the first block of
     # sources, so only that block reaches the diameter
     n = _BLOCK + 476
     order = list(range(0, n, 2)) + list(range(n - 1, 0, -2))
     keys = [f"c{i:04d}" for i in order]
-    return undirected(list(zip(keys, keys[1:])))
+    return list(zip(keys, keys[1:]))
+
+
+def _long_chain():
+    return undirected(_long_chain_edges())
+
+
+def _chorded_chain():
+    # a chord over the first two links closes a triangle at one end, so
+    # the giant is not a tree, and its diameter still spans the blocks
+    edges = _long_chain_edges()
+    return undirected(edges + [(edges[0][0], edges[1][1])])
 
 
 def _big_star():
@@ -231,23 +244,48 @@ def _random_with_islands():
     return undirected(edges, keys=keys + ["lone"])
 
 
-@pytest.mark.parametrize("build", [_long_chain, _big_star, _random_with_islands])
+def _sweep(net):
+    return _bit_parallel_sweep(net.simple_view, net.component_ids[0])
+
+
+@pytest.mark.parametrize(
+    "build", [_long_chain, _big_star, _random_with_islands, _chorded_chain]
+)
 def test_geodesics_across_source_blocks(build):
     net = build()
     size, longest, total = all_pairs_bfs(net)
     assert size > _BLOCK
+    # the sweep itself, on trees too, and the public route
+    assert _sweep(net) == (longest, total)
     assert diameter(net) == longest
     assert mean_geodesic(net) == Fraction(total, size * (size - 1))
 
 
-def _geodesic_reads(net):
-    """(adjacency entries one ``_geodesics`` sweep reads, its diameter)."""
+def _refuse(adj, giant):
+    raise AssertionError("geodesics took the other route")
+
+
+@pytest.mark.parametrize(
+    "build, other",
+    [(_long_chain, "_bit_parallel_sweep"), (_big_star, "_bit_parallel_sweep"),
+     (_chorded_chain, "_tree_geodesics"), (_random_with_islands, "_tree_geodesics")],
+)
+def test_geodesic_route_follows_the_tree_test(build, other, monkeypatch):
+    net = build()
+    size, longest, total = all_pairs_bfs(net)
+    monkeypatch.setattr(metrics, other, _refuse)
+    assert _geodesics(net) == (longest, Fraction(total, size * (size - 1)))
+
+
+def _geodesic_reads(net, route):
+    """(adjacency entries that ``route(net)`` reads through the simple
+    view, the diameter it finds)."""
     from tests.test_ctl import _ReadCounter
 
     net.component_ids  # built first: it reads the simple view too
     net.__dict__["simple_view"] = adj = _ReadCounter(net.simple_view)
     adj.read = 0
-    longest, _ = _geodesics(net)
+    longest = route(net)[0]
     return adj.read, longest
 
 
@@ -267,14 +305,100 @@ def test_geodesic_sweep_reads_scale_with_blocks_levels_and_edges():
     # reads at most ceil(g/1024)*(D+1)*2m entries. One BFS per source
     # would read about 2L entries per leaf of a star, L*L in all, and
     # double the leaves would read 4x.
-    reads = [_geodesic_reads(_star(leaves))[0] for leaves in (250, 500, 1000)]
+    reads = [_geodesic_reads(_star(leaves), _sweep)[0] for leaves in (250, 500, 1000)]
     for small, large in zip(reads, reads[1:]):
         assert 1.95 <= large / small <= 2.05, reads
     for net in [_star(n) for n in (1000, 2000, 4000)] + [_chain(200), _chain(400)]:
-        read, longest = _geodesic_reads(net)
+        read, longest = _geodesic_reads(net, _sweep)
         g = len(net.component_ids[0])
         bound = -(-g // 1024) * (longest + 1) * 2 * net.m
         assert 0 < read <= bound, (net.n, read, bound)
+
+
+def _random_tree(rng, n, prefix="t"):
+    keys = [f"{prefix}{i:04d}" for i in range(n)]
+    return keys, [(keys[i], rng.choice(keys[:i])) for i in range(1, n)]
+
+
+def _pendant_chain(rng, n):
+    # a chain with a small random tree hung from every fifth node
+    keys = [f"c{i:04d}" for i in range(n)]
+    edges = list(zip(keys, keys[1:]))
+    for i in range(0, n, 5):
+        sub, sub_edges = _random_tree(rng, rng.randint(1, 6), f"p{i:04d}.")
+        edges += sub_edges + [(keys[i], sub[0])]
+    return undirected(edges)
+
+
+def _tree_beside_cycle(rng, n):
+    # the tree giant's keys sort after the triangle's, whose ids come first
+    _, edges = _random_tree(rng, n)
+    return undirected(edges + [("a", "b"), ("b", "c"), ("c", "a")])
+
+
+@pytest.mark.parametrize("seed", range(8))
+@pytest.mark.parametrize(
+    "build",
+    [lambda rng, n: undirected(_random_tree(rng, n)[1]), _pendant_chain,
+     _tree_beside_cycle],
+)
+def test_tree_geodesics_match_all_pairs_oracle(build, seed):
+    rng = random.Random(seed)
+    net = build(rng, rng.randint(5, 300))
+    size, longest, total = all_pairs_bfs(net)
+    assert _geodesics(net) == (longest, Fraction(total, size * (size - 1)))
+
+
+def test_tree_route_on_two_way_star_with_parallels_and_loops():
+    # directed, with both directions, repeated edges and self-loops: the
+    # simple view is a star, so the giant is a tree
+    edges = []
+    for i in range(50):
+        leaf = f"leaf{i:02d}"
+        edges += [("hub", leaf), (leaf, "hub"), ("hub", leaf), (leaf, leaf)]
+    net = make_network(edges + [("hub", "hub")], directed=True)
+    assert _geodesics(net) == (2, Fraction(2 * 50 + 2 * 50 * 49, 51 * 50))
+
+
+@pytest.mark.parametrize(
+    "edges, keys, expected",
+    [([], ["only"], (0, Fraction(0))),
+     ([("only", "only")], None, (0, Fraction(0))),
+     ([("b", "b")], ["a", "b", "c"], (0, Fraction(0))),
+     ([("a", "b"), ("b", "a"), ("a", "b")], None, (1, Fraction(1))),
+     ([("a", "b"), ("x", "x")], None, (1, Fraction(1)))],
+)
+def test_tree_route_on_giants_of_one_and_two_nodes(edges, keys, expected):
+    assert _geodesics(undirected(edges, keys=keys)) == expected
+
+
+def test_tree_geodesics_linear_on_chains():
+    # A tree giant takes two BFS passes and one subtree-size pass, so 4x
+    # the chain is about 4x the time. The sweep is quadratic on a chain,
+    # because its diameter is about its length: about 16x.
+    times = []
+    for n in (4_000, 16_000):
+        net = _chain(n)
+        net.component_ids  # built outside the timer, with the simple view
+        assert _geodesics(net)[0] == n - 1
+        best = float("inf")
+        for _ in range(5):
+            t0 = time.perf_counter()
+            _geodesics(net)
+            best = min(best, time.perf_counter() - t0)
+        times.append(best)
+    ratio = times[1] / times[0]
+    assert 2.0 <= ratio <= 10.0, f"4x the chain took {ratio:.1f}x as long ({times})"
+
+
+def test_tree_geodesics_read_linear_entries_on_chains():
+    # The count twin of the bracket above: the tree test and the two BFS
+    # passes each read every adjacency entry of the giant once, so
+    # doubling the chain doubles the reads. The sweep would read about 4x.
+    reads = [_geodesic_reads(_chain(n), _geodesics) for n in (1000, 2000, 4000)]
+    assert [longest for _, longest in reads] == [999, 1999, 3999]
+    for (small, _), (large, _) in zip(reads, reads[1:]):
+        assert 1.95 <= large / small <= 2.05, reads
 
 
 # -- degree histograms ------------------------------------------------------------------
