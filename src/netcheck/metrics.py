@@ -16,8 +16,8 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import compress
-from operator import and_, ne
+from itertools import compress, count
+from operator import and_, itemgetter, ne, xor
 
 from .errors import EmptyNetworkError, FormatError
 from .network import Network
@@ -69,8 +69,9 @@ def components(net: Network) -> ComponentDecomposition:
     )
 
 
-# Sources per bit-parallel sweep; each sweep holds one mask of this many
-# bits per node.
+# Sources per block of the bit-parallel sweep. A block holds one mask of
+# this many bits per node of the giant; a top-down level ANDs the masks
+# one adjacency entry at a time, a bottom-up one a whole column at a time.
 _BLOCK = 1024
 
 
@@ -81,8 +82,10 @@ def _geodesics(net: Network) -> tuple[int, Fraction]:
     A giant of g nodes is a tree exactly when its simple degrees sum to
     2(g - 1), because none of its nodes has a neighbour outside it.
     A tree takes :func:`_tree_geodesics`, O(g); every other giant takes
-    :func:`_bit_parallel_sweep`, O(ceil(g/_BLOCK) * D * m) big-int
-    operations for diameter D.
+    :func:`_bit_parallel_sweep`, whose levels push from a small frontier
+    or pull whole columns of the nodes' neighbours, numbered by
+    descending degree, when most nodes gained bits: O(ceil(g/_BLOCK) *
+    D * m) big-int operations for diameter D.
     """
     if net.n == 0:
         raise EmptyNetworkError("network has no nodes")
@@ -146,60 +149,115 @@ def _bit_parallel_sweep(adj, giant) -> tuple[int, int]:
 
     Sources are taken ``_BLOCK`` at a time, one bit each (Akiba, Iwata &
     Yoshida, SIGMOD 2013). Every node keeps a mask of the block's
-    sources that have not reached it yet; one BFS level pushes each
-    frontier node's bits to its neighbours, keeping the bits still
-    unseen there, so all sources of a block advance together with one
-    big-int AND per adjacency entry. Each new bit at level d adds d to
-    the sum of ordered-pair distances. The cost is
-    O(ceil(g/_BLOCK) * D * m) big-int operations on masks of ``_BLOCK``
-    bits, for giant size g and diameter D. On short-diameter graphs that
-    is far below the g * m steps of one BFS per source; on long chains,
-    where D is about g and the sources' frontiers barely overlap, it is
-    no faster.
+    sources that have not reached it yet, and each new bit at level d
+    adds d to the sum of ordered-pair distances. A level runs one of two
+    ways (direction-optimizing BFS: Beamer, Asanovic & Patterson, SC
+    2012). Top-down, it pushes the bits each frontier node gained to its
+    neighbours, one big-int AND per adjacency entry of the frontier.
+    Bottom-up, it pulls: a node stays unseen by a source only if all its
+    neighbours were (De Morgan), so its mask is ANDed with theirs, one
+    whole column of :func:`_sweep_rows` at a time, with no Python frame
+    per entry. A level pulls when more than three quarters of the nodes
+    gained bits on the level before: a pull also pays a few passes over
+    every node's mask, and on a long chain, whose blocks keep about half
+    the nodes in the frontier, it loses to the push. A block stops on
+    the level that finds its last pair.
+
+    The cost is O(ceil(g/_BLOCK) * D * m) big-int operations on masks
+    of ``_BLOCK`` bits, for giant size g and diameter D. On
+    short-diameter graphs that is far below the g * m steps of one BFS
+    per source; on long chains, where D is about g and the sources'
+    frontiers barely overlap, it is no faster.
     """
-    size = len(giant)
+    rows, cols = _sweep_rows(adj, giant)
+    size = len(rows)
     longest = 0
     total = 0
     for lo in range(0, size, _BLOCK):
-        sources = giant[lo:lo + _BLOCK]
-        block = (1 << len(sources)) - 1
-        # nodes outside the giant are never reached and keep their mask
-        unseen = [block] * len(adj)
-        frontier: dict[int, int] = {}
-        for i, s in enumerate(sources):
-            unseen[s] ^= 1 << i
-            frontier[s] = 1 << i
+        width = min(_BLOCK, size - lo)
+        block = (1 << width) - 1
+        unseen = [block] * size
+        frontier = {}
+        for i in range(width):
+            unseen[lo + i] ^= 1 << i
+            frontier[lo + i] = 1 << i
+        remaining = width * (size - 1)
+        changed = width  # nodes that gained bits on the last level
         depth = 0
-        while frontier:
+        while remaining:
             depth += 1
-            nxt: dict[int, int] = {}
-            get = nxt.get
-            for v, bits in frontier.items():
-                for w in adj[v]:
-                    x = bits & unseen[w]
-                    if x:
-                        unseen[w] ^= x
-                        nxt[w] = get(w, 0) | x
-            total += depth * sum(map(int.bit_count, nxt.values()))
-            frontier = nxt
-        # the last level found nothing; the one before it is the
-        # block's largest eccentricity
-        longest = max(longest, depth - 1)
+            if 4 * changed > 3 * size:
+                get = unseen.__getitem__
+                columns = iter(cols)
+                new = list(map(and_, unseen, map(get, next(columns))))
+                for col in columns:
+                    c = len(col)
+                    new[:c] = map(and_, new[:c], map(get, col))
+                found = remaining - sum(map(int.bit_count, new))
+                moved = list(compress(count(), map(ne, unseen, new)))
+                changed = len(moved)
+                if 4 * changed <= 3 * size:
+                    # the next level pushes the bits each node gained
+                    frontier = dict(zip(moved, map(xor, map(get, moved),
+                                                   map(new.__getitem__, moved))))
+                unseen = new
+            else:
+                nxt: dict[int, int] = {}
+                pushed = nxt.get
+                for v, bits in frontier.items():
+                    for w in rows[v]:
+                        x = bits & unseen[w]
+                        if x:
+                            unseen[w] ^= x
+                            nxt[w] = pushed(w, 0) | x
+                found = sum(map(int.bit_count, nxt.values()))
+                changed = len(nxt)
+                frontier = nxt
+            total += depth * found
+            remaining -= found
+        # the level that found the block's last pair is its largest
+        # eccentricity
+        longest = max(longest, depth)
     return longest, total
+
+
+def _sweep_rows(adj, giant) -> tuple[tuple, tuple]:
+    """The giant's adjacency for :func:`_bit_parallel_sweep`, numbered
+    by descending simple degree (ties by id): each node's neighbours as
+    a tuple of positions, and the columns, column j holding the j-th
+    neighbour of every node of degree above j. Degree order makes each
+    column a prefix of the rows, and the columns hold every entry once."""
+    degree = list(map(len, adj))
+    order = sorted(giant, key=degree.__getitem__, reverse=True)
+    position = dict(zip(order, count()))
+    rows = tuple(tuple(map(position.__getitem__, adj[v])) for v in order)
+    # c counts the rows of degree above j, so building the columns reads
+    # each entry once; a zip_longest over all rows would pad every
+    # column to g, O(g * max degree) on a hub
+    cols = []
+    c = len(rows)
+    for j in range(degree[order[0]]):
+        while degree[order[c - 1]] <= j:
+            c -= 1
+        cols.append(tuple(map(itemgetter(j), rows[:c])))
+    return rows, tuple(cols)
 
 
 def diameter(net: Network) -> int:
     """Longest geodesic within the giant component, from
     ``_geodesics``: O(g) for a giant of g nodes that is a tree, and
-    otherwise O(ceil(g/1024) * D * m) big-int operations for diameter
-    D, which on long-diameter graphs is no faster than per-source BFS."""
+    otherwise one bit-parallel sweep, whose levels push from a small
+    frontier or pull whole columns of degree-ordered neighbours:
+    O(ceil(g/1024) * D * m) big-int operations for diameter D, which on
+    long-diameter graphs is no faster than per-source BFS."""
     return _geodesics(net)[0]
 
 
 def mean_geodesic(net: Network) -> Fraction:
     """Mean shortest-path length over unordered distinct pairs of the
     giant component; 0 for a single-node giant. Computed by
-    ``_geodesics``, at the cost given for :func:`diameter`."""
+    ``_geodesics``, by the routes and at the cost given for
+    :func:`diameter`."""
     return _geodesics(net)[1]
 
 

@@ -210,8 +210,10 @@ def test_distance_stats_match_all_pairs_oracle(seed):
 
 
 def _long_chain_edges():
-    # even keys out, odd keys back: both ends fall in the first block of
-    # sources, so only that block reaches the diameter
+    # even keys out, odd keys back, so key order is not chain order. The
+    # sweep numbers nodes by descending degree, so the two ends, of
+    # degree 1, are its last two sources: only the last block reaches
+    # the diameter
     n = _BLOCK + 476
     order = list(range(0, n, 2)) + list(range(n - 1, 0, -2))
     keys = [f"c{i:04d}" for i in order]
@@ -244,12 +246,36 @@ def _random_with_islands():
     return undirected(edges, keys=keys + ["lone"])
 
 
+def _random_multigraph(seed, extra):
+    # A random tree over shuffled keys keeps the giant whole and its ids
+    # apart from its shape; ``extra`` edges per node add cycles (few
+    # give long levels that push, many give short ones that pull). Many
+    # nodes share a degree, so the sweep's order breaks ties. Loops,
+    # parallel edges in both directions and islands ride along.
+    def build():
+        rng = random.Random(seed)
+        keys = [f"r{i:04d}" for i in range(rng.randint(_BLOCK + 1, _BLOCK + 150))]
+        rng.shuffle(keys)
+        edges = [(keys[i], rng.choice(keys[:i])) for i in range(1, len(keys))]
+        edges += [(rng.choice(keys), rng.choice(keys)) for _ in range(int(extra * len(keys)))]
+        edges += [(b, a) for a, b in rng.sample(edges, 40)]
+        edges += [(k, k) for k in rng.sample(keys, 20)]
+        edges += [("i0", "i1"), ("i1", "i2"), ("i2", "i0"), ("i3", "i3")]
+        return undirected(edges, keys=keys + ["lone"])
+
+    build.__name__ = f"_random_multigraph_{seed}"
+    return build
+
+
 def _sweep(net):
     return _bit_parallel_sweep(net.simple_view, net.component_ids[0])
 
 
 @pytest.mark.parametrize(
-    "build", [_long_chain, _big_star, _random_with_islands, _chorded_chain]
+    "build",
+    [_long_chain, _big_star, _random_with_islands, _chorded_chain,
+     _random_multigraph(0, 0.02), _random_multigraph(1, 0.5),
+     _random_multigraph(2, 2.0)],
 )
 def test_geodesics_across_source_blocks(build):
     net = build()
@@ -277,16 +303,60 @@ def test_geodesic_route_follows_the_tree_test(build, other, monkeypatch):
     assert _geodesics(net) == (longest, Fraction(total, size * (size - 1)))
 
 
-def _geodesic_reads(net, route):
-    """(adjacency entries that ``route(net)`` reads through the simple
+def _geodesic_reads(net):
+    """(adjacency entries that ``_geodesics`` reads through the simple
     view, the diameter it finds)."""
     from tests.test_ctl import _ReadCounter
 
     net.component_ids  # built first: it reads the simple view too
     net.__dict__["simple_view"] = adj = _ReadCounter(net.simple_view)
     adj.read = 0
-    longest = route(net)[0]
+    longest = _geodesics(net)[0]
     return adj.read, longest
+
+
+def _counted_sweep(net):
+    """(the sweep's result on ``net``, the adjacency entries its levels
+    read, its runs of levels in order as "push" or "pull"). A top-down
+    level reads the neighbour tuples of its frontier rows, a bottom-up
+    one every entry of every column; building the rows and columns from
+    the simple view is not counted."""
+    from tests.test_ctl import _ReadCounter
+
+    kinds = []
+
+    def level(kind):
+        if kinds[-1:] != [kind]:
+            kinds.append(kind)
+
+    class Rows(_ReadCounter):
+        read = 0
+
+        def __getitem__(self, i):
+            level("push")
+            return super().__getitem__(i)
+
+    class Columns(tuple):
+        read = 0
+
+        def __iter__(self):
+            level("pull")
+            for col in tuple.__iter__(self):
+                self.read += len(col)
+                yield col
+
+    build = metrics._sweep_rows
+    counters = []
+
+    def counted(adj, giant):
+        rows, cols = build(adj, giant)
+        counters[:] = Rows(rows), Columns(cols)
+        return counters
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(metrics, "_sweep_rows", counted)
+        result = _sweep(net)
+    return result, sum(counter.read for counter in counters), kinds
 
 
 def _star(leaves):
@@ -301,18 +371,56 @@ def _chain(n):
 def test_geodesic_sweep_reads_scale_with_blocks_levels_and_edges():
     # The count-based twin of the sweep's cost: all sources of a
     # 1024-source block advance together, so one BFS level reads each
-    # adjacency entry at most once for the whole block, and a sweep
-    # reads at most ceil(g/1024)*(D+1)*2m entries. One BFS per source
-    # would read about 2L entries per leaf of a star, L*L in all, and
-    # double the leaves would read 4x.
-    reads = [_geodesic_reads(_star(leaves), _sweep)[0] for leaves in (250, 500, 1000)]
+    # adjacency entry at most once for the whole block, whether it
+    # pushes the frontier's neighbour tuples or pulls every column, and
+    # a sweep reads at most ceil(g/1024)*(D+1)*2m entries. One BFS per
+    # source would read about 2L entries per leaf of a star, L*L in all,
+    # and double the leaves would read 4x.
+    reads = [_counted_sweep(_star(leaves))[1] for leaves in (250, 500, 1000)]
     for small, large in zip(reads, reads[1:]):
         assert 1.95 <= large / small <= 2.05, reads
     for net in [_star(n) for n in (1000, 2000, 4000)] + [_chain(200), _chain(400)]:
-        read, longest = _geodesic_reads(net, _sweep)
+        (longest, _), read, _ = _counted_sweep(net)
         g = len(net.component_ids[0])
         bound = -(-g // 1024) * (longest + 1) * 2 * net.m
         assert 0 < read <= bound, (net.n, read, bound)
+
+
+def _broom():
+    # A hub with 1000 leaves and a tail of 200 nodes, closed by a chord
+    # near its far end so that the giant is not a tree. In degree order
+    # the first block holds the hub, the tail and most leaves: it pulls,
+    # then pushes down the tail. The second holds the other leaves and
+    # the tail's end: its first level reaches only the hub, and the next
+    # reaches every leaf, so it pushes, pulls, and pushes again.
+    tail = [f"t{i:03d}" for i in range(200)]
+    edges = [("hub", f"leaf{i:04d}") for i in range(1000)]
+    edges += [("hub", tail[0])] + list(zip(tail, tail[1:]))
+    return undirected(edges + [(tail[-3], tail[-1])])
+
+
+def test_sweep_switches_level_kind_both_ways():
+    net = _broom()
+    size, longest, total = all_pairs_bfs(net)
+    assert size > _BLOCK
+    result, _, kinds = _counted_sweep(net)
+    assert result == (longest, total)
+    # runs alternate, so three of them go push -> pull and pull -> push
+    assert len(kinds) >= 3, kinds
+
+
+@pytest.mark.parametrize(
+    "edges, keys, expected, read",
+    [([("a", "b"), ("b", "a"), ("a", "a")], None, (1, 2), 2),
+     ([("a", "b"), ("b", "c"), ("c", "a")], None, (1, 6), 6),
+     ([], ["only"], (0, 0), 0),
+     ([("b", "b")], ["a", "b", "c"], (0, 0), 0)],
+)
+def test_sweep_stops_on_the_level_that_finds_the_last_pair(edges, keys, expected, read):
+    # At diameter 1 one level finds every pair and reads each entry
+    # once; a one-node giant has no pair and runs no level.
+    result, reads, _ = _counted_sweep(undirected(edges, keys=keys))
+    assert (result, reads) == (expected, read)
 
 
 def _random_tree(rng, n, prefix="t"):
@@ -395,7 +503,7 @@ def test_tree_geodesics_read_linear_entries_on_chains():
     # The count twin of the bracket above: the tree test and the two BFS
     # passes each read every adjacency entry of the giant once, so
     # doubling the chain doubles the reads. The sweep would read about 4x.
-    reads = [_geodesic_reads(_chain(n), _geodesics) for n in (1000, 2000, 4000)]
+    reads = [_geodesic_reads(_chain(n)) for n in (1000, 2000, 4000)]
     assert [longest for _, longest in reads] == [999, 1999, 3999]
     for (small, _), (large, _) in zip(reads, reads[1:]):
         assert 1.95 <= large / small <= 2.05, reads
