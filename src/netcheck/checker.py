@@ -261,7 +261,9 @@ def label_nodes(net: Network, formula: Formula) -> tuple[LabelMap, FilterRegistr
         if key_set is None:
             key_set = decoded[filter_expr] = frozenset(compress(keys, _to_flags(label, len(keys))))
         sat[prop] = key_set
-    return LabelMap(sat, net._key_set), registry
+    labels = LabelMap(sat, net._key_set)
+    labels._decoded = dict(sat)
+    return labels, registry
 
 
 def replace_filters(formula: Formula, registry: FilterRegistry) -> Formula:

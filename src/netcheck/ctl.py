@@ -53,7 +53,7 @@ formula does not hold there.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import compress
 from typing import Iterable, Iterator, KeysView, Mapping
 
@@ -142,10 +142,16 @@ class LabelMap:
     ``props``, the key set of ``sat``, is the registered universe, so an
     unlabelled but registered proposition is simply false everywhere,
     while an unregistered one is an error.
+
+    ``label_nodes`` keeps a copy of the ``sat`` it made, whose sets the
+    network decoded, in ``_decoded``, so that a check can pass them
+    unread while ``sat`` still equals it.
     """
 
     sat: dict[str, frozenset[str]]
     keys: frozenset[str]
+    _decoded: dict[str, frozenset[str]] | None = field(default=None, init=False, repr=False,
+                                                       compare=False)
 
     @property
     def props(self) -> KeysView[str]:
@@ -174,18 +180,20 @@ class LabelMap:
         return key in self.sat.get(prop, ())
 
 
-def _check_labels(keys: Iterable[str], labels: LabelMap) -> None:
-    """Refuse a label map that names a key outside ``keys``, among the
-    keys it labels or in the set of any proposition."""
-    if labels.keys is keys:  # label_nodes labels with the network's own key set
+def _check_labels(net: Network, labels: LabelMap) -> None:
+    """Refuse a label map that names a key outside ``net``, among the
+    keys it labels or in the set of any proposition. A map that
+    label_nodes made labels the network's own key set with sets that the
+    network decoded; while it holds those sets, or equal ones, it passes
+    in O(props) without a set being read. A set put in their place is
+    read."""
+    keys = net._key_set
+    if labels.keys is keys and labels._decoded == labels.sat:
         return
     unknown = labels.keys.union(*labels.sat.values()).difference(keys)
     if unknown:
-        raise _unknown_keys(unknown)
-
-
-def _unknown_keys(unknown: Iterable[str]) -> UnknownKeyError:
-    return UnknownKeyError(f"label map mentions keys not in the network: {sorted(unknown)}")
+        raise UnknownKeyError(
+            f"label map mentions keys not in the network: {sorted(unknown)}")
 
 
 # ---------------------------------------------------------------------------
@@ -200,7 +208,7 @@ def model_check(net: Network, labels: LabelMap, formula: Formula) -> frozenset[s
     check is O(|formula|*(n+m)) for n nodes and m edges. The module
     docstring describes the ids, the bitsets and each fixpoint.
     """
-    _check_labels(net._key_set, labels)
+    _check_labels(net, labels)
     checker = _Checker(net, labels, {})
     return frozenset(checker.keys_in(checker.sat(formula)))
 
@@ -271,11 +279,8 @@ class _Checker:
         if isinstance(f, Atom):
             keys = self._atom(f)
             flags = bytearray(len(self.keys))
-            try:
-                for i in map(self.net._index.__getitem__, keys):
-                    flags[i] = 1
-            except KeyError:  # a set put in the map after _check_labels passed it
-                raise _unknown_keys(set(keys).difference(self.net._key_set)) from None
+            for i in map(self.net._index.__getitem__, keys):  # _check_labels passed them
+                flags[i] = 1
             return _to_bits(flags)
         if isinstance(f, Not):
             return everything ^ self.sat(f.operand)
@@ -439,7 +444,7 @@ def witness(net: Network, labels: LabelMap, formula: Formula, start: str) -> Wit
     UnknownKeyError for an unknown node, and for a label map that names
     a key the network does not have.
     """
-    _check_labels(net._key_set, labels)
+    _check_labels(net, labels)
     return _Checker(net, labels, {}).witness(formula, start)
 
 
@@ -465,7 +470,7 @@ def oracle_check(net: Network, labels: LabelMap, formula: Formula) -> frozenset[
         raise SizeExceededError(
             f"oracle_check is capped at {_ORACLE_MAX_NODES} nodes, got {net.n}"
         )
-    _check_labels(net.nodes, labels)
+    _check_labels(net, labels)
     return _Oracle(net, labels).sat(formula)
 
 

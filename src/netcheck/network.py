@@ -11,14 +11,18 @@ XML format is::
 
 The file is read without building a tree of it. Each ``<node>`` is a
 payload, ranked as the document it would be on its own; a network ranks
-a payload built by hand once, when it is built. A run of ``<edge>`` tags
-in the spelling that ``serialize_network`` writes is read by one regular
-expression call, whose columns become ``Edge`` records in one ``map``,
-each distinct weight text checked once; an edge in any other
-spelling is parsed as an element, checked and dropped. The errors are
-those of parsing the whole file first and checking it after: a
-ParseError anywhere wins over a FormatError, the first FormatError in
-the file wins, and the checks of ``Network`` on the endpoints come last.
+a payload built by hand once, when it is built. One regular expression
+call reads either a run of ``<edge>`` tags in the spelling that
+``serialize_network`` writes, whose columns become ``Edge`` records in
+one ``map``, each distinct weight text checked once, or a run of
+self-closing ``<node/>`` tags that hold attributes only, double-quoted
+and free of entity references, whose attribute maps are built in C
+from one ``findall`` each. A tag in any other spelling is parsed as an
+element; an edge element is checked and dropped. The errors are those
+of parsing the whole file first and checking it after: a ParseError
+anywhere wins over a FormatError, so a run of nodes is checked for a
+repeated attribute before its keys are, the first FormatError in the
+file wins, and the checks of ``Network`` on the endpoints come last.
 
 An undirected edge is a single record incident to both endpoints.
 Parallel edges are kept as separate records. Multiplicity is counted
@@ -63,8 +67,10 @@ from weakref import WeakValueDictionary
 
 from .errors import FormatError, UnknownKeyError
 from .xmldoc import (
+    _NAME_RE,
     XmlElement,
     _rank,
+    _reject_start_tag,
     _root_children,
     escape_attr,
     serialize_xml,
@@ -249,7 +255,7 @@ def parse_network(data: bytes | str) -> Network:
     two FormatErrors the earlier in the text wins; so the checks stop at
     the first format fault, which is raised once the rest of the text is
     read. The checks that ``Network`` makes of endpoints come last."""
-    children = _root_children(data, _EDGE_RUN.match)
+    children = _root_children(data, _RUN.match)
     root = next(children)
     nodes: dict[str, XmlElement] = {}
     edges: list[Edge] = []
@@ -259,7 +265,11 @@ def parse_network(data: bytes | str) -> Network:
             raise FormatError(f"root element must be <network>, got <{root.name}>")
         directed = _directed(root.attrs)
         for child in children:
-            if isinstance(child, re.Match):  # a run of edges as serialize_network writes them
+            if isinstance(child, str):
+                raise FormatError("text content is not allowed inside <network>")
+            if child.__class__ is XmlElement:
+                _add_child(child, nodes, edges, weights)
+            elif child.lastindex == _EDGE_RUN:  # edges as serialize_network writes them
                 srcs, dsts, texts = zip(*_EDGE.findall(child.string, child.start(), child.end()))
                 # Each distinct text is checked once, the first in the file
                 # first. "" is an omitted weight; it stays out of ``weights``,
@@ -268,16 +278,22 @@ def parse_network(data: bytes | str) -> Network:
                 # The records are made in C, with no Python frame per edge.
                 edges.extend(map(tuple.__new__, repeat(Edge),
                                  zip(srcs, dsts, map(by_text.__getitem__, texts))))
-            elif isinstance(child, str):
-                raise FormatError("text content is not allowed inside <network>")
-            else:
-                _add_child(child, nodes, edges, weights)
+            else:  # attribute-only <node/> tags
+                for attrs in _node_run(child):
+                    # What _element makes of the tag: a document of its own.
+                    node = XmlElement("node", attrs, 0)
+                    node.doc = [node]
+                    _add_node(node, nodes)
     except FormatError as exc:
         fault = exc
     else:
         return Network(directed, nodes, edges)
-    for _ in children:  # out of the except block: a ParseError here chains to nothing
-        pass
+    # Out of the except block, so that a ParseError here chains to
+    # nothing. A run of nodes is read again only for a repeated
+    # attribute name, which is a ParseError.
+    for child in children:
+        if child.__class__ is re.Match and child.lastindex == _NODE_RUN:
+            _node_run(child)
     raise fault
 
 
@@ -286,12 +302,40 @@ def parse_network(data: bytes | str) -> Network:
 # reference in any value. A weight is nonempty, so that an omitted one
 # is the only empty group; weight="" takes the generic route.
 _EDGE = re.compile(r'<edge from="([^"&<]*)" to="([^"&<]*)"(?: weight="([^"&<]+)")?/>')
-# A run of up to 256 such edges with only whitespace between them,
-# without groups. The regex engine keeps a backtracking record per
-# repeat, about 270 bytes, so the bound keeps a long run from costing
-# memory in proportion to its length.
-_EDGE_RUN = re.compile(r"{0}(?:[ \t\r\n]*{0}){{0,255}}".format(
-    _EDGE.pattern.replace("([", "(?:[")))
+# A self-closing <node/> that holds attributes only, each double-quoted
+# after whitespace, with no entity reference and no '<' in any value;
+# its one group is the span of the attributes. A name may repeat, which
+# _node_run reports.
+_NODE = re.compile(rf'<node((?:[ \t\r\n]+{_NAME_RE}="[^"&<]*")*)[ \t\r\n]*/>')
+_NODE_ATTR = re.compile(rf'[ \t\r\n]+({_NAME_RE})="([^"]*)"')
+
+
+def _run_of(tag: re.Pattern) -> str:
+    """A run of up to 256 ``tag`` with only whitespace between them,
+    without groups. The regex engine keeps a backtracking record per
+    repeat, about 270 bytes, so the bound keeps a long run from costing
+    memory in proportion to its length."""
+    tag = re.sub(r"\((?!\?)", "(?:", tag.pattern)
+    return rf"{tag}(?:[ \t\r\n]*{tag}){{0,255}}"
+
+
+# A run of edges or a run of nodes; ``lastindex`` names which.
+_RUN = re.compile(rf"({_run_of(_EDGE)})|({_run_of(_NODE)})")
+_EDGE_RUN, _NODE_RUN = 1, 2
+
+
+def _node_run(m: re.Match) -> list[dict[str, str]]:
+    """The attributes of each tag in the run of <node/> tags that ``m``
+    matched, in order. Raises the ParseError of the first tag in which a
+    name repeats, as the generic route would, at the tag's offset."""
+    text, start, end = m.string, m.start(), m.end()
+    pairs = list(map(_NODE_ATTR.findall, _NODE.findall(text, start, end)))
+    attrs = list(map(dict, pairs))  # built in C
+    if list(map(len, attrs)) != list(map(len, pairs)):
+        for tag, a, p in zip(_NODE.finditer(text, start, end), attrs, pairs):
+            if len(a) != len(p):
+                _reject_start_tag(text, tag.start())
+    return attrs
 
 
 def _directed(attrs: dict[str, str]) -> bool:
@@ -307,19 +351,10 @@ def _directed(attrs: dict[str, str]) -> bool:
 
 def _add_child(child: XmlElement, nodes: dict[str, XmlElement], edges: list[Edge],
                weights: dict[str, Decimal]) -> None:
-    """Check an element of <network> that the edge pattern refused, and
+    """Check an element of <network> that the run pattern refused, and
     add it to ``nodes`` or ``edges``."""
     if child.name == "node":
-        if "key" not in child.attrs:
-            raise FormatError("<node> requires a key attribute")
-        key = child.attrs["key"]
-        if key == "":
-            raise FormatError("node key must be nonempty")
-        if key in nodes:
-            raise FormatError(f"duplicate node key {key!r}")
-        # The payload is the node element itself, which the parser left
-        # detached, so that upward axes cannot escape into the file.
-        nodes[key] = child
+        _add_node(child, nodes)
     elif child.name == "edge":
         for attr in child.attrs:
             if attr not in ("from", "to", "weight"):
@@ -332,6 +367,20 @@ def _add_child(child: XmlElement, nodes: dict[str, XmlElement], edges: list[Edge
         edges.append(Edge(child.attrs["from"], child.attrs["to"], weight))
     else:
         raise FormatError(f"unknown element <{child.name}> inside <network>")
+
+
+def _add_node(node: XmlElement, nodes: dict[str, XmlElement]) -> None:
+    """Check the key of a <node> element and add it to ``nodes``. The
+    payload is the element itself, which the parser left detached, so
+    that upward axes cannot escape into the file."""
+    key = node.attrs.get("key")
+    if key is None:
+        raise FormatError("<node> requires a key attribute")
+    if key == "":
+        raise FormatError("node key must be nonempty")
+    if key in nodes:
+        raise FormatError(f"duplicate node key {key!r}")
+    nodes[key] = node
 
 
 def _weight(text: str, weights: dict[str, Decimal]) -> Decimal:

@@ -12,16 +12,21 @@ Parsing is one left-to-right pass of compiled regular expressions over
 the whole text. Open elements wait on an explicit stack, so nesting depth
 is limited by memory, not by the interpreter's recursion limit; the line
 and column of an error are worked out from its offset only when it is
-raised. Element content is read one token per match of ``_TOKEN``, and
-only what the token refuses takes the long way, which raises the error
-for a fault. An element builds its attribute items on first use.
-Serializing and comparing trees are iterative as well.
+raised. Element content is read one token per match of ``_TOKEN``: a
+run of text with the predefined entities in it, decoded by one chain of
+``str.replace``; a start tag, which takes in its closing tag and the
+text between when nothing else is there, so that a leaf such as
+``<title>Notes</title>`` is one token; or a closing tag. Only what the
+token refuses takes the long way, which raises the error for a fault.
+An element builds its attribute items on first use. Serializing and
+comparing trees are iterative as well.
 
 ``parse_xml`` reads its root element with ``_element``, and so does
-``_root_children`` with each child of the root, and what lies between
-two children with ``_char_data``, unless it is only whitespace before a
-tag, which one regular expression skips: ``parse_network`` takes a
-network file's payloads from it without building a tree of the file.
+``_root_children`` with each child of the root that the caller's
+pattern does not read, and what lies between two children with
+``_char_data``, unless it is only whitespace before a tag, which one
+regular expression skips: ``parse_network`` takes a network file's
+payloads from it without building a tree of the file.
 
 Each element that ``_element`` reads is a document of its own, ranked
 from 0 as the parser makes its items: each element and text item gets
@@ -57,27 +62,42 @@ _WS = re.compile(r"[ \t\r\n]*")
 # value may still hold entity references, valid or not.
 _ATTR_RE = rf"""[ \t\r\n]+({_NAME_RE})[ \t\r\n]*=[ \t\r\n]*("[^"<]*"|'[^'<]*')"""
 _ATTR = re.compile(_ATTR_RE)
+# A start tag up to its '/' or '>': name and attributes.
+_TAG_HEAD_RE = rf"<(?P<name>{_NAME_RE})(?P<attrs>(?:{_ATTR_RE})*)[ \t\r\n]*"
 # A whole start tag: name, attributes, and '/' if it closes itself.
-_START_TAG_RE = rf"<(?P<name>{_NAME_RE})(?P<attrs>(?:{_ATTR_RE})*)[ \t\r\n]*(?P<close>/?)>"
-_START_TAG = re.compile(_START_TAG_RE)
+_START_TAG = re.compile(rf"{_TAG_HEAD_RE}(?P<close>/?)>")
 # A closing tag after its '</': the name and the '>', each if present.
 # It always matches, so that a fault is read off the groups.
 _END_TAG = re.compile(rf"({_NAME_RE})?[ \t\r\n]*(>?)")
 # Whitespace and comments around the root element. An unterminated
 # comment is left unmatched, for the caller to report.
 _MISC = re.compile(r"(?:[ \t\r\n]+|<!--.*?-->)*", re.S)
-_TEXT = re.compile(r"[^<&]+")
 # Whitespace up to the '<' of a start or closing tag, not of a comment,
 # a '<!' or a '<?' that ``_char_data`` reads or refuses.
 _WS_TO_TAG = re.compile(r"[ \t\r\n]*(?=<(?![!?]))")
 _ATTR_VALUE = {'"': re.compile(r'[^"<&]*'), "'": re.compile(r"[^'<&]*")}
-# One item of element content: a text run, a whole start tag, a closing
-# tag or a predefined entity. Each branch is one outer group, so that
+# A nonempty run of character data and predefined entity references,
+# unrolled so that each prefix matches in one way only: the shorter form
+# (?:[^<&]+|&...;)+ backtracks exponentially when what follows refuses it.
+_PREDEFINED = rf"&(?:{'|'.join(_ENTITIES)});"
+_TEXT_RUN_RE = rf"(?:[^<&]|{_PREDEFINED})[^<&]*(?:{_PREDEFINED}[^<&]*)*"
+_TEXT_RUN = re.compile(_TEXT_RUN_RE)
+# One item of element content: a text run, a whole start tag or a
+# closing tag. An open start tag takes in the character data after it
+# and its closing tag when nothing else lies between them, as in
+# <title>Notes</title>: a leaf is then one item. The leaf's text is
+# matched in a lookahead, which the engine never enters again, and taken
+# by a backreference, so that a text that no closing tag follows is
+# given back in one step, not one character at a time; Python 3.10 has
+# no atomic groups. Each branch is one outer group, so that
 # ``lastindex`` names it; the group numbers are the constants below.
 _TOKEN = re.compile(
-    rf"([^<&]+)|({_START_TAG_RE})|(</({_NAME_RE})[ \t\r\n]*>)|(&(amp|lt|gt|quot|apos);)"
+    rf"({_TEXT_RUN_RE})"
+    rf"|({_TAG_HEAD_RE}(?:(?P<close>/)>"
+    rf"|>(?:(?:(?=({_TEXT_RUN_RE}))\8)?(</(?P=name)[ \t\r\n]*>))?))"
+    rf"|(</({_NAME_RE})[ \t\r\n]*>)"
 )
-_T_TEXT, _T_START, _T_END, _T_ENTITY = 1, 2, 8, 10
+_T_TEXT, _T_START, _T_END = 1, 2, 10
 # At most eight characters between '&' and ';'.
 _ENTITY = re.compile(r"&([^;]{0,8});")
 
@@ -298,11 +318,8 @@ def _content(text: str, start: int, i: int, element: XmlElement) -> int:
         m = token(text, i)
         kind = m.lastindex if m is not None else 0
         if kind == _T_TEXT:
-            run.append(m[1])
-            i = m.end()
-            continue
-        if kind == _T_ENTITY:
-            run.append(_ENTITIES[m[11]])
+            s = m[1]
+            run.append(_unescape(s) if "&" in s else s)
             i = m.end()
             continue
         # Not a '<' that may open a tag (a '<' with nothing after it is
@@ -318,7 +335,9 @@ def _content(text: str, start: int, i: int, element: XmlElement) -> int:
                 item.parent, item.index = parent, len(siblings)
                 siblings.append(item)
                 doc.append(item)
-        if kind == _T_START:  # groups 3, 4 and 7: name, attributes, '/'
+        if kind == _T_START:
+            # Groups 3, 4 and 7: name, attributes, '/'; 8 and 9: the text
+            # and the closing tag of a leaf.
             attrs = _attributes(text, m.start(4), m.end(4)) if m[4] else {}
             if attrs is None:
                 _reject_start_tag(text, i)
@@ -326,11 +345,21 @@ def _content(text: str, start: int, i: int, element: XmlElement) -> int:
             child.doc, child.parent, child.index = doc, parent, len(siblings)
             doc.append(child)
             siblings.append(child)
-            if not m[7]:
+            if m[9]:  # a leaf, closed within the token
+                s = m[8]
+                # Entities decode to no whitespace, so the raw text is
+                # whitespace only exactly when the decoded text is.
+                if s and s.strip(_XML_WS):
+                    item = XmlText(_unescape(s) if "&" in s else s, len(doc))
+                    item.parent = child
+                    child.children.append(item)
+                    doc.append(item)
+                    child.end = item.pos
+            elif not m[7]:
                 stack.append((child, i))
                 parent, siblings, start = child, child.children, i
             i = m.end()
-        elif kind == _T_END and m[9] == parent.name:  # group 9: the name
+        elif kind == _T_END and m[11] == parent.name:  # group 11: the name
             parent.end = len(doc) - 1
             stack.pop()
             i = m.end()
@@ -391,6 +420,14 @@ def _root_children(data: bytes | str, raw: Callable[[str, int], re.Match | None]
     _epilog(text, i)
 
 
+def _unescape(s: str) -> str:
+    """``s``, a run of text whose every '&' begins a predefined entity
+    reference, with the references decoded. '&amp;' goes last, so that
+    the '&' it gives never starts another reference."""
+    return (s.replace("&lt;", "<").replace("&gt;", ">").replace("&quot;", '"')
+            .replace("&apos;", "'").replace("&amp;", "&"))
+
+
 def _char_data(text: str, i: int, run: list[str], element: XmlElement, start: int) -> int:
     """Read the character data, entity references and comments from
     offset ``i`` on, inside the open ``element`` whose start tag begins
@@ -399,16 +436,16 @@ def _char_data(text: str, i: int, run: list[str], element: XmlElement, start: in
     the next start or closing tag."""
     n = len(text)
     while True:
-        m = _TEXT.match(text, i)
+        m = _TEXT_RUN.match(text, i)
         if m:
-            run.append(m[0])
+            s = m[0]
+            run.append(_unescape(s) if "&" in s else s)
             i = m.end()
         if i == n:
             raise _error(text, start, f"unterminated element <{element.name}>")
-        if text[i] == "&":
-            c, i = _entity(text, i)
-            run.append(c)
-            continue
+        if text[i] == "&":  # not a predefined entity reference
+            _entity(text, i)
+            raise AssertionError(f"entity reference at offset {i} is valid but was refused")
         mark = text[i + 1:i + 2]  # the character after '<'
         if mark == "!":
             if not text.startswith("--", i + 2):

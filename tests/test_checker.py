@@ -744,10 +744,12 @@ def test_label_maps_share_decoded_key_sets_while_held():
 
 
 def test_swapped_label_set_naming_an_unknown_key_is_refused():
-    # _check_labels passes a label_nodes map without reading its sets,
-    # since the map labels the network's own key set; a set swapped in
-    # afterwards that names an unknown key is refused when its atom is
-    # encoded, not reported as a bare KeyError.
+    # _check_labels passes a label_nodes map that still holds the sets the
+    # network decoded for it without reading them; a set swapped in
+    # afterwards is read, and one that names an unknown key is refused,
+    # by model_check and by witness alike, not reported as a bare
+    # KeyError or as a witness that does not exist.
+    from netcheck.ctl import witness
     from netcheck.errors import UnknownKeyError
     from netcheck.network import parse_network
 
@@ -758,3 +760,14 @@ def test_swapped_label_set_naming_an_unknown_key_is_refused():
     labels.sat["p2"] = frozenset({"v1", "zz"})
     with pytest.raises(UnknownKeyError, match=r"not in the network: \['zz'\]$"):
         model_check(net, labels, propositional)
+
+    reach = parse_formula('EF [item/@num > 2]')
+    labels, registry = label_nodes(net, reach)
+    propositional = replace_filters(reach, registry)
+    assert witness(net, labels, propositional, "v0").kind in ("path", "node")
+    labels.sat["p1"] = frozenset({"zz"})
+    with pytest.raises(UnknownKeyError, match=r"not in the network: \['zz'\]$"):
+        witness(net, labels, propositional, "v0")
+    # A set equal to the decoded one, though not that set, passes.
+    labels.sat["p1"] = frozenset(sorted(label_nodes(net, reach)[0].sat["p1"]))
+    assert witness(net, labels, propositional, "v0").kind in ("path", "node")

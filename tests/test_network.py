@@ -295,11 +295,16 @@ def test_edge_record_is_an_immutable_tuple():
     assert type(again) is Edge and again == e
 
 
-def _chain_file(n, q='"'):
-    """A directed chain of n nodes, each with an attributed payload, and
-    n - 1 weighted edges whose attribute values are quoted with ``q``."""
+def _chain_file(n, q='"', attributes_only=False):
+    """A directed chain of n nodes, each with an attributed payload, or
+    with ``attributes_only`` each a <node/> tag with two attributes
+    besides its key, and n - 1 weighted edges whose attribute values are
+    quoted with ``q``."""
     parts = ["<network>"]
-    parts += [f'<node key="n{i}"><p v="{i % 7}" w="x">t{i}</p></node>' for i in range(n)]
+    if attributes_only:
+        parts += [f'<node key="n{i}" v="{i % 7}" w="x"/>' for i in range(n)]
+    else:
+        parts += [f'<node key="n{i}"><p v="{i % 7}" w="x">t{i}</p></node>' for i in range(n)]
     parts += [f"<edge from={q}n{i}{q} to={q}n{i + 1}{q} weight={q}{1 + i % 3}{q}/>"
               for i in range(n - 1)]
     parts.append("</network>")
@@ -310,8 +315,11 @@ def test_parse_network_linear_on_chains():
     # One pass over the text. Every edge is in the spelling that
     # serialize_network writes, which one pattern reads. A quadratic
     # step would grow about 16x for 4x the nodes; a linear one measures
-    # 4-6x, the collector and cache effects included.
+    # 4-6x, the collector and cache effects included. The same holds
+    # when every node is an attribute-only <node/> tag, which the pattern
+    # for runs of nodes reads.
     _assert_linear_on_chains('"')
+    _assert_linear_on_chains('"', attributes_only=True)
 
 
 def test_parse_network_linear_on_chains_of_single_quoted_edges():
@@ -320,16 +328,19 @@ def test_parse_network_linear_on_chains_of_single_quoted_edges():
     _assert_linear_on_chains("'")
 
 
-def _assert_linear_on_chains(quote):
+def _assert_linear_on_chains(quote, attributes_only=False):
     # The two sizes are timed in alternation, each going first in turn,
     # so that a change in host speed reaches both.
     files = []
     for n in (5_000, 20_000):
-        data = _chain_file(n, quote)
+        data = _chain_file(n, quote, attributes_only)
         net = parse_network(data)
         assert (net.n, net.m) == (n, n - 1)
         assert net.successors(f"n{n - 2}") == (f"n{n - 1}",)
-        assert net.payload("n3").children[0].attrs == {"v": "3", "w": "x"}
+        if attributes_only:
+            assert net.payload("n3").attrs == {"key": "n3", "v": "3", "w": "x"}
+        else:
+            assert net.payload("n3").children[0].attrs == {"v": "3", "w": "x"}
         files.append(data)
     # No network is kept alive while the parses are timed, and each
     # starts after a full collection, so that neither the collector's
@@ -347,9 +358,9 @@ def _assert_linear_on_chains(quote):
     assert 2.0 <= ratio <= 10.0, f"4x nodes took {ratio:.1f}x as long ({times})"
 
 
-def _calls_to_parse(data):
-    """The Python and built-in calls that parse_network makes on
-    ``data``, as sys.setprofile reports them."""
+def _calls_to_parse(data, parse=parse_network):
+    """The Python and built-in calls that ``parse`` makes on ``data``,
+    as sys.setprofile reports them."""
     calls = 0
 
     def count(frame, event, arg):
@@ -359,7 +370,7 @@ def _calls_to_parse(data):
 
     sys.setprofile(count)
     try:
-        parse_network(data)
+        parse(data)
     finally:
         sys.setprofile(None)
     return calls
@@ -371,10 +382,14 @@ def test_parse_network_calls_linear_on_chains(quote):
     # load cannot move it: every call, regex matches included. A step
     # that repeats per item grows 16x for 4x the nodes, and n log n
     # about 4.7x. Work done inside one call, such as a slice copy, is not
-    # seen here; the brackets above still bound it.
-    small, large = (_calls_to_parse(_chain_file(n, quote)) for n in (5_000, 20_000))
-    ratio = large / small
-    assert 3.8 <= ratio <= 4.2, f"4x nodes made {ratio:.2f}x the calls ({small}, {large})"
+    # seen here; the brackets above still bound it. Both forms of node
+    # are counted: with a payload, and attribute-only.
+    for attributes_only in (False, True):
+        small, large = (_calls_to_parse(_chain_file(n, quote, attributes_only))
+                        for n in (5_000, 20_000))
+        ratio = large / small
+        assert 3.8 <= ratio <= 4.2, (f"4x nodes made {ratio:.2f}x the calls ({small}, {large}),"
+                                     f" attributes only: {attributes_only}")
 
 
 def test_transpose_reverses_edges():

@@ -1,10 +1,10 @@
-"""The two routes by which parse_network reads an <edge>: one pattern,
-which reads a run of edges at a time, for the spelling
-serialize_network writes, and the general tag parser for every other
-spelling. Both must give the same network, and a
-malformed file must raise the same error, at the same line and column,
-as when the whole file was parsed into one XML tree before any of it
-was checked."""
+"""The two routes by which parse_network reads an <edge> or a <node>:
+one pattern, which reads a run of edges in the spelling
+serialize_network writes or a run of attribute-only <node/> tags at a
+time, and the general tag parser for every other spelling. Both must
+give the same network, and a malformed file must raise the same error,
+at the same line and column, as when the whole file was parsed into
+one XML tree before any of it was checked."""
 
 import gc
 from decimal import Decimal
@@ -286,7 +286,62 @@ MALFORMED = [
     (b'\xef\xbb\xbf\xef\xbb\xbf<network/>',
      ('ParseError', 'line 1, column 1: content outside the root element')),
     (b'\xef\xbb\xbf<network><edge from="a" to="a"/>\n<!-- c -->\n<node key="a"/></network>',
-     None)
+     None),
+    # Runs of self-closing <node/> tags that the node pattern reads, each
+    # with one tag that is faulty or that the pattern refuses. A repeated
+    # attribute is a ParseError, which wins over every key fault of its
+    # run and of the runs before it.
+    ('<network>\n<node key="a"/>\n<node key="b" v="1" v="2"/>\n</network>',
+     ('ParseError', "line 3, column 21: duplicate attribute 'v'")),
+    ('<network><node/><node key="b" v="1" v="2"/></network>',
+     ('ParseError', "line 1, column 37: duplicate attribute 'v'")),
+    ('<network><node key="a"/><node key="a"/><node key="b" key="c"/></network>',
+     ('ParseError', "line 1, column 54: duplicate attribute 'key'")),
+    ('<network><node/><!-- c --><node key="b"/><node key="c" v="1" v="2"/></network>',
+     ('ParseError', "line 1, column 62: duplicate attribute 'v'")),
+    ('<network><edge from="a" to="a" weight="x"/><node key="a" v="1" v="1"/></network>',
+     ('ParseError', "line 1, column 64: duplicate attribute 'v'")),
+    ('<graph><node key="a"/><node key="b" v="" v=""/></graph>',
+     ('ParseError', "line 1, column 42: duplicate attribute 'v'")),
+    ('<graph><node key="a"/><node/></graph>',
+     ('FormatError', 'root element must be <network>, got <graph>')),
+    ('<network><node key="a"/><node v="1"/><node key=""/></network>',
+     ('FormatError', '<node> requires a key attribute')),
+    ('<network><node key="a"/><node key=""/><node/></network>',
+     ('FormatError', 'node key must be nonempty')),
+    ('<network><node key="a"/><node key="b"/><node key="a"/><node/></network>',
+     ('FormatError', "duplicate node key 'a'")),
+    ('<network><node key="a"/><edge from="a" to="a"/><node key="b"/><node key="a"/></network>',
+     ('FormatError', "duplicate node key 'a'")),
+    ('<network><node key="a"/><node key="b"></node><node key="c"/><node key="b"/></network>',
+     ('FormatError', "duplicate node key 'b'")),
+    ('<network><node key="a"/><node/><edge from="a" to="a" weight="0"/></network>',
+     ('FormatError', '<node> requires a key attribute')),
+    ('<network><edge from="a" to="a" weight="0"/><node key="a"/><node/></network>',
+     ('FormatError', "edge weight must be positive, got '0'")),
+    ('<network><node key="a"/> x <node key="b"/></network>',
+     ('FormatError', 'text content is not allowed inside <network>')),
+    ('<network><node key="a"/><nodes key="b"/></network>',
+     ('FormatError', 'unknown element <nodes> inside <network>')),
+    ('<network><node key="a"/><node key="b" v="&nbsp;"/></network>',
+     ('ParseError', 'line 1, column 42: unknown entity &nbsp;')),
+    ('<network><node key="a"/><node key="b" v="<"/></network>',
+     ('ParseError', "line 1, column 42: '<' is not allowed in an attribute value")),
+    ('<network><node key="a"/><node key="b"v="1"/></network>',
+     ('ParseError', 'line 1, column 38: expected whitespace before attribute')),
+    ('<network><node key="a"/><node key="b"',
+     ('ParseError', 'line 1, column 25: unterminated start tag <node>')),
+    # Spellings that the node pattern refuses, and what may stand between
+    # the tags of a run.
+    ('<network><node key="a"/><node key="b&amp;c" v="&lt;"/></network>', None),
+    ("<network><node key='a'/><node key=\"b\" v='\"'/></network>", None),
+    ('<network><node key="a"/><node key = "b" v\t=\n"1"/></network>', None),
+    ('<network><node key="a"/><node key="b" v="1"></node><node key="c"/></network>', None),
+    ('<network><node key="a"/><node key="b"><p/></node><node key="c"/></network>', None),
+    ('<network><node key="a"/><!-- c --><node key="b"/>\n<!-- d -->\n<node key="c"/></network>',
+     None),
+    ('<network>\r\n\t<node\nkey="a"\tv="1"\r\n/>\n<node  key="b" /></network>', None),
+    ('<network><node key="a>b" v=""/></network>', None),
 ]
 
 
@@ -339,9 +394,9 @@ def _run(n):
 
 
 NODES = '<node key="a"/>\n<node key="b"><p>x</p></node>\n'
-# Each file breaks a run of canonical edges in one way. The runs are
-# long enough that some break a run past the longest one the pattern
-# reads at once, 256 edges.
+# Each file breaks a run of canonical edges, or of attribute-only nodes,
+# in one way. The runs are long enough that some break a run past the
+# longest one the pattern reads at once, 256 tags.
 RUN_BREAKS = {
     "comment": _run(3) + "<!-- c -->" + _run(300),
     "node": _run(3) + '<node key="c"/>\n' + _run(2),
@@ -356,6 +411,12 @@ RUN_BREAKS = {
     "undeclared endpoint": _run(2) + '<edge from="a" to="zz"/>\n' + _run(2),
     "text": _run(2) + "stray" + _run(2),
     "CRLF and tabs": _run(2).replace("\n", "\r\n\t") + _run(2),
+    "repeated key after 600 nodes": "".join(f'<node key="n{i}" v="{i}"/>\n' for i in range(600))
+                                    + '<node key="n3"/>' + _run(2),
+    "repeated attribute after 300 nodes": "".join(f'<node key="n{i}"/>' for i in range(300))
+                                          + '<node key="n" v="1" v="2"/>' + _run(2),
+    "no key, then a repeated attribute after 300 nodes": '<node/>' + _run(1) + "".join(
+        f'<node key="n{i}"/>' for i in range(300)) + '<node key="n" v="1" v="1"/>',
 }
 EOF_CUT = NODES + _run(3)
 
@@ -389,3 +450,69 @@ def test_runs_of_edges_read_as_the_whole_tree(data):
         assert [str(e.weight) for e in outcome.edges] == [str(e.weight) for e in expected.edges]
     else:
         assert outcome == expected
+
+
+# -- runs of attribute-only <node/> tags ----------------------------------------
+
+
+def test_attribute_only_nodes_are_read_without_the_tag_parser(monkeypatch):
+    # A run of attribute-only <node/> tags is read by the run pattern:
+    # no tag of it reaches the element reader, and each payload is what
+    # that reader makes of the tag, a document of its own.
+    from netcheck import xmldoc
+
+    def refuse(text, i):
+        raise AssertionError(f"element read at offset {i}")
+
+    monkeypatch.setattr(xmldoc, "_element", refuse)
+    net = parse_network('<network>\n  <node key="a" v="1"/>\n  <node key="b"\tw="x>"/>\n'
+                        '  <edge from="a" to="b"/>\n</network>')
+    payload = net.payload("a")
+    assert (payload.name, payload.attrs, payload.children) == ("node", {"key": "a", "v": "1"}, [])
+    assert (payload.pos, payload.end, payload.doc, payload.parent) == (0, 0, [payload], None)
+    assert net.payload("b").attrs == {"key": "b", "w": "x>"}
+    assert net.successors("a") == ("b",)
+
+
+_node_values = st.text(alphabet="ab1 >\t\n&<\"'", max_size=4)
+_node_names = st.sampled_from(("v", "w", "x-y", "_z", "a.b"))
+NODE_SPELLINGS = ("canonical", "bare '>'", "closed", "single quotes", "spaced", "entities")
+
+
+def _node_tag(attrs: dict[str, str], spelling: str) -> str:
+    """A payload-free <node> with ``attrs`` in one of several spellings
+    that all mean it."""
+    if spelling == "single quotes":
+        return "<node" + "".join(f" {n}='{_entities(v)}'" for n, v in attrs.items()) + "/>"
+    if spelling == "spaced":
+        return "<node" + "".join(f'\n{n} =\t"{escape_attr(v)}"' for n, v in attrs.items()) + " />"
+    if spelling == "entities":
+        return "<node" + "".join(f' {n}="{_entities(v)}"' for n, v in attrs.items()) + "/>"
+    if spelling == "bare '>'":
+        return "<node" + "".join(f' {n}="{escape_attr(v).replace("&gt;", ">")}"'
+                                 for n, v in attrs.items()) + "/>"
+    tag = "<node" + "".join(f' {n}="{escape_attr(v)}"' for n, v in attrs.items())
+    return tag + ("></node>" if spelling == "closed" else "/>")
+
+
+@given(st.lists(st.dictionaries(_node_names, _node_values, max_size=3), max_size=12),
+       st.data())
+@settings(max_examples=200, deadline=None)
+def test_both_routes_of_a_node_give_the_same_network(extras, data):
+    # Attribute-only nodes, as serialize_xml writes them (the node
+    # pattern reads those with no entity reference in a value) and
+    # respelled, some for the node pattern and some for the tag parser,
+    # with comments and whitespace between them, give the same payloads,
+    # attribute order included.
+    attrs = [{"key": f"k{i}", **extra} for i, extra in enumerate(extras)]
+    canonical = "\n".join(_node_tag(a, "canonical") for a in attrs)
+    respelled = "".join(_node_tag(a, data.draw(st.sampled_from(NODE_SPELLINGS)))
+                        + data.draw(st.sampled_from(SEPARATORS)) for a in attrs)
+    first = parse_network(f"<network>{canonical}</network>")
+    second = parse_network(f"<network>{respelled}</network>")
+    assert network_equal(first, second)
+    for a in attrs:
+        for net in (first, second):
+            payload = net.payload(a["key"])
+            assert list(payload.attrs.items()) == list(a.items())
+            assert payload.children == [] and payload.doc == [payload]

@@ -1,6 +1,8 @@
 """Document parser, serializer, and ordering tests."""
 
+import gc
 import sys
+import time
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -19,6 +21,7 @@ from netcheck.xmldoc import (
 )
 from netcheck.xpath import eval_path, parse_filter
 from tests import xmldoc_reference as reference
+from tests.test_network import _calls_to_parse
 from tests.xpath_reference import doc_order_key
 
 
@@ -383,3 +386,119 @@ def test_markup_inside_an_element_matches_reference(source, expected):
     # The parser dispatches on the character after '<'; the reference
     # scanner tests each prefix in turn.
     assert _outcome(parse_xml, source) == _outcome(reference.parse_xml, source) == expected
+
+
+# -- fused tokens: text runs with entities, and leaves -------------------------
+
+
+@pytest.mark.parametrize("source, expected", [
+    # A text run decodes '&amp;' last, so its '&' starts no reference.
+    ("<r><a>&amp;lt;</a></r>", ("tree", [("element", "r", [], [], 0, 0, None),
+                                         ("element", "a", [], [], 1, 0, 0),
+                                         ("text", "&lt;", 2, 0, 1)])),
+    # A leaf whose text is whitespace only has no children.
+    ("<r><a> \t\r\n </a>x</r>", ("tree", [("element", "r", [], [], 0, 0, None),
+                                           ("element", "a", [], [], 1, 0, 0),
+                                           ("text", "x", 2, 1, 0)])),
+    # The text on both sides of a comment is one item.
+    ("<r>a &amp; b<!-- c -->c&lt;d</r>", ("tree", [("element", "r", [], [], 0, 0, None),
+                                                  ("text", "a & bc<d", 1, 0, 0)])),
+    # Mixed content: the leaf pattern refuses <p>, whose text a tag follows.
+    ("<r><p>a<b/>c</p></r>", ("tree", [("element", "r", [], [], 0, 0, None),
+                                       ("element", "p", [], [], 1, 0, 0),
+                                       ("text", "a", 2, 0, 1),
+                                       ("element", "b", [], [], 3, 1, 1),
+                                       ("text", "c", 4, 2, 1)])),
+    # A leaf with attributes and entities, an empty leaf, and a closing
+    # tag with whitespace before its '>'.
+    ('<r><t k="v">&quot;x&apos;</t >  <u></u><w/></r>', (
+        "tree", [("element", "r", [], [], 0, 0, None),
+                 ("element", "t", [("k", "v")], [("k", "v", True, (1, 1, 0))], 1, 0, 0),
+                 ("text", '"x\'', 2, 0, 1),
+                 ("element", "u", [], [], 3, 1, 0),
+                 ("element", "w", [], [], 4, 2, 0)])),
+    # A self-closing tag is not a leaf that a closing tag of its name ends.
+    ("<r><a/>x</a></r>", ("error", "mismatched closing tag: expected </r>, found </a>", 1, 9)),
+    ("<r><a>x&amp;y</b></r>",
+     ("error", "mismatched closing tag: expected </a>, found </b>", 1, 14)),
+    ("<r><a>x&amp</a></r>", ("error", "unterminated entity reference", 1, 8)),
+    ("<r><a>x&bogus;</a></r>", ("error", "unknown entity &bogus;", 1, 8)),
+])
+def test_fused_tokens_match_reference(source, expected):
+    assert _outcome(parse_xml, source) == _outcome(reference.parse_xml, source) == expected
+    if expected[0] == "tree":
+        # The largest rank in each element's subtree, which a leaf sets
+        # itself, is the rank of its last descendant.
+        doc = parse_xml(source).doc
+        for element in doc:
+            last = element
+            while isinstance(last, XmlElement) and last.children:
+                last = last.children[-1]
+            if isinstance(element, XmlElement):
+                assert element.end == last.pos, (element, element.end)
+
+
+_ENTITY_UNIT = "x &amp; y&lt;z "
+
+
+def _entity_text(n):
+    """Text of about n characters in which predefined entity references
+    stand between plain characters."""
+    return _ENTITY_UNIT * (n // len(_ENTITY_UNIT))
+
+
+# Documents around one long text, whose leaf pattern reads the whole text
+# and is then refused: by a closing tag of another name, an error, or by
+# a comment, after which the text goes on.
+LONG_TEXTS = {
+    "mismatched closing tag": lambda t: f"<r><a>{t}</b></r>",
+    "comment after a leaf's text": lambda t: f"<r><a>{t}<!-- c -->{t}</a></r>",
+}
+
+
+def _parse_outcome(source):
+    try:
+        return parse_xml(source)
+    except ParseError as err:
+        return err
+
+
+@pytest.mark.parametrize("shape", LONG_TEXTS)
+def test_long_entity_text_linear(shape):
+    # A text run is one match however many entities it holds, and the
+    # leaf pattern gives it back in one step when what follows refuses
+    # it. A pattern that backtracks per character or per entity grows
+    # 16x or worse for 4x the text; a linear one measures 4-6x. The two
+    # sizes are timed in alternation, each going first in turn.
+    files = []
+    for n in (50_000, 200_000):
+        text = _entity_text(n)
+        files.append(LONG_TEXTS[shape](text))
+        outcome = _parse_outcome(files[-1])
+        if isinstance(outcome, ParseError):
+            assert outcome.message == "mismatched closing tag: expected </a>, found </b>"
+        else:
+            decoded = text.replace("&amp;", "&").replace("&lt;", "<")
+            assert [string_value(c) for c in outcome.children] == [decoded * 2]
+    del outcome
+    times = [float("inf"), float("inf")]
+    for rep in range(5):
+        for i in ((0, 1) if rep % 2 == 0 else (1, 0)):
+            gc.collect()
+            t0 = time.perf_counter()
+            _parse_outcome(files[i])
+            times[i] = min(times[i], time.perf_counter() - t0)
+    ratio = times[1] / times[0]
+    assert 2.0 <= ratio <= 10.0, f"4x text took {ratio:.1f}x as long ({times})"
+
+
+@pytest.mark.parametrize("shape", LONG_TEXTS)
+def test_long_entity_text_calls_independent_of_length(shape):
+    # The work the timing bracket above measures, counted, so that host
+    # load cannot move it: every call, regex matches included. Each run
+    # of text is read in a fixed number of calls whatever its length and
+    # its number of entities, on the token's route and on the long way
+    # after a comment alike.
+    small, large = (_calls_to_parse(LONG_TEXTS[shape](_entity_text(n)), _parse_outcome)
+                    for n in (50_000, 200_000))
+    assert small == large, f"4x text made {large} calls against {small}"
