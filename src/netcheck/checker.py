@@ -18,17 +18,19 @@ the same ``Or`` and ``And`` nodes from ``|``/``&`` here and from
 ``or``/``and`` in filters.
 
 Checking is staged. First every distinct filter of the formula is
-evaluated at every node payload, and the set of nodes whose payload
-matches it is recorded under a generated proposition id (the labelling
-stage). One pass per filter marks a byte per node id, which is packed
-into the one form of its label, the id bitset. The network keeps it in
-a bounded store, so a filter is evaluated once per network and later
-checks read its label. Then filters are substituted by their
-proposition ids, preserving the formula's shape. Finally the
-propositional checker runs on the labelled network. ``check`` starts
-each atom from its stored bitset and builds no key set; the public
-``label_nodes`` decodes the key sets of its ``LabelMap`` from the
-bitsets, and ``model_check`` encodes them again.
+evaluated at every node payload (the labelling stage). One pass per
+filter marks a byte per node id, which is packed into the one form of
+its label, the id bitset. The network keeps it in a bounded store, so a
+filter is evaluated once per network and later checks read its label.
+``check`` runs two stages: it labels, then checks the formula as parsed,
+reading each atom's set by its filter from the stored bitsets, and
+builds no key set, no proposition id and no second formula. The public
+staged API runs the paper's three: ``label_nodes`` registers each filter
+under a generated proposition id as it decodes the filter's key set
+from its bitset into a ``LabelMap``, ``replace_filters`` swaps each
+filter for its proposition id, preserving the formula's shape, and
+``model_check`` encodes the key sets again and checks the propositional
+formula. Both routes give the same satisfying sets.
 The stages cost O(filters * nodes) for the filters the network has not
 stored yet, plus O(formula * (nodes + edges)).
 """
@@ -207,13 +209,11 @@ def collect_filters(formula: Formula) -> list[FilterExpr]:
     return found
 
 
-def _label_bits(net: Network, formula: Formula) -> tuple[dict[str, int], FilterRegistry]:
-    """The id bitset of each distinct filter of the formula, by
-    proposition id, and the registry: the labelling stage in the one
-    form the network stores (see ``label_nodes``)."""
-    registry = FilterRegistry()
-    for f in collect_filters(formula):
-        registry.register(f)
+def _label_bits(net: Network, formula: Formula) -> dict[FilterExpr, int]:
+    """The id bitset of each distinct filter of the formula, keyed by the
+    filter objects that ``collect_filters`` returns, in first-occurrence
+    order: the labelling stage in the one form the network stores (see
+    ``label_nodes``)."""
     keys = net.node_keys()
     payloads = net.nodes
 
@@ -230,9 +230,8 @@ def _label_bits(net: Network, formula: Formula) -> tuple[dict[str, int], FilterR
             ) from exc
         return _to_bits(flags)
 
-    bits = {prop: net._label(filter_expr, evaluate)
-            for filter_expr, prop in zip(registry.filters(), registry.props())}
-    return bits, registry
+    return {filter_expr: net._label(filter_expr, evaluate)
+            for filter_expr in collect_filters(formula)}
 
 
 def label_nodes(net: Network, formula: Formula) -> tuple[LabelMap, FilterRegistry]:
@@ -252,15 +251,15 @@ def label_nodes(net: Network, formula: Formula) -> tuple[LabelMap, FilterRegistr
     the same error on every call; with several failures the first in
     (filter, key) order wins.
     """
-    bits, registry = _label_bits(net, formula)
+    registry = FilterRegistry()
     keys = net.node_keys()
     decoded = net._key_sets
     sat = {}
-    for filter_expr, (prop, label) in zip(registry.filters(), bits.items()):
+    for filter_expr, label in _label_bits(net, formula).items():
         key_set = decoded.get(filter_expr)
         if key_set is None:
             key_set = decoded[filter_expr] = frozenset(compress(keys, _to_flags(label, len(keys))))
-        sat[prop] = key_set
+        sat[registry.register(filter_expr)] = key_set
     labels = LabelMap(sat, net._key_set)
     labels._decoded = dict(sat)
     return labels, registry
@@ -290,15 +289,14 @@ def replace_filters(formula: Formula, registry: FilterRegistry) -> Formula:
                  replace_filters(formula.right, registry))
 
 
-def _labelled_checker(net: Network, formula: Formula) -> tuple[_Checker, Formula]:
-    """Label and replace: a checker whose atoms start from the stored
-    bitsets of the formula's filters, and the propositional formula."""
-    bits, registry = _label_bits(net, formula)
-    checker = _Checker(net, None, {Atom(prop): label for prop, label in bits.items()})
-    return checker, replace_filters(formula, registry)
+def _labelled_checker(net: Network, formula: Formula) -> _Checker:
+    """Label: a checker whose atoms start from the stored bitsets of the
+    formula's filters."""
+    return _Checker(net, None, _label_bits(net, formula))
 
 
 def check(net: Network, formula: Formula) -> frozenset[str]:
-    """Label, replace, and model-check; returns the satisfying keys."""
-    checker, propositional = _labelled_checker(net, formula)
-    return frozenset(checker.keys_in(checker.sat(propositional)))
+    """Label and model-check the formula as parsed; returns the
+    satisfying keys."""
+    checker = _labelled_checker(net, formula)
+    return frozenset(checker.keys_in(checker.sat(formula)))

@@ -136,11 +136,11 @@ def _answer(args, formula, witness_for: str | None = None) -> int:
 
     try:
         # One checker: the witness reads its sets too.
-        checker, propositional = _labelled_checker(net, formula)
-        keys = list(checker.keys_in(checker.sat(propositional)))  # ascending
+        checker = _labelled_checker(net, formula)
+        keys = list(checker.keys_in(checker.sat(formula)))  # ascending
         witness_report = None
         if witness_for is not None:
-            witness_report = _witness_report(checker, propositional, witness_for)
+            witness_report = _witness_report(checker, formula, witness_for)
     except FilterTypeError as exc:
         return _fail(EXIT_TYPE, f"evaluation: {exc}")
 

@@ -13,10 +13,10 @@ equality, one O(n+m) set computation per operator for n nodes and m
 edges. It works on node ids, the position of each key in key order, so
 ascending ids are ascending keys; the network builds its id map and id
 adjacency at construction. Between operators a satisfaction set is an
-int bitset (bit i is node id i). ``check`` starts each atom from the
-bitset that the labelling stored on the network, and builds no key set;
-``model_check`` encodes the key set of each atom of its ``LabelMap``,
-once per check. The connectives are bitwise operations and AX, AG and
+int bitset (bit i is node id i). ``check`` reads an atom's set by its
+filter: the bitset that the labelling stored on the network; it builds
+no key set. ``model_check`` encodes the key set of each proposition of
+its ``LabelMap`` once. The connectives are bitwise operations and AX, AG and
 EG complement their duals. Inside a fixpoint the operand bitsets are
 expanded once into a bytearray with one byte per node, the pass runs
 over the id adjacency, and its result is packed back once; a fixpoint
@@ -80,8 +80,8 @@ class Bool:
 @hashed_once
 @dataclass(frozen=True)
 class Atom:
-    """Atomic proposition: a registered proposition id, or (before the
-    replacement stage) a filter expression."""
+    """Atomic proposition: a filter, as parsed and as ``check`` reads
+    it, or the proposition id that ``replace_filters`` puts in its place."""
 
     value: object
 
@@ -209,7 +209,7 @@ def model_check(net: Network, labels: LabelMap, formula: Formula) -> frozenset[s
     docstring describes the ids, the bitsets and each fixpoint.
     """
     _check_labels(net, labels)
-    checker = _Checker(net, labels, {})
+    checker = _Checker(net, labels)
     return frozenset(checker.keys_in(checker.sat(formula)))
 
 
@@ -234,16 +234,17 @@ def _to_flags(bits: int, n: int) -> bytearray:
 
 class _Checker:
     """Satisfaction sets of one network, as int bitsets over its node
-    ids, memoized per subformula. ``check`` puts the stored bitset of
-    each atom in ``memo`` and passes no label map; any other atom is
-    encoded from the key set that ``labels`` holds."""
+    ids, memoized per subformula. ``check`` passes no label map and
+    reads an atom's set by its filter from ``bits``; otherwise an atom's
+    set is encoded from the key set that ``labels`` holds for it."""
 
-    def __init__(self, net: Network, labels: LabelMap | None, memo: dict[Formula, int]):
+    def __init__(self, net: Network, labels: LabelMap | None, bits: dict | None = None):
         self.net = net
         self.keys = net.node_keys()
         self.everything = (1 << len(self.keys)) - 1
         self.labels = labels
-        self.memo = memo
+        self.bits = bits
+        self.memo: dict[Formula, int] = {}
 
     def _relation(self, op: str) -> tuple[str, tuple, tuple, tuple]:
         """(base operator, successor ids, predecessor ids, out-degrees),
@@ -277,6 +278,8 @@ class _Checker:
         if isinstance(f, Bool):
             return everything if f.value else 0
         if isinstance(f, Atom):
+            if self.labels is None:
+                return self.bits[f.value]
             keys = self._atom(f)
             flags = bytearray(len(self.keys))
             for i in map(self.net._index.__getitem__, keys):  # _check_labels passed them
@@ -445,7 +448,7 @@ def witness(net: Network, labels: LabelMap, formula: Formula, start: str) -> Wit
     a key the network does not have.
     """
     _check_labels(net, labels)
-    return _Checker(net, labels, {}).witness(formula, start)
+    return _Checker(net, labels).witness(formula, start)
 
 
 # ---------------------------------------------------------------------------

@@ -14,9 +14,10 @@ is limited by memory, not by the interpreter's recursion limit; the line
 and column of an error are worked out from its offset only when it is
 raised. Element content is read one token per match of ``_TOKEN``: a
 run of text with the predefined entities in it, decoded by one chain of
-``str.replace``; a start tag, which takes in its closing tag and the
-text between when nothing else is there, so that a leaf such as
-``<title>Notes</title>`` is one token; or a closing tag. Only what the
+``str.replace``; a start tag, which takes in the text run after it and
+then its closing tag if that follows, so that a leaf such as
+``<title>Notes</title>`` is one token and an element's first text is
+read once whatever follows it; or a closing tag. Only what the
 token refuses takes the long way, which raises the error for a fault.
 An element builds its attribute items on first use. Serializing and
 comparing trees are iterative as well.
@@ -83,18 +84,14 @@ _PREDEFINED = rf"&(?:{'|'.join(_ENTITIES)});"
 _TEXT_RUN_RE = rf"(?:[^<&]|{_PREDEFINED})[^<&]*(?:{_PREDEFINED}[^<&]*)*"
 _TEXT_RUN = re.compile(_TEXT_RUN_RE)
 # One item of element content: a text run, a whole start tag or a
-# closing tag. An open start tag takes in the character data after it
-# and its closing tag when nothing else lies between them, as in
-# <title>Notes</title>: a leaf is then one item. The leaf's text is
-# matched in a lookahead, which the engine never enters again, and taken
-# by a backreference, so that a text that no closing tag follows is
-# given back in one step, not one character at a time; Python 3.10 has
-# no atomic groups. Each branch is one outer group, so that
+# closing tag. An open start tag takes in the text run after it, and
+# then its closing tag if that follows, as in <title>Notes</title>: a
+# leaf is then one item, and an element's first text is read once
+# whatever follows it. Each branch is one outer group, so that
 # ``lastindex`` names it; the group numbers are the constants below.
 _TOKEN = re.compile(
     rf"({_TEXT_RUN_RE})"
-    rf"|({_TAG_HEAD_RE}(?:(?P<close>/)>"
-    rf"|>(?:(?:(?=({_TEXT_RUN_RE}))\8)?(</(?P=name)[ \t\r\n]*>))?))"
+    rf"|({_TAG_HEAD_RE}(?:(?P<close>/)>|>({_TEXT_RUN_RE})?(</(?P=name)[ \t\r\n]*>)?))"
     rf"|(</({_NAME_RE})[ \t\r\n]*>)"
 )
 _T_TEXT, _T_START, _T_END = 1, 2, 10
@@ -323,7 +320,7 @@ def _content(text: str, start: int, i: int, element: XmlElement) -> int:
             i = m.end()
             continue
         # Not a '<' that may open a tag (a '<' with nothing after it is
-        # left to _start_tag, which raises, or the loop would not advance).
+        # left to _reject_start_tag, or the loop would not advance).
         if not kind and (not text.startswith("<", i) or text.startswith(("<!", "<?"), i)):
             i = _char_data(text, i, run, parent, start)
             continue
@@ -337,7 +334,7 @@ def _content(text: str, start: int, i: int, element: XmlElement) -> int:
                 doc.append(item)
         if kind == _T_START:
             # Groups 3, 4 and 7: name, attributes, '/'; 8 and 9: the text
-            # and the closing tag of a leaf.
+            # after the tag, and the closing tag of a leaf.
             attrs = _attributes(text, m.start(4), m.end(4)) if m[4] else {}
             if attrs is None:
                 _reject_start_tag(text, i)
@@ -345,12 +342,12 @@ def _content(text: str, start: int, i: int, element: XmlElement) -> int:
             child.doc, child.parent, child.index = doc, parent, len(siblings)
             doc.append(child)
             siblings.append(child)
+            s = m[8]
+            if s and "&" in s:
+                s = _unescape(s)
             if m[9]:  # a leaf, closed within the token
-                s = m[8]
-                # Entities decode to no whitespace, so the raw text is
-                # whitespace only exactly when the decoded text is.
                 if s and s.strip(_XML_WS):
-                    item = XmlText(_unescape(s) if "&" in s else s, len(doc))
+                    item = XmlText(s, len(doc))
                     item.parent = child
                     child.children.append(item)
                     doc.append(item)
@@ -358,6 +355,8 @@ def _content(text: str, start: int, i: int, element: XmlElement) -> int:
             elif not m[7]:
                 stack.append((child, i))
                 parent, siblings, start = child, child.children, i
+                if s:  # its first text, which a tag or a fault follows
+                    run.append(s)
             i = m.end()
         elif kind == _T_END and m[11] == parent.name:  # group 11: the name
             parent.end = len(doc) - 1
@@ -370,9 +369,8 @@ def _content(text: str, start: int, i: int, element: XmlElement) -> int:
         else:  # a tag that the token refused: its reader raises
             if text.startswith("</", i):
                 _end_tag(text, i, parent)
-            else:
-                _start_tag(text, i)
-            raise AssertionError(f"tag at offset {i} is well-formed but was refused")
+                raise AssertionError(f"closing tag at offset {i} is well-formed but was refused")
+            _reject_start_tag(text, i)
 
 
 def _root_children(data: bytes | str, raw: Callable[[str, int], re.Match | None]

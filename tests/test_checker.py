@@ -26,7 +26,8 @@ from netcheck import xpath as xp
 from netcheck.xpath import parse_filter
 
 from tests.direct_eval import direct_check
-from tests.gens import make_network, random_attributed_network, random_xpl_text
+from tests.gens import (make_network, random_attributed_network, random_filter_text,
+                        random_xpl_text)
 
 EXAMPLE_FORMULAS = [
     'EX [title = "Google"]',
@@ -322,10 +323,18 @@ def test_frozen_pipeline_example():
 @given(st.integers(0, 10 ** 9))
 @settings(max_examples=120, deadline=None)
 def test_pipeline_matches_inline_evaluation(seed):
+    # check reads each atom by its filter, the staged API by proposition
+    # id; both give the reference's set. The second formula holds one
+    # filter twice, as equal but distinct objects, beside a pair of
+    # structurally equal subformulas.
     rng = random.Random(seed)
     net = random_attributed_network(rng, max_n=7, directed=rng.random() < 0.8)
-    f = parse_formula(random_xpl_text(rng, depth=3))
-    assert check(net, f) == direct_check(net, f)
+    text, filter_text = random_xpl_text(rng, depth=3), random_filter_text(rng)
+    for f in map(parse_formula, (text, f"({text}) & EX [{filter_text}] | AF [{filter_text}]"
+                                       f" & !({text})")):
+        labels, registry = label_nodes(net, f)
+        assert model_check(net, labels, replace_filters(f, registry)) == check(net, f)
+        assert check(net, f) == direct_check(net, f)
 
 
 def test_check_is_deterministic_across_runs():
@@ -701,9 +710,9 @@ def test_check_builds_no_key_set(monkeypatch):
     seen = []
     real = ctl._Checker.__init__
 
-    def spy(self, net, labels, memo):
+    def spy(self, net, labels, bits):
         seen.append((labels, len(net._key_sets)))
-        real(self, net, labels, memo)
+        real(self, net, labels, bits)
 
     monkeypatch.setattr(ctl._Checker, "__init__", spy)
     net = parse_network(_batch_network_text())

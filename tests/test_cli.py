@@ -183,6 +183,33 @@ def test_witness_reads_the_sets_check_computed(monkeypatch, capsys):
         assert len(built) == 1
 
 
+def test_check_and_query_build_no_propositions(monkeypatch, capsys):
+    # check, netcheck check and netcheck query check the formula as
+    # parsed: with the replacement stage and the registry made to fail,
+    # each answers as before, the witness included.
+    from netcheck import checker
+    from netcheck.network import load_network
+
+    text = 'EU([count(paper) > 100], [(first = "Paul") and (last = "Erdos")])'
+    calls = [("check", "--network", COLLAB, "--formula", text, "--witness-for", "e3"),
+             ("query", "--network", WEB, "--filter", 'title = "Google"')]
+
+    def answers():
+        return (checker.check(load_network(COLLAB), checker.parse_formula(text)),
+                [run_main(capsys, *argv) for argv in calls])
+
+    expected = answers()
+    assert [code for code, _, _ in expected[1]] == [0, 0]
+    assert "witness e3: e3 -> " in expected[1][0][1]
+
+    def refuse(*args):
+        raise AssertionError("a proposition id was made")
+
+    monkeypatch.setattr(checker, "replace_filters", refuse)
+    monkeypatch.setattr(checker.FilterRegistry, "register", refuse)
+    assert answers() == expected
+
+
 # -- query ----------------------------------------------------------------------
 
 

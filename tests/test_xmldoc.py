@@ -7,6 +7,7 @@ import time
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from netcheck import xmldoc
 from netcheck.errors import ParseError
 from netcheck.xmldoc import (
     XmlAttribute,
@@ -423,6 +424,29 @@ def test_markup_inside_an_element_matches_reference(source, expected):
      ("error", "mismatched closing tag: expected </a>, found </b>", 1, 14)),
     ("<r><a>x&amp</a></r>", ("error", "unterminated entity reference", 1, 8)),
     ("<r><a>x&bogus;</a></r>", ("error", "unknown entity &bogus;", 1, 8)),
+    # Mixed content: a start tag takes in the text after it whatever
+    # follows, and the element's text goes on from there.
+    ("<r><p>ab &amp; c<b/>d</p></r>", ("tree", [("element", "r", [], [], 0, 0, None),
+                                                ("element", "p", [], [], 1, 0, 0),
+                                                ("text", "ab & c", 2, 0, 1),
+                                                ("element", "b", [], [], 3, 1, 1),
+                                                ("text", "d", 4, 2, 1)])),
+    ("<r><p> \n <b/></p></r>", ("tree", [("element", "r", [], [], 0, 0, None),
+                                          ("element", "p", [], [], 1, 0, 0),
+                                          ("element", "b", [], [], 2, 0, 1)])),
+    ("<r><p>a<!-- c -->b<b/>c</p></r>", ("tree", [("element", "r", [], [], 0, 0, None),
+                                                  ("element", "p", [], [], 1, 0, 0),
+                                                  ("text", "ab", 2, 0, 1),
+                                                  ("element", "b", [], [], 3, 1, 1),
+                                                  ("text", "c", 4, 2, 1)])),
+    ("<r><p>a&bogus;<b/></p></r>", ("error", "unknown entity &bogus;", 1, 8)),
+    ("<r><p>a<!x/></p></r>", ("error", "'<!' markup is not supported", 1, 8)),
+    ("<r><p> a </q></r>", ("error", "mismatched closing tag: expected </p>, found </q>", 1, 10)),
+    ("<r><p>a&lt;b", ("error", "unterminated element <p>", 1, 4)),
+    ('<network>data<node key="a"/></network>', (
+        "tree", [("element", "network", [], [], 0, 0, None),
+                 ("text", "data", 1, 0, 0),
+                 ("element", "node", [("key", "a")], [("key", "a", True, (2, 1, 0))], 2, 1, 0)])),
 ])
 def test_fused_tokens_match_reference(source, expected):
     assert _outcome(parse_xml, source) == _outcome(reference.parse_xml, source) == expected
@@ -447,12 +471,14 @@ def _entity_text(n):
     return _ENTITY_UNIT * (n // len(_ENTITY_UNIT))
 
 
-# Documents around one long text, whose leaf pattern reads the whole text
-# and is then refused: by a closing tag of another name, an error, or by
-# a comment, after which the text goes on.
+# Documents around one long text, which a start tag takes in and which
+# no closing tag of its name follows: a closing tag of another name, an
+# error, a comment, after which the text goes on, or a child of another
+# name.
 LONG_TEXTS = {
     "mismatched closing tag": lambda t: f"<r><a>{t}</b></r>",
     "comment after a leaf's text": lambda t: f"<r><a>{t}<!-- c -->{t}</a></r>",
+    "text before a child of another name": lambda t: f"<r><a>{t}<b/>{t}</a></r>",
 }
 
 
@@ -465,11 +491,11 @@ def _parse_outcome(source):
 
 @pytest.mark.parametrize("shape", LONG_TEXTS)
 def test_long_entity_text_linear(shape):
-    # A text run is one match however many entities it holds, and the
-    # leaf pattern gives it back in one step when what follows refuses
-    # it. A pattern that backtracks per character or per entity grows
-    # 16x or worse for 4x the text; a linear one measures 4-6x. The two
-    # sizes are timed in alternation, each going first in turn.
+    # A text run is one match however many entities it holds, and a
+    # start tag takes it in whole whatever follows it. A pattern that
+    # backtracks per character or per entity grows 16x or worse for 4x
+    # the text; a linear one measures 4-6x. The two sizes are timed in
+    # alternation, each going first in turn.
     files = []
     for n in (50_000, 200_000):
         text = _entity_text(n)
@@ -502,3 +528,22 @@ def test_long_entity_text_calls_independent_of_length(shape):
     small, large = (_calls_to_parse(LONG_TEXTS[shape](_entity_text(n)), _parse_outcome)
                     for n in (50_000, 200_000))
     assert small == large, f"4x text made {large} calls against {small}"
+
+
+def test_first_text_before_a_child_is_one_token_with_its_start_tag(monkeypatch):
+    # The count twin of the mixed-content shape above: the text after
+    # <p> is read with its start tag, not matched again as a text token.
+    # One match for each of <p>T, <b/>, T, </p> and </r>.
+    matches = 0
+
+    class CountingToken:
+        def match(self, text, i):
+            nonlocal matches
+            matches += 1
+            return token.match(text, i)
+
+    token = xmldoc._TOKEN
+    monkeypatch.setattr(xmldoc, "_TOKEN", CountingToken())
+    root = parse_xml("<r><p>T<b/>T</p></r>")
+    assert string_value(root) == "TT"
+    assert matches == 5
